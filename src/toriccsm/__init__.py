@@ -67,7 +67,6 @@ __all__ = [
     "determinant",
     "rational_rref",
     "column_lattice_index",
-    "column_lattice_index",
     "Cone",
     "Fan",
     "build_fan",

@@ -3,10 +3,13 @@
 The ring of a complete simplicial fan with rays ``x_0..x_{r-1}`` is the
 polynomial ring over Q modulo the squarefree monomial ideal of minimal
 non-faces and the ``n`` linear relations coming from the ray coordinates.
-Rather than running a general quotient-ring engine we eliminate the ``n``
-variables of one maximal cone (its ray matrix is invertible), which leaves
-``r - n`` variables, and reduce each graded piece by plain rational row
-reduction against the substituted non-face generators.
+We eliminate the ``n`` variables of one maximal cone (its ray matrix is
+invertible), which leaves ``r - n`` variables and an ideal generated by the
+substituted non-faces alone.  A homogeneous Buchberger run in graded-lex
+order (an earlier kept variable is more significant), truncated at degree
+``n``, gives that ideal's leading terms; the monomials they do not divide
+are the basis of each graded piece, and every other monomial gets its
+unique normal form in one ascending pass per degree.
 
 Classes are sparse:
 
@@ -269,42 +272,15 @@ def build_presentation(fan: Fan, elim_cone: Cone | Iterable[int] | None = None) 
         if poly:
             gens.append((len(s), poly))
 
-    # Per-degree reduction data: basis monomials are the non-pivot columns
-    # of the row-reduced generator multiples, columns ordered by decreasing
-    # graded-lex (smaller ray index more significant).
-    basis_all: list[tuple[Monomial, ...]] = []
-    basis_sets: list[set[tuple[int, ...]]] = []
-    reductions: list[dict[tuple[int, ...], dict[tuple[int, ...], Fraction]]] = []
-    for d in range(n + 1):
-        mons = _exponent_tuples(nk, d)
-        col = {m: i for i, m in enumerate(mons)}
-        rows = []
-        for deg_g, g in gens:
-            if deg_g > d:
-                continue
-            for m in _exponent_tuples(nk, d - deg_g):
-                row = [_F0] * len(mons)
-                for gm, gc in g.items():
-                    row[col[tuple(x + y for x, y in zip(m, gm))]] = gc
-                rows.append(row)
-        red_d: dict[tuple[int, ...], dict[tuple[int, ...], Fraction]] = {}
-        if rows:
-            rmat, piv = rational_rref(RationalMatrix.from_rows(rows))
-            pivset = set(piv)
-            rrows = rmat.row_lists()
-            basis_idx = [j for j in range(len(mons)) if j not in pivset]
-            for i, pcol in enumerate(piv):
-                red_d[mons[pcol]] = {
-                    mons[j]: -rrows[i][j] for j in basis_idx if rrows[i][j]
-                }
-        else:
-            basis_idx = list(range(len(mons)))
-        basis_all.append(tuple(_dense_to_sparse(mons[j], kept) for j in basis_idx))
-        basis_sets.append({mons[j] for j in basis_idx})
-        reductions.append(red_d)
-    p.degree_bases = tuple(basis_all)
-    p._basis_sets = basis_sets
-    p._reductions = reductions
+    # Per-degree reduction data from a truncated Groebner basis of the
+    # substituted generators: the basis monomials of each graded piece, in
+    # descending graded-lex order, and the normal form of every other
+    # monomial over them.
+    groebner = _truncated_groebner(gens, n)
+    tables = [_standard_monomials(_exponent_tuples(nk, d), groebner) for d in range(n + 1)]
+    p.degree_bases = tuple(tuple(_dense_to_sparse(m, kept) for m in b) for b, _ in tables)
+    p._basis_sets = [set(b) for b, _ in tables]
+    p._reductions = [red for _, red in tables]
     if len(p.degree_bases[n]) != 1:
         raise ValidationError(
             f"fan not complete: top graded piece has dimension {len(p.degree_bases[n])}"
@@ -321,7 +297,147 @@ def build_presentation(fan: Fan, elim_cone: Cone | Iterable[int] | None = None) 
         raise ValidationError("degenerate presentation: fan not complete or reduction bug")
     p.point_coeff = c0
     p.point_mult = multiplicity(fan, ref)
+    _check_graded_dimensions(graded_dimensions(p), len(fan.max_cones))
     return p
+
+
+def _leading_divisor(
+    m: tuple[int, ...], groebner: list[tuple[tuple[int, ...], _Dense]]
+) -> tuple[tuple[int, ...], _Dense] | None:
+    """The first basis element whose leading monomial divides ``m``."""
+    for lead, g in groebner:
+        if all(a >= b for a, b in zip(m, lead)):
+            return lead, g
+    return None
+
+
+def _reduce(f: _Dense, groebner: list[tuple[tuple[int, ...], _Dense]]) -> _Dense:
+    """Full reduction of a homogeneous polynomial by monic basis elements:
+    the part of ``f`` left on monomials no leading monomial divides."""
+    f = dict(f)
+    out: _Dense = {}
+    while f:
+        m = max(f)
+        c = f.pop(m)
+        hit = _leading_divisor(m, groebner)
+        if hit is None:
+            out[m] = c
+            continue
+        lead, g = hit
+        t = tuple(a - b for a, b in zip(m, lead))
+        for u, cu in g.items():
+            if u == lead:
+                continue
+            w = tuple(x + y for x, y in zip(t, u))
+            s = f.get(w, _F0) - c * cu
+            if s:
+                f[w] = s
+            else:
+                f.pop(w, None)
+    return out
+
+
+def _truncated_groebner(
+    gens: list[tuple[int, _Dense]], top: int
+) -> list[tuple[tuple[int, ...], _Dense]]:
+    """Groebner basis, up to degree ``top``, of the ideal of homogeneous
+    generators, as (leading monomial, monic polynomial) pairs.
+
+    Buchberger's algorithm degree by degree: the degree-d work is the
+    generators of degree d plus the S-polynomials whose leading-term lcm
+    has degree d.  Pairs with an lcm above ``top`` are never formed, and
+    pairs with coprime leading monomials are dropped (their S-polynomial
+    always reduces to zero).  Every new element is reduced by all earlier
+    ones, so no leading monomial divides another.
+    """
+    basis: list[tuple[tuple[int, ...], _Dense]] = []
+    pairs: dict[int, list[tuple[int, int]]] = {}
+    for d in range(1, top + 1):
+        work = [g for deg_g, g in gens if deg_g == d]
+        for i, j in pairs.pop(d, ()):
+            (li, gi), (lj, gj) = basis[i], basis[j]
+            lcm = tuple(map(max, li, lj))
+            spoly: _Dense = {}
+            for lead, g, sign in ((li, gi, _F1), (lj, gj, -_F1)):
+                t = tuple(a - b for a, b in zip(lcm, lead))
+                for u, cu in g.items():
+                    w = tuple(x + y for x, y in zip(t, u))
+                    s = spoly.get(w, _F0) + sign * cu
+                    if s:
+                        spoly[w] = s
+                    else:
+                        spoly.pop(w, None)
+            work.append(spoly)
+        for f in work:
+            h = _reduce(f, basis)
+            if not h:
+                continue
+            lead = max(h)
+            inv = 1 / h[lead]
+            new = len(basis)
+            for i, (li, _) in enumerate(basis):
+                if any(a and b for a, b in zip(li, lead)):
+                    deg = sum(map(max, li, lead))
+                    if deg <= top:
+                        pairs.setdefault(deg, []).append((i, new))
+            basis.append((lead, {m: c * inv for m, c in h.items()}))
+    return basis
+
+
+def _standard_monomials(
+    mons: list[tuple[int, ...]],
+    groebner: list[tuple[tuple[int, ...], _Dense]],
+) -> tuple[list[tuple[int, ...]], dict[tuple[int, ...], dict[tuple[int, ...], Fraction]]]:
+    """Basis monomials and normal-form table of one graded piece.
+
+    ``mons`` is every monomial of the degree in descending order.  Walking
+    it upwards, a monomial no leading monomial divides is a basis monomial;
+    any other is ``t * lead(g)`` and reduces to minus the sum of ``c *
+    nf(t * u)`` over the tail terms ``c * u`` of the monic ``g``, each of
+    which is smaller and so already known.  A monomial of the ideal gets an
+    empty dict.  Both outputs list monomials in descending order.
+    """
+    basis_set: set[tuple[int, ...]] = set()
+    table: dict[tuple[int, ...], dict[tuple[int, ...], Fraction]] = {}
+    for m in reversed(mons):
+        hit = _leading_divisor(m, groebner)
+        if hit is None:
+            basis_set.add(m)
+            continue
+        lead, g = hit
+        t = tuple(a - b for a, b in zip(m, lead))
+        acc: dict[tuple[int, ...], Fraction] = {}
+        for u, cu in g.items():
+            if u == lead:
+                continue
+            w = tuple(x + y for x, y in zip(t, u))
+            terms = {w: _F1} if w in basis_set else table[w]
+            for b, q in terms.items():
+                s = acc.get(b, _F0) - cu * q
+                if s:
+                    acc[b] = s
+                else:
+                    acc.pop(b, None)
+        table[m] = acc
+    basis = [m for m in mons if m in basis_set]
+    reductions = {
+        m: {b: table[m][b] for b in sorted(table[m], reverse=True)}
+        for m in mons
+        if m in table
+    }
+    return basis, reductions
+
+
+def _check_graded_dimensions(dims: tuple[int, ...], num_max_cones: int) -> None:
+    """Raise ``InternalError`` unless the graded dimensions are palindromic
+    (Poincare duality) and sum to the number of maximal cones."""
+    if dims != dims[::-1]:
+        raise InternalError(f"graded dimensions {dims} are not palindromic")
+    if sum(dims) != num_max_cones:
+        raise InternalError(
+            f"graded dimensions {dims} sum to {sum(dims)}, not to the "
+            f"{num_max_cones} maximal cones"
+        )
 
 
 def _dense_to_sparse(m: tuple[int, ...], kept: tuple[int, ...]) -> Monomial:

@@ -303,6 +303,8 @@ _BENCH_DEFAULTS = [
     "hirzebruch=10",
     "wps=1,1,2",
     "wps=1,1,3",
+    "pn=1*pn=1*pn=1*pn=1*pn=1*pn=1*pn=1",
+    "pn=1*pn=1*pn=1*pn=1*pn=1*pn=1*pn=1*pn=1",
 ]
 
 

@@ -10,7 +10,8 @@ implementations favour clarity and exactness over asymptotics:
 * ``determinant``          -- fraction-free Bareiss elimination, kept as an
   algorithmically independent cross-check for the HNF pipeline.
 * ``rational_rref``        -- reduced row echelon form over the rationals,
-  the workhorse of the graded quotient computation.
+  used only for the elimination solve (the eliminated variables as
+  rational combinations of the kept ones).
 * ``column_lattice_index`` -- the index of an integer column span inside
   the lattice points of its real span, via a left-unimodular echelon form.
 """

@@ -2,23 +2,31 @@
 
 Everything here is deliberately naive and separate from the library code
 paths it checks: cofactor determinants instead of Bareiss, gcd of maximal
-minors instead of echelon forms, and a dumb full-variable row reduction for
-quotient dimensions instead of the elimination pipeline.
+minors instead of echelon forms, a dumb full-variable row reduction for
+quotient dimensions instead of the elimination pipeline, and dense Macaulay
+row reduction of the substituted generators instead of the Groebner basis
+behind the presentation's reduction tables.
 """
 
 from __future__ import annotations
 
+import copy
+from fractions import Fraction
 from itertools import combinations
 from math import gcd
 
 from toriccsm import (
+    ChowPresentation,
     Fan,
+    build_fan,
     hirzebruch,
     product,
     projective_space,
+    normal_form,
+    squarefree_monomial,
     weighted_projective,
 )
-from toriccsm.exact_linalg import IntegerMatrix
+from toriccsm.exact_linalg import IntegerMatrix, RationalMatrix, rational_rref
 
 
 def cofactor_det(rows: list[list[int]]) -> int:
@@ -171,6 +179,94 @@ def brute_quotient_dims(fan: Fan) -> list[int]:
                 rows.append(row)
         dims.append(len(mons) - int_row_rank(rows))
     return dims
+
+
+def macaulay_presentation(pres: ChowPresentation) -> ChowPresentation:
+    """A copy of ``pres`` whose reduction tables and degree calibration are
+    recomputed by dense row reduction of the degree-d Macaulay matrix.
+
+    For each degree d the rows are every monomial multiple of degree d of
+    the substituted non-face generators, over columns of all degree-d
+    monomials in decreasing graded-lex order (an earlier kept variable is
+    more significant).  The non-pivot columns of the reduced row echelon
+    form are the basis monomials, and each pivot row gives the normal form
+    of its pivot monomial.  Only the substitution and the non-faces are
+    taken from ``pres``.
+    """
+    n = pres.fan.ambient_dim
+    kept = pres.kept
+    nk = len(kept)
+    pos = {ray: i for i, ray in enumerate(kept)}
+
+    def dense(mono):
+        e = [0] * nk
+        for ray, k in mono:
+            e[pos[ray]] += k
+        return tuple(e)
+
+    gens = []
+    for s in pres.nonfaces:
+        poly = {(0,) * nk: Fraction(1)}
+        for j in s:
+            factor = {dense(((j, 1),)): Fraction(1)} if j in pos else {
+                dense(m): c for m, c in pres.substitution[j].items()
+            }
+            prod = {}
+            for ma, ca in poly.items():
+                for mb, cb in factor.items():
+                    m = tuple(x + y for x, y in zip(ma, mb))
+                    prod[m] = prod.get(m, 0) + ca * cb
+            poly = {m: c for m, c in prod.items() if c}
+        if poly:
+            gens.append((len(s), poly))
+
+    def sparse(m):
+        return tuple((kept[i], e) for i, e in enumerate(m) if e)
+
+    bases, basis_sets, reductions = [], [], []
+    for d in range(n + 1):
+        mons = exponent_tuples(nk, d)
+        col = {m: i for i, m in enumerate(mons)}
+        rows = []
+        for deg_g, g in gens:
+            if deg_g > d:
+                continue
+            for m in exponent_tuples(nk, d - deg_g):
+                row = [Fraction(0)] * len(mons)
+                for gm, gc in g.items():
+                    row[col[tuple(x + y for x, y in zip(m, gm))]] = gc
+                rows.append(row)
+        red_d = {}
+        if rows:
+            rmat, piv = rational_rref(RationalMatrix.from_rows(rows))
+            pivset = set(piv)
+            rrows = rmat.row_lists()
+            basis_idx = [j for j in range(len(mons)) if j not in pivset]
+            for i, pcol in enumerate(piv):
+                red_d[mons[pcol]] = {mons[j]: -rrows[i][j] for j in basis_idx if rrows[i][j]}
+        else:
+            basis_idx = list(range(len(mons)))
+        bases.append(tuple(sparse(mons[j]) for j in basis_idx))
+        basis_sets.append({mons[j] for j in basis_idx})
+        reductions.append(red_d)
+
+    out = copy.copy(pres)
+    out.degree_bases = tuple(bases)
+    out._basis_sets = basis_sets
+    out._reductions = reductions
+    ref = min(pres.fan.max_cones, key=lambda c: c.ray_indices)
+    reduced = normal_form({squarefree_monomial(ref.ray_indices): Fraction(1)}, out)
+    out.point_coeff = reduced.get(out.degree_bases[n][0], Fraction(0))
+    return out
+
+
+def relabel(fan: Fan, perm: list[int]) -> Fan:
+    """The same fan with ray ``j`` renamed to ``perm[j]``."""
+    rays = [None] * len(fan.rays)
+    for j, v in enumerate(fan.rays):
+        rays[perm[j]] = v
+    cones = [tuple(perm[j] for j in c.ray_indices) for c in fan.max_cones]
+    return build_fan(fan.ambient_dim, rays, cones)
 
 
 def suite_fans() -> list[tuple[str, Fan]]:

@@ -1,11 +1,14 @@
+import random
+import time
 from fractions import Fraction
 
 import pytest
-from helpers import brute_quotient_dims, suite_fans
+from helpers import brute_quotient_dims, macaulay_presentation, relabel, suite_fans
 
 from toriccsm import (
     build_presentation,
     class_add,
+    csm_result,
     degree,
     euler_by_cone_count,
     graded_dimensions,
@@ -19,7 +22,8 @@ from toriccsm import (
     stanley_reisner_nonfaces,
     weighted_projective,
 )
-from toriccsm.errors import ValidationError
+from toriccsm.chow import _check_graded_dimensions
+from toriccsm.errors import InternalError, ValidationError
 
 
 def test_nonfaces_h5():
@@ -165,3 +169,50 @@ def test_basis_choice_independence():
         elims = sorted(c.ray_indices for c in fan.max_cones)[:3]
         dims = {graded_dimensions(build_presentation(fan, e)) for e in elims}
         assert len(dims) == 1, name
+
+
+def _oracle_cases():
+    cases = [(name, fan) for name, fan in suite_fans() if len(fan.rays) - fan.ambient_dim <= 5]
+    p1 = projective_space(1)
+    p1_5 = p1
+    for _ in range(4):
+        p1_5 = product(p1_5, p1)
+    mixed = product(product(product(p1, p1), hirzebruch(7)), projective_space(2))
+    rng = random.Random(0)
+    for name, fan in [("(P1)^5", p1_5), ("P1xP1xF7xP2", mixed)]:
+        perm = list(range(len(fan.rays)))
+        rng.shuffle(perm)
+        cases.append((f"relabelled {name}", relabel(fan, perm)))
+    return cases
+
+
+def test_groebner_tables_match_macaulay_oracle():
+    for name, fan in _oracle_cases():
+        for elim in sorted(c.ray_indices for c in fan.max_cones)[:3]:
+            p = build_presentation(fan, elim)
+            q = macaulay_presentation(p)
+            case = (name, elim)
+            assert p.degree_bases == q.degree_bases, case
+            assert p._basis_sets == q._basis_sets, case
+            assert p._reductions == q._reductions, case
+            assert p.point_coeff == q.point_coeff, case
+            assert csm_result(fan, p).csm_class == csm_result(fan, q).csm_class, case
+
+
+def test_graded_dimension_invariants():
+    _check_graded_dimensions((1, 2, 1), 4)
+    with pytest.raises(InternalError, match="not palindromic"):
+        _check_graded_dimensions((1, 2, 2), 5)
+    with pytest.raises(InternalError, match="sum to 4"):
+        _check_graded_dimensions((1, 2, 1), 5)
+
+
+def test_p1_power_7_presentation_envelope():
+    fan = projective_space(1)
+    for _ in range(6):
+        fan = product(fan, projective_space(1))
+    t0 = time.perf_counter()
+    p = build_presentation(fan)
+    elapsed = time.perf_counter() - t0
+    assert graded_dimensions(p) == (1, 7, 21, 35, 35, 21, 7, 1)
+    assert elapsed < 5.0, f"(P1)^7 presentation took {elapsed:.2f}s"

@@ -163,3 +163,17 @@ def test_bench_defaults_used_when_no_only(capsys, monkeypatch):
 def test_threads_flag(capsys):
     code, out, _ = run(capsys, "euler", "--builder", "wps=1,1,3", "--threads", "3", "--force-hnf")
     assert code == 0 and out.strip() == "3"
+
+
+def test_broken_graded_dimensions_exit_3(capsys, monkeypatch):
+    import toriccsm.chow as chow
+
+    monkeypatch.setattr(chow, "graded_dimensions", lambda pres: (1, 1, 2))
+    code, _, err = run(capsys, "csm", "--builder", "hirzebruch=5")
+    assert code == 3 and "not palindromic" in err
+
+
+def test_package_all_has_no_duplicates():
+    import toriccsm
+
+    assert len(toriccsm.__all__) == len(set(toriccsm.__all__))
