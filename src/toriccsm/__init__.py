@@ -50,7 +50,6 @@ from .csm import (
     csm_result,
     euler_by_cone_count,
     euler_characteristic,
-    smooth_fast_path,
 )
 from .formats import parse_class, parse_fan_file, parse_fan_text, render_class, render_fan
 
@@ -95,7 +94,6 @@ __all__ = [
     "csm_result",
     "euler_characteristic",
     "euler_by_cone_count",
-    "smooth_fast_path",
     "parse_fan_file",
     "parse_fan_text",
     "render_fan",

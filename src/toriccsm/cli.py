@@ -7,9 +7,9 @@ Subcommands:
     validate  run fan validation and report the outcome
     bench     timing table over a suite of builder fans
 
-A fan comes from exactly one of ``--fan FILE``, ``--builder SPEC``
+A fan comes from exactly one of ``--fan FILE`` or ``--builder SPEC``
 (``pn=N``, ``hirzebruch=R``, ``wps=q0,q1,...``; ``*`` joins product
-factors), or ``--product SPEC1 SPEC2``.
+factors).  Each subcommand accepts only the flags it reads.
 
 Exit codes: 0 success, 1 usage error, 2 validation error, 3 internal
 inconsistency.
@@ -22,7 +22,6 @@ import json
 import os
 import sys
 import time
-from dataclasses import dataclass
 from fractions import Fraction
 
 from .chow import build_presentation, graded_dimensions
@@ -31,7 +30,7 @@ from .errors import InternalError, ValidationError
 from .fan import Fan, hirzebruch, is_smooth, multiplicity, product, projective_space, weighted_projective
 from .formats import parse_fan_file, render_class
 
-__all__ = ["main", "console_main", "OutputReport"]
+__all__ = ["main", "console_main"]
 
 
 class UsageError(Exception):
@@ -74,14 +73,10 @@ def _builder_fan(spec: str) -> Fan:
 
 
 def _resolve_fan(args) -> tuple[Fan, str]:
-    validate = not args.trust_input
     if args.fan:
-        fan, name = parse_fan_file(args.fan, validate=validate)
+        fan, name = parse_fan_file(args.fan, validate=not args.trust_input)
         return fan, name or args.fan
-    if args.builder:
-        return _builder_fan(args.builder), args.builder
-    spec = "*".join(args.product)
-    return _builder_fan(spec), spec
+    return _builder_fan(args.builder), args.builder
 
 
 def _parse_elim(arg: str | None):
@@ -93,82 +88,34 @@ def _parse_elim(arg: str | None):
         raise UsageError(f"bad --elim-cone value {arg!r}: {exc}") from exc
 
 
-@dataclass
-class OutputReport:
-    """Everything a csm/euler/chow run reports, in one structure."""
-
-    source: str
-    dim: int
-    num_rays: int
-    num_max_cones: int
-    smooth: bool
-    eliminated: tuple[int, ...]
-    kept: tuple[int, ...]
-    graded_dims: tuple[int, ...]
-    csm: str | None
-    euler: int | None
-    singular_cones: tuple[tuple[tuple[int, ...], int], ...]
-    chow_seconds: float
-    class_seconds: float
-
-    def human(self) -> str:
-        lines = [
-            f"fan: {self.source} (dim {self.dim}, {self.num_rays} rays, "
-            f"{self.num_max_cones} maximal cones, {'smooth' if self.smooth else 'singular'})",
-            f"eliminated: {', '.join(f'x{i}' for i in self.eliminated)}; "
-            f"kept: {', '.join(f'x{i}' for i in self.kept)}",
-            f"graded dimensions: {' '.join(str(d) for d in self.graded_dims)}",
-        ]
-        if self.singular_cones:
-            lines.append(
-                "singular cones: "
-                + ", ".join(f"({','.join(map(str, c))}) mult {m}" for c, m in self.singular_cones)
-            )
-        if self.csm is not None:
-            lines.append(f"c_SM = {self.csm}")
-        if self.euler is not None:
-            lines.append(f"chi = {self.euler}")
-        lines.append(
-            f"timing: chow ring {self.chow_seconds:.3f}s, class {self.class_seconds:.3f}s"
-        )
-        return "\n".join(lines)
-
-    def to_json(self) -> dict:
-        return {
-            "source": self.source,
-            "fan": {
-                "dim": self.dim,
-                "rays": self.num_rays,
-                "max_cones": self.num_max_cones,
-                "smooth": self.smooth,
-            },
-            "presentation": {
-                "eliminated": list(self.eliminated),
-                "kept": list(self.kept),
-                "graded_dimensions": list(self.graded_dims),
-            },
-            "singular_cones": [
-                {"cone": list(c), "mult": m} for c, m in self.singular_cones
-            ],
-            "csm": self.csm,
-            "euler": self.euler,
-            "timings": {
-                "chow_seconds": self.chow_seconds,
-                "class_seconds": self.class_seconds,
-            },
-        }
+def _fan_summary(fan: Fan) -> dict:
+    return {
+        "dim": fan.ambient_dim,
+        "rays": len(fan.rays),
+        "max_cones": len(fan.max_cones),
+        "smooth": is_smooth(fan),
+    }
 
 
-def _singular_cones(fan: Fan) -> tuple[tuple[tuple[int, ...], int], ...]:
-    out = []
-    for c in fan.max_cones:
-        m = multiplicity(fan, c)
-        if m != 1:
-            out.append((c.ray_indices, m))
-    return tuple(sorted(out))
+def _describe(source: str, summary: dict) -> str:
+    return (
+        f"{source} (dim {summary['dim']}, {summary['rays']} rays, "
+        f"{summary['max_cones']} maximal cones, "
+        f"{'smooth' if summary['smooth'] else 'singular'})"
+    )
 
 
-def _run_report(args) -> OutputReport:
+def _variables(indices) -> str:
+    return ", ".join(f"x{i}" for i in indices)
+
+
+def _singular_cones(fan: Fan) -> list[tuple[tuple[int, ...], int]]:
+    mults = ((c.ray_indices, multiplicity(fan, c)) for c in fan.max_cones)
+    return sorted((idx, m) for idx, m in mults if m != 1)
+
+
+def _run_report(args) -> tuple[dict, str]:
+    """The csm report as a JSON-ready dict and as human text."""
     fan, source = _resolve_fan(args)
     elim = _parse_elim(args.elim_cone)
     t0 = time.perf_counter()
@@ -184,26 +131,43 @@ def _run_report(args) -> OutputReport:
         csm_str = render_class(result.csm_class)
         euler = result.euler
     t2 = time.perf_counter()
-    return OutputReport(
-        source=source,
-        dim=fan.ambient_dim,
-        num_rays=len(fan.rays),
-        num_max_cones=len(fan.max_cones),
-        smooth=is_smooth(fan),
-        eliminated=pres.elim_cone.ray_indices,
-        kept=pres.kept,
-        graded_dims=graded_dimensions(pres),
-        csm=csm_str,
-        euler=euler,
-        singular_cones=_singular_cones(fan),
-        chow_seconds=t1 - t0,
-        class_seconds=t2 - t1,
-    )
+    summary = _fan_summary(fan)
+    eliminated, kept = pres.elim_cone.ray_indices, pres.kept
+    dims = graded_dimensions(pres)
+    singular = _singular_cones(fan)
+    report = {
+        "source": source,
+        "fan": summary,
+        "presentation": {
+            "eliminated": list(eliminated),
+            "kept": list(kept),
+            "graded_dimensions": list(dims),
+        },
+        "singular_cones": [{"cone": list(c), "mult": m} for c, m in singular],
+        "csm": csm_str,
+        "euler": euler,
+        "timings": {"chow_seconds": t1 - t0, "class_seconds": t2 - t1},
+    }
+    lines = [
+        f"fan: {_describe(source, summary)}",
+        f"eliminated: {_variables(eliminated)}; kept: {_variables(kept)}",
+        f"graded dimensions: {' '.join(map(str, dims))}",
+    ]
+    if singular:
+        lines.append(
+            "singular cones: "
+            + ", ".join(f"({','.join(map(str, c))}) mult {m}" for c, m in singular)
+        )
+    if csm_str is not None:
+        lines.append(f"c_SM = {csm_str}")
+    lines.append(f"chi = {euler}")
+    lines.append(f"timing: chow ring {t1 - t0:.3f}s, class {t2 - t1:.3f}s")
+    return report, "\n".join(lines)
 
 
 def _cmd_csm(args) -> int:
-    rep = _run_report(args)
-    print(json.dumps(rep.to_json(), indent=2) if args.json else rep.human())
+    report, text = _run_report(args)
+    print(json.dumps(report, indent=2) if args.json else text)
     return 0
 
 
@@ -222,75 +186,48 @@ def _cmd_chow(args) -> int:
     t0 = time.perf_counter()
     pres = build_presentation(fan, elim)
     dt = time.perf_counter() - t0
-
-    def form_str(coeffs):
-        return render_class({((j, 1),): Fraction(c) for j, c in enumerate(coeffs) if c})
-
     nonfaces = [render_class({tuple((j, 1) for j in s): Fraction(1)}) for s in pres.nonfaces]
-    relations = [form_str(f) for f in pres.linear_forms]
+    relations = [
+        render_class({((j, 1),): Fraction(c) for j, c in enumerate(form) if c})
+        for form in pres.linear_forms
+    ]
     subst = {f"x{ray}": render_class(cls) for ray, cls in sorted(pres.substitution.items())}
     dims = graded_dimensions(pres)
+    summary = _fan_summary(fan)
     if args.json:
-        print(
-            json.dumps(
-                {
-                    "source": source,
-                    "fan": {
-                        "dim": fan.ambient_dim,
-                        "rays": len(fan.rays),
-                        "max_cones": len(fan.max_cones),
-                        "smooth": is_smooth(fan),
-                    },
-                    "presentation": {
-                        "nonfaces": nonfaces,
-                        "linear_relations": relations,
-                        "eliminated": list(pres.elim_cone.ray_indices),
-                        "kept": list(pres.kept),
-                        "substitution": subst,
-                        "graded_dimensions": list(dims),
-                    },
-                    "timings": {"chow_seconds": dt},
-                },
-                indent=2,
-            )
-        )
-    else:
-        print(
-            f"fan: {source} (dim {fan.ambient_dim}, {len(fan.rays)} rays, "
-            f"{len(fan.max_cones)} maximal cones, "
-            f"{'smooth' if is_smooth(fan) else 'singular'})"
-        )
-        print(f"stanley-reisner non-faces: {', '.join(nonfaces)}")
-        print(f"linear relations: {', '.join(relations)}")
-        print(
-            f"eliminated: {', '.join(f'x{i}' for i in pres.elim_cone.ray_indices)}; "
-            f"kept: {', '.join(f'x{i}' for i in pres.kept)}"
-        )
-        print("substitution: " + ", ".join(f"{v} = {s}" for v, s in subst.items()))
-        print(f"graded dimensions: {' '.join(str(d) for d in dims)}")
-        print(f"timing: chow ring {dt:.3f}s")
+        report = {
+            "source": source,
+            "fan": summary,
+            "presentation": {
+                "nonfaces": nonfaces,
+                "linear_relations": relations,
+                "eliminated": list(pres.elim_cone.ray_indices),
+                "kept": list(pres.kept),
+                "substitution": subst,
+                "graded_dimensions": list(dims),
+            },
+            "timings": {"chow_seconds": dt},
+        }
+        print(json.dumps(report, indent=2))
+        return 0
+    print(f"fan: {_describe(source, summary)}")
+    print(f"stanley-reisner non-faces: {', '.join(nonfaces)}")
+    print(f"linear relations: {', '.join(relations)}")
+    print(f"eliminated: {_variables(pres.elim_cone.ray_indices)}; kept: {_variables(pres.kept)}")
+    print("substitution: " + ", ".join(f"{v} = {s}" for v, s in subst.items()))
+    print(f"graded dimensions: {' '.join(map(str, dims))}")
+    print(f"timing: chow ring {dt:.3f}s")
     return 0
 
 
 def _cmd_validate(args) -> int:
     fan, source = _resolve_fan(args)
     verdict = "skipped (trusted input)" if args.trust_input else "passed"
-    msg = {
-        "source": source,
-        "validation": verdict,
-        "dim": fan.ambient_dim,
-        "rays": len(fan.rays),
-        "max_cones": len(fan.max_cones),
-        "smooth": is_smooth(fan),
-    }
+    summary = _fan_summary(fan)
     if args.json:
-        print(json.dumps(msg))
+        print(json.dumps({"source": source, "validation": verdict, **summary}))
     else:
-        print(
-            f"validation {verdict}: {source} (dim {fan.ambient_dim}, {len(fan.rays)} rays, "
-            f"{len(fan.max_cones)} maximal cones, "
-            f"{'smooth' if is_smooth(fan) else 'singular'})"
-        )
+        print(f"validation {verdict}: {_describe(source, summary)}")
     return 0
 
 
@@ -372,29 +309,31 @@ def _cell(v) -> str:
     return str(v)
 
 
+def _flag(*names, **kwargs) -> argparse.ArgumentParser:
+    """A parent parser holding one flag, to share it between subcommands."""
+    parser = argparse.ArgumentParser(add_help=False)
+    parser.add_argument(*names, **kwargs)
+    return parser
+
+
 def build_parser() -> argparse.ArgumentParser:
-    opts = argparse.ArgumentParser(add_help=False)
-    opts.add_argument("--json", action="store_true", help="machine-readable output")
-    opts.add_argument("--threads", type=int, default=os.cpu_count() or 1,
-                      help="worker threads for per-cone work (results are identical for any value)")
-    opts.add_argument("--seed", type=int, default=None,
-                      help="random seed (reserved for randomized subcommands)")
+    json_flag = _flag("--json", action="store_true", help="machine-readable output")
+    threads = _flag("--threads", type=int, default=os.cpu_count() or 1,
+                    help="worker threads for per-cone work (results are identical for any value)")
+    elim_cone = _flag("--elim-cone", metavar="I1,..,IN", default=None,
+                      help="maximal cone whose variables are eliminated "
+                           "(default: lexicographically smallest)")
+    force_hnf = _flag("--force-hnf", action="store_true",
+                      help="compute every cone multiplicity even for smooth fans, "
+                           "where each is otherwise taken to be 1")
 
     fansrc = argparse.ArgumentParser(add_help=False)
     group = fansrc.add_mutually_exclusive_group(required=True)
     group.add_argument("--fan", metavar="FILE", help="fan file to read")
     group.add_argument("--builder", metavar="SPEC",
                        help="builder spec: pn=N | hirzebruch=R | wps=q0,q1,... ('*' joins factors)")
-    group.add_argument("--product", nargs=2, metavar=("SPEC1", "SPEC2"),
-                       help="product of two builder specs")
     fansrc.add_argument("--trust-input", action="store_true",
                         help="skip fan validation (completeness is then unchecked)")
-    fansrc.add_argument("--elim-cone", metavar="I1,..,IN", default=None,
-                        help="maximal cone whose variables are eliminated (default: lexicographically smallest)")
-    fansrc.add_argument("--force-hnf", action="store_true",
-                        help="compute every multiplicity from its Hermite form even for smooth fans")
-    fansrc.add_argument("--euler-only", action="store_true",
-                        help="skip the class; compute only the Euler characteristic")
 
     parser = _Parser(
         prog="toric-csm",
@@ -402,11 +341,16 @@ def build_parser() -> argparse.ArgumentParser:
                     "of complete simplicial toric varieties, from fan data.",
     )
     sub = parser.add_subparsers(dest="command", required=True, parser_class=_Parser)
-    sub.add_parser("csm", parents=[fansrc, opts], help="compute the class and chi")
-    sub.add_parser("euler", parents=[fansrc, opts], help="compute only chi")
-    sub.add_parser("chow", parents=[fansrc, opts], help="show the Chow presentation")
-    sub.add_parser("validate", parents=[fansrc, opts], help="validate a fan")
-    bench = sub.add_parser("bench", parents=[opts], help="run the timing suite")
+    csm = sub.add_parser("csm", parents=[fansrc, elim_cone, force_hnf, json_flag, threads],
+                         help="compute the class and chi")
+    csm.add_argument("--euler-only", action="store_true",
+                     help="skip the class; compute only the Euler characteristic")
+    sub.add_parser("euler", parents=[fansrc, elim_cone, force_hnf, json_flag, threads],
+                   help="compute only chi")
+    sub.add_parser("chow", parents=[fansrc, elim_cone, json_flag],
+                   help="show the Chow presentation")
+    sub.add_parser("validate", parents=[fansrc, json_flag], help="validate a fan")
+    bench = sub.add_parser("bench", parents=[json_flag, threads], help="run the timing suite")
     bench.add_argument("--only", action="append", metavar="SPEC",
                        help="restrict the suite to these builder specs (repeatable)")
     bench.add_argument("--euler-only", action="store_true",

@@ -4,8 +4,8 @@ The class of a complete simplicial toric variety is the sum, over all
 cones of its fan, of the orbit-closure classes; each of those is the
 cone's multiplicity times the product of its ray variables.  Reducing that
 sum in the Chow presentation gives the canonical class, and the degree of
-its top piece is the Euler characteristic (which must come out equal to
-the number of maximal cones).
+its top piece is the Euler characteristic, which must equal the number of
+maximal cones; a mismatch is an internal error.
 """
 
 from __future__ import annotations
@@ -23,7 +23,7 @@ from .chow import (
     normal_form,
     squarefree_monomial,
 )
-from .errors import ValidationError
+from .errors import InternalError, ValidationError
 from .fan import Cone, Fan, enumerate_cones, is_smooth, multiplicity
 
 __all__ = [
@@ -32,7 +32,6 @@ __all__ = [
     "csm_result",
     "euler_characteristic",
     "euler_by_cone_count",
-    "smooth_fast_path",
 ]
 
 
@@ -50,29 +49,29 @@ class CsmResult:
     per_dim_contributions: dict[int, GradedClass]
 
 
-def smooth_fast_path(fan: Fan) -> bool:
-    """Whether the computation may skip all Hermite-form work by taking
-    every multiplicity to be 1 (exactly the smooth fans)."""
-    return is_smooth(fan)
-
-
 def euler_by_cone_count(fan: Fan) -> int:
     """Euler characteristic as the number of top-dimensional cones."""
     return len(fan.max_cones)
 
 
-def _cone_multiplicities(
-    fan: Fan, cones: tuple[Cone, ...], force_hnf: bool, threads: int
-) -> list[int]:
+def _orbit_sum(
+    fan: Fan, pres: ChowPresentation, cones: tuple[Cone, ...], force_hnf: bool, threads: int
+) -> GradedClass:
+    """The reduced sum of mult(sigma) * x_sigma over ``cones``."""
     if not force_hnf and is_smooth(fan):
-        return [1] * len(cones)
-    if threads > 1 and len(cones) > 2 * threads:
+        mults = [1] * len(cones)
+    elif threads > 1 and len(cones) > 2 * threads:
         size = -(-len(cones) // threads)
         chunks = [cones[i : i + size] for i in range(0, len(cones), size)]
         with ThreadPoolExecutor(max_workers=threads) as pool:
             parts = pool.map(lambda ch: [multiplicity(fan, c) for c in ch], chunks)
-        return [m for part in parts for m in part]
-    return [multiplicity(fan, c) for c in cones]
+        mults = [m for part in parts for m in part]
+    else:
+        mults = [multiplicity(fan, c) for c in cones]
+    raw: GradedClass = {
+        squarefree_monomial(c.ray_indices): Fraction(m) for c, m in zip(cones, mults)
+    }
+    return normal_form(raw, pres)
 
 
 def csm_result(
@@ -85,25 +84,23 @@ def csm_result(
     """Compute the full class, the Euler characteristic, and the per-dimension
     breakdown.
 
-    ``force_hnf`` disables the smooth fast path so every cone multiplicity
-    is computed from its Hermite form (for benchmarking; the results are
-    identical).  ``threads`` bounds the worker count for the multiplicity
-    batch; output is deterministic regardless.
+    On a smooth fan every multiplicity is taken to be 1 (deciding smoothness
+    already computes the maximal cones' multiplicities).  ``force_hnf``
+    computes every cone's multiplicity anyway: maximal cones through the
+    Hermite form of their ray matrix, lower-dimensional ones through
+    ``column_lattice_index`` (for benchmarking; the results are identical).
+    ``threads`` bounds the worker count for the multiplicity batch; output
+    is deterministic regardless.
     """
     if pres is None:
         pres = build_presentation(fan)
     table = enumerate_cones(fan)
     per_dim: dict[int, GradedClass] = {0: normal_form({(): Fraction(1)}, pres)}
     for d in range(1, fan.ambient_dim + 1):
-        cones = table[d]
-        mults = _cone_multiplicities(fan, cones, force_hnf, threads)
-        raw: GradedClass = {
-            squarefree_monomial(c.ray_indices): Fraction(m) for c, m in zip(cones, mults)
-        }
-        per_dim[d] = normal_form(raw, pres)
+        per_dim[d] = _orbit_sum(fan, pres, table[d], force_hnf, threads)
     total: GradedClass = {}
-    for d in range(fan.ambient_dim + 1):
-        total = class_add(total, per_dim[d])
+    for part in per_dim.values():
+        total = class_add(total, part)
     chi = _integer_degree(total, pres)
     return CsmResult(csm_class=total, euler=chi, per_dim_contributions=per_dim)
 
@@ -139,15 +136,16 @@ def euler_characteristic(
     if not euler_only:
         return csm_result(fan, pres, force_hnf=force_hnf, threads=threads).euler
     cones = tuple(sorted(fan.max_cones, key=lambda c: c.ray_indices))
-    mults = _cone_multiplicities(fan, cones, force_hnf, threads)
-    raw: GradedClass = {
-        squarefree_monomial(c.ray_indices): Fraction(m) for c, m in zip(cones, mults)
-    }
-    return _integer_degree(normal_form(raw, pres), pres)
+    return _integer_degree(_orbit_sum(fan, pres, cones, force_hnf, threads), pres)
 
 
 def _integer_degree(c: GradedClass, pres: ChowPresentation) -> int:
     chi = degree(c, pres)
     if chi.denominator != 1:
         raise ValidationError(f"inconsistent fan data: non-integer degree {chi}")
+    if chi != len(pres.fan.max_cones):
+        raise InternalError(
+            f"Euler characteristic {chi} differs from the number of maximal cones "
+            f"{len(pres.fan.max_cones)}"
+        )
     return int(chi)

@@ -67,11 +67,6 @@ class IntegerMatrix:
         c = self.cols
         return [list(self.entries[i * c : (i + 1) * c]) for i in range(self.rows)]
 
-    def transpose(self) -> "IntegerMatrix":
-        return IntegerMatrix.from_rows(
-            [[self.at(i, j) for i in range(self.rows)] for j in range(self.cols)]
-        )
-
     def mul(self, other: "IntegerMatrix") -> "IntegerMatrix":
         if self.cols != other.rows:
             raise ValueError("dimension mismatch in matrix product")

@@ -4,8 +4,9 @@ A fan is given by its ambient dimension, a list of primitive ray
 generators in ``Z^n``, and the maximal cones as sets of ray indices
 (0-based).  Only complete simplicial fans are supported; completeness is
 checked through the wall condition (every wall, i.e. every
-``(n-1)``-dimensional face, must lie in exactly two maximal cones), which
-is necessary but not sufficient.
+``(n-1)``-dimensional face, must lie in exactly two maximal cones, and on
+opposite sides of the wall's span).  That is necessary but not
+sufficient: cones that wrap around the origin more than once pass it.
 """
 
 from __future__ import annotations
@@ -142,8 +143,9 @@ def build_fan(
 
     Checks, in order: ray shape and primitivity, no duplicate rays, maximal
     cones of dimension exactly ``ambient_dim`` with in-range indices,
-    simpliciality of every maximal cone, every ray used, and the wall
-    condition.  ``validate=False`` skips all checks (trusted input).
+    simpliciality of every maximal cone, every ray used, the wall
+    condition, and that the two maximal cones of each wall lie on opposite
+    sides of it.  ``validate=False`` skips all checks (trusted input).
     """
     if ambient_dim < 1:
         raise ValidationError("ambient dimension must be at least 1")
@@ -167,6 +169,7 @@ def build_fan(
         raise ValidationError("maximal cone wrong dimension: no maximal cones given")
 
     used: set[int] = set()
+    positive: list[bool] = []
     for c in cones:
         if c.dim != n:
             raise ValidationError(
@@ -176,13 +179,22 @@ def build_fan(
             if not 0 <= j < len(ray_tuples):
                 raise ValidationError(f"cone {c.ray_indices} references unknown ray {j}")
         used.update(c.ray_indices)
-        if determinant(fan.ray_matrix(c)) == 0:
+        det = determinant(fan.ray_matrix(c))
+        if det == 0:
             raise ValidationError(f"not simplicial: maximal cone {c.ray_indices}")
+        positive.append(det > 0)
     missing = sorted(set(range(len(ray_tuples))) - used)
     if missing:
         raise ValidationError(f"unused ray: ray {missing[0]} appears in no maximal cone")
     if not wall_check(fan):
         raise ValidationError("fan fails completeness check")
+    fold = _same_side_wall(fan, positive)
+    if fold:
+        wall, a, b = fold
+        raise ValidationError(
+            f"fan fails completeness check: maximal cones {a} and {b} "
+            f"lie on the same side of wall {wall}"
+        )
     return fan
 
 
@@ -195,6 +207,29 @@ def wall_check(fan: Fan) -> bool:
         for wall in combinations(c.ray_indices, n - 1):
             counts[wall] = counts.get(wall, 0) + 1
     return all(v == 2 for v in counts.values())
+
+
+def _same_side_wall(fan: Fan, positive: Sequence[bool]) -> tuple[tuple[int, ...], ...] | None:
+    """A wall whose two maximal cones lie on the same side of its span, as
+    ``(wall, cone, cone)``, or None.  Call only after ``wall_check`` passed.
+
+    ``positive[i]`` is the sign of the determinant of maximal cone i, rays
+    in increasing order.  The cones wall+a and wall+b lie on opposite sides
+    exactly when det(wall, a) and det(wall, b) differ in sign.
+    """
+    open_walls: dict[tuple[int, ...], tuple[tuple[int, ...], bool]] = {}
+    for c, side in zip(fan.max_cones, positive):
+        # combinations() drops the last ray first, then each earlier one in
+        # turn; moving the dropped ray one place further from the end flips
+        # the sign of det(wall, dropped ray).
+        for wall in combinations(c.ray_indices, fan.ambient_dim - 1):
+            other = open_walls.pop(wall, None)
+            if other is None:
+                open_walls[wall] = (c.ray_indices, side)
+            elif other[1] == side:
+                return wall, other[0], c.ray_indices
+            side = not side
+    return None
 
 
 def enumerate_cones(fan: Fan) -> dict[int, tuple[Cone, ...]]:

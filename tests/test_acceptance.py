@@ -33,12 +33,12 @@ from toriccsm import (
     euler_characteristic,
     graded_dimensions,
     hermite_normal_form,
+    is_smooth,
     multiplicity,
     normal_form,
     parse_class,
     product,
     projective_space,
-    smooth_fast_path,
     squarefree_monomial,
     strip_zero_rows,
     weighted_projective,
@@ -206,7 +206,7 @@ def test_criterion_09_performance_envelope(capsys):
 def test_criterion_10_fast_path_equivalence(capsys):
     count = 0
     for name, fan in suite_fans():
-        if not smooth_fast_path(fan):
+        if not is_smooth(fan):
             continue
         pres = build_presentation(fan)
         fast = csm_result(fan, pres)

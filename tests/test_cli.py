@@ -1,5 +1,8 @@
 import json
+import re
+from fractions import Fraction
 
+import pytest
 from helpers import suite_fans
 
 from toriccsm import parse_class, render_fan
@@ -81,7 +84,7 @@ def test_fan_file_source(capsys, tmp_path):
 
 
 def test_product_source(capsys):
-    code, out, _ = run(capsys, "euler", "--product", "pn=2", "pn=3")
+    code, out, _ = run(capsys, "euler", "--builder", "pn=2*pn=3")
     assert code == 0 and out.strip() == "12"
 
 
@@ -177,3 +180,102 @@ def test_package_all_has_no_duplicates():
     import toriccsm
 
     assert len(toriccsm.__all__) == len(set(toriccsm.__all__))
+
+
+def test_broken_euler_characteristic_exits_3(capsys, monkeypatch):
+    import toriccsm.csm as csm
+
+    monkeypatch.setattr(csm, "degree", lambda c, pres: Fraction(5))
+    for argv in (["euler", "--builder", "hirzebruch=5"], ["csm", "--builder", "hirzebruch=5"]):
+        code, out, err = run(capsys, *argv)
+        assert code == 3 and out == ""
+        assert "Euler characteristic 5" in err and "maximal cones 4" in err
+
+
+def _key_tree(value):
+    """The nested key order of a JSON value; a list shows its first element's."""
+    if isinstance(value, dict):
+        return [(k, _key_tree(v)) for k, v in value.items()]
+    if isinstance(value, list) and value:
+        return [_key_tree(value[0])]
+    return None
+
+
+_FAN_KEYS = ("fan", [("dim", None), ("rays", None), ("max_cones", None), ("smooth", None)])
+
+
+def test_csm_json_key_order(capsys):
+    code, out, _ = run(capsys, "csm", "--builder", "wps=1,1,2", "--json")
+    assert code == 0
+    assert _key_tree(json.loads(out)) == [
+        ("source", None),
+        _FAN_KEYS,
+        ("presentation", [
+            ("eliminated", [None]),
+            ("kept", [None]),
+            ("graded_dimensions", [None]),
+        ]),
+        ("singular_cones", [[("cone", [None]), ("mult", None)]]),
+        ("csm", None),
+        ("euler", None),
+        ("timings", [("chow_seconds", None), ("class_seconds", None)]),
+    ]
+
+
+def test_chow_json_key_order(capsys):
+    code, out, _ = run(capsys, "chow", "--builder", "wps=1,1,2", "--json")
+    assert code == 0
+    assert _key_tree(json.loads(out)) == [
+        ("source", None),
+        _FAN_KEYS,
+        ("presentation", [
+            ("nonfaces", [None]),
+            ("linear_relations", [None]),
+            ("eliminated", [None]),
+            ("kept", [None]),
+            ("substitution", [("x0", None), ("x1", None)]),
+            ("graded_dimensions", [None]),
+        ]),
+        ("timings", [("chow_seconds", None)]),
+    ]
+
+
+def test_validate_json_key_order(capsys):
+    code, out, _ = run(capsys, "validate", "--builder", "wps=1,1,2", "--json")
+    assert code == 0
+    assert out == (
+        '{"source": "wps=1,1,2", "validation": "passed", "dim": 2, "rays": 3, '
+        '"max_cones": 3, "smooth": false}\n'
+    )
+
+
+def test_csm_human_report_golden(capsys):
+    code, out, _ = run(capsys, "csm", "--builder", "wps=1,1,2")
+    assert code == 0
+    masked = re.sub(r"\d+\.\d{3}s", "T", out)
+    assert masked == (
+        "fan: wps=1,1,2 (dim 2, 3 rays, 3 maximal cones, singular)\n"
+        "eliminated: x0, x1; kept: x2\n"
+        "graded dimensions: 1 1 1\n"
+        "singular cones: (0,2) mult 2\n"
+        "c_SM = 1 + 4*x2 + 6*x2^2\n"
+        "chi = 3\n"
+        "timing: chow ring T, class T\n"
+    )
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["chow", "--builder", "pn=2", "--force-hnf"],
+        ["chow", "--builder", "pn=2", "--threads", "2"],
+        ["validate", "--builder", "pn=2", "--elim-cone", "0,1"],
+        ["euler", "--builder", "pn=2", "--euler-only"],
+        ["csm", "--builder", "pn=2", "--seed", "1"],
+        ["csm", "--product", "pn=1", "pn=1"],
+    ],
+)
+def test_subcommands_reject_flags_they_do_not_read(capsys, argv):
+    code, out, err = run(capsys, *argv)
+    assert code == 1 and out == ""
+    assert "error" in err

@@ -11,10 +11,10 @@ from toriccsm import (
     euler_by_cone_count,
     euler_characteristic,
     hirzebruch,
+    is_smooth,
     normal_form,
     product,
     projective_space,
-    smooth_fast_path,
     squarefree_monomial,
     weighted_projective,
 )
@@ -87,14 +87,14 @@ def test_euler_consistency_all_paths():
 
 
 def test_smooth_fast_path_flag():
-    assert smooth_fast_path(projective_space(4))
-    assert smooth_fast_path(hirzebruch(5))
-    assert not smooth_fast_path(weighted_projective([1, 1, 2]))
+    assert is_smooth(projective_space(4))
+    assert is_smooth(hirzebruch(5))
+    assert not is_smooth(weighted_projective([1, 1, 2]))
 
 
 def test_p16_fast_and_forced_euler_agree():
     fan = projective_space(16)
-    assert smooth_fast_path(fan)
+    assert is_smooth(fan)
     pres = build_presentation(fan)
     assert euler_characteristic(fan, True, pres) == 17
     assert euler_characteristic(fan, True, pres, force_hnf=True) == 17
@@ -102,7 +102,7 @@ def test_p16_fast_and_forced_euler_agree():
 
 def test_forced_path_matches_fast_path():
     for name, fan in suite_fans():
-        if len(fan.rays) > 9 or not smooth_fast_path(fan):
+        if len(fan.rays) > 9 or not is_smooth(fan):
             continue
         pres = build_presentation(fan)
         fast = csm_result(fan, pres)
@@ -120,7 +120,7 @@ def test_threads_do_not_change_results():
 
 def test_smooth_degree_one_part_is_reduced_ray_sum():
     for name, fan in suite_fans():
-        if len(fan.rays) > 9 or not smooth_fast_path(fan):
+        if len(fan.rays) > 9 or not is_smooth(fan):
             continue
         pres = build_presentation(fan)
         res = csm_result(fan, pres)

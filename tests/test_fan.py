@@ -59,6 +59,17 @@ def test_build_rejects_incomplete_fan():
         build_fan(2, [(1, 0), (0, 1), (-1, -1)], [(0, 1), (1, 2)])
 
 
+def test_build_rejects_folded_fan():
+    # Every wall lies in two cones, but all three rays are in one quadrant.
+    with pytest.raises(ValidationError, match=r"cones \(0, 1\) and \(1, 2\) lie on the same side of wall \(1,\)"):
+        build_fan(2, [(1, 0), (0, 1), (1, 1)], [(0, 1), (1, 2), (0, 2)])
+    with pytest.raises(ValidationError, match="same side"):
+        build_fan(1, [(1,)], [(0,), (0,)])
+    with pytest.raises(ValidationError, match="same side"):
+        build_fan(3, [(1, 3, -3), (-3, 1, 1), (3, -1, 3), (3, 0, -1)],
+                  [(0, 1, 2), (0, 1, 3), (0, 2, 3), (1, 2, 3)])
+
+
 def test_build_rejects_unused_ray():
     with pytest.raises(ValidationError, match="unused ray"):
         build_fan(2, [(1, 0), (0, 1), (-1, -1), (1, 1)], [(0, 1), (1, 2), (2, 0)])
