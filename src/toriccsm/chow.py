@@ -39,6 +39,7 @@ __all__ = [
     "linear_relations",
     "build_presentation",
     "normal_form",
+    "multiplication_tables",
     "graded_dimensions",
     "degree",
 ]
@@ -187,6 +188,7 @@ class ChowPresentation:
         "_subst_dense",
         "_basis_sets",
         "_reductions",
+        "_mul_tables",
     )
 
     def __repr__(self) -> str:
@@ -281,6 +283,7 @@ def build_presentation(fan: Fan, elim_cone: Cone | Iterable[int] | None = None) 
     p.degree_bases = tuple(tuple(_dense_to_sparse(m, kept) for m in b) for b, _ in tables)
     p._basis_sets = [set(b) for b, _ in tables]
     p._reductions = [red for _, red in tables]
+    p._mul_tables = None
     if len(p.degree_bases[n]) != 1:
         raise ValidationError(
             f"fan not complete: top graded piece has dimension {len(p.degree_bases[n])}"
@@ -496,6 +499,72 @@ def normal_form(c: GradedClass, pres: ChowPresentation) -> GradedClass:
             for bm, rc in pres._reductions[d][m].items():
                 put(bm, q * rc)
     return {_dense_to_sparse(m, pres.kept): q for m, q in out.items()}
+
+
+def multiplication_tables(pres: ChowPresentation) -> tuple[tuple[tuple, ...], ...]:
+    """Multiplication by each ray variable, as a map between graded pieces.
+
+    ``tables[j][d][b]`` is the normal form of ``x_j`` times the basis
+    monomial ``degree_bases[d][b]``, for every ray ``j`` and degree
+    ``d < n``, as ``(index, coeff)`` pairs over ``degree_bases[d + 1]``.
+    A kept variable's entries are read off the basis sets and reduction
+    tables; an eliminated variable is its linear substitution, so its
+    table is that combination of the kept variables' tables.  Integral
+    coefficients are stored as ``int``, so that walks over integral tables
+    stay in int arithmetic; mixed with ``Fraction`` they remain exact.
+
+    Built on first use and kept on the presentation: only class assembly
+    needs them, so building or validating a presentation never pays for
+    them.
+    """
+    if pres._mul_tables is not None:
+        return pres._mul_tables
+    n = pres.fan.ambient_dim
+    nk = len(pres.kept)
+    dense = []
+    for basis in pres.degree_bases:
+        exps = []
+        for mono in basis:
+            e = [0] * nk
+            for ray, k in mono:
+                e[pres._kept_pos[ray]] = k
+            exps.append(tuple(e))
+        dense.append(exps)
+    index = [{m: i for i, m in enumerate(exps)} for exps in dense]
+
+    tables: dict[int, tuple] = {}
+    for p, ray in enumerate(pres.kept):
+        per_degree = []
+        for d in range(n):
+            up, rows = index[d + 1], []
+            for m in dense[d]:
+                w = m[:p] + (m[p] + 1,) + m[p + 1 :]
+                if w in up:
+                    rows.append(((up[w], 1),))
+                else:
+                    red = pres._reductions[d + 1][w]
+                    rows.append(tuple((up[b], _int_if_integral(q)) for b, q in red.items()))
+            per_degree.append(tuple(rows))
+        tables[ray] = tuple(per_degree)
+    for ray, form in pres._subst_dense.items():
+        terms = [(tables[pres.kept[exp.index(1)]], c) for exp, c in form.items()]
+        per_degree = []
+        for d in range(n):
+            rows = []
+            for b in range(len(dense[d])):
+                acc: dict[int, Fraction] = {}
+                for table, c in terms:
+                    for i, q in table[d][b]:
+                        acc[i] = acc.get(i, _F0) + c * q
+                rows.append(tuple((i, _int_if_integral(q)) for i, q in sorted(acc.items()) if q))
+            per_degree.append(tuple(rows))
+        tables[ray] = tuple(per_degree)
+    pres._mul_tables = tuple(tables[j] for j in range(len(pres.fan.rays)))
+    return pres._mul_tables
+
+
+def _int_if_integral(q: Fraction) -> int | Fraction:
+    return q.numerator if q.denominator == 1 else q
 
 
 def graded_dimensions(pres: ChowPresentation) -> tuple[int, ...]:

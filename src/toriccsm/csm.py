@@ -6,6 +6,14 @@ cone's multiplicity times the product of its ray variables.  Reducing that
 sum in the Chow presentation gives the canonical class, and the degree of
 its top piece is the Euler characteristic, which must equal the number of
 maximal cones; a mismatch is an internal error.
+
+The sum is never expanded.  The cones are walked in lexicographic order of
+their ray indices, which visits the face trie depth first: a cone sigma =
+tau + {j} follows its prefix tau, and nf(x_sigma) = nf(x_j * nf(x_tau)) is
+one sparse vector times the presentation's multiplication table of x_j.
+A stack holds the normal forms along the current path, so memory is
+O(n * h) for dimension n and graded dimensions up to h, not one normal
+form per face.
 """
 
 from __future__ import annotations
@@ -13,6 +21,7 @@ from __future__ import annotations
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from fractions import Fraction
+from typing import Iterable
 
 from .chow import (
     ChowPresentation,
@@ -20,8 +29,8 @@ from .chow import (
     build_presentation,
     class_add,
     degree,
+    multiplication_tables,
     normal_form,
-    squarefree_monomial,
 )
 from .errors import InternalError, ValidationError
 from .fan import Cone, Fan, enumerate_cones, is_smooth, multiplicity
@@ -54,24 +63,69 @@ def euler_by_cone_count(fan: Fan) -> int:
     return len(fan.max_cones)
 
 
-def _orbit_sum(
-    fan: Fan, pres: ChowPresentation, cones: tuple[Cone, ...], force_hnf: bool, threads: int
-) -> GradedClass:
-    """The reduced sum of mult(sigma) * x_sigma over ``cones``."""
+def _multiplicities(
+    fan: Fan, cones: list[Cone], force_hnf: bool, threads: int
+) -> list[int]:
+    """mult(sigma) for each cone, in order, from one thread pool at most."""
     if not force_hnf and is_smooth(fan):
-        mults = [1] * len(cones)
-    elif threads > 1 and len(cones) > 2 * threads:
+        return [1] * len(cones)
+    if threads > 1 and len(cones) > 2 * threads:
         size = -(-len(cones) // threads)
         chunks = [cones[i : i + size] for i in range(0, len(cones), size)]
         with ThreadPoolExecutor(max_workers=threads) as pool:
             parts = pool.map(lambda ch: [multiplicity(fan, c) for c in ch], chunks)
-        mults = [m for part in parts for m in part]
-    else:
-        mults = [multiplicity(fan, c) for c in cones]
-    raw: GradedClass = {
-        squarefree_monomial(c.ray_indices): Fraction(m) for c, m in zip(cones, mults)
+        return [m for part in parts for m in part]
+    return [multiplicity(fan, c) for c in cones]
+
+
+def _orbit_sum(
+    pres: ChowPresentation, cones: Iterable[tuple[Cone, int]]
+) -> dict[int, GradedClass]:
+    """The reduced sum of mult(sigma) * x_sigma over ``(sigma, mult)`` pairs,
+    split by cone dimension.
+
+    The walk keeps a path stack: ``stack[t]`` is nf(x_{i_1} ... x_{i_t})
+    for the first t rays i_1 < ... < i_t of the current cone, as a sparse
+    vector over the degree-t basis.  Each cone truncates the stack to the
+    prefix it shares with the previous cone, then extends it one ray at a
+    time, nf(x_tau * x_j) = nf(x_j * nf(x_tau)), with one row lookup per
+    term in the multiplication table of ``x_j``.  In lexicographic order
+    every cone after the first shares all but its last ray with an earlier
+    one, so most cones cost a single extension.  Any order gives the same
+    sums.  Memory stays at the n + 1 vectors of the stack, O(n * h) for
+    graded dimensions up to h, however many cones there are.
+    Coefficients stay ints while the tables' entries are integral and
+    become ``Fraction`` only on the way out.
+    """
+    tables = multiplication_tables(pres)
+    n = pres.fan.ambient_dim
+    sums: list[dict[int, int | Fraction]] = [{} for _ in range(n + 1)]
+    stack: list[dict[int, int | Fraction]] = [{0: 1}]
+    path: tuple[int, ...] = ()
+    for cone, mult in cones:
+        rays = cone.ray_indices
+        shared = 0
+        for a, b in zip(path, rays):
+            if a != b:
+                break
+            shared += 1
+        del stack[shared + 1 :]
+        for t in range(shared, len(rays)):
+            # in range: _multiplicities built every maximal cone's ray matrix
+            table = tables[rays[t]][t]
+            vec: dict[int, int | Fraction] = {}
+            for b, q in stack[t].items():
+                for i, e in table[b]:
+                    vec[i] = vec.get(i, 0) + q * e
+            stack.append(vec)
+        path = rays
+        acc = sums[len(rays)]
+        for b, q in stack[-1].items():
+            acc[b] = acc.get(b, 0) + mult * q
+    return {
+        d: {pres.degree_bases[d][b]: Fraction(q) for b, q in acc.items() if q}
+        for d, acc in enumerate(sums)
     }
-    return normal_form(raw, pres)
 
 
 def csm_result(
@@ -90,14 +144,18 @@ def csm_result(
     Hermite form of their ray matrix, lower-dimensional ones through
     ``column_lattice_index`` (for benchmarking; the results are identical).
     ``threads`` bounds the worker count for the multiplicity batch; output
-    is deterministic regardless.
+    is deterministic regardless.  All cones then go through one walk of
+    ``_orbit_sum`` in lexicographic order.
     """
     if pres is None:
         pres = build_presentation(fan)
     table = enumerate_cones(fan)
-    per_dim: dict[int, GradedClass] = {0: normal_form({(): Fraction(1)}, pres)}
-    for d in range(1, fan.ambient_dim + 1):
-        per_dim[d] = _orbit_sum(fan, pres, table[d], force_hnf, threads)
+    cones = [c for d in range(1, fan.ambient_dim + 1) for c in table[d]]
+    mults = _multiplicities(fan, cones, force_hnf, threads)
+    # Each table[d] is sorted already, so this merges n sorted runs.
+    walk = sorted(zip(cones, mults), key=lambda cm: cm[0].ray_indices)
+    per_dim = _orbit_sum(pres, walk)
+    per_dim[0] = normal_form({(): Fraction(1)}, pres)  # the empty cone
     total: GradedClass = {}
     for part in per_dim.values():
         total = class_add(total, part)
@@ -135,8 +193,10 @@ def euler_characteristic(
         pres = build_presentation(fan)
     if not euler_only:
         return csm_result(fan, pres, force_hnf=force_hnf, threads=threads).euler
-    cones = tuple(sorted(fan.max_cones, key=lambda c: c.ray_indices))
-    return _integer_degree(_orbit_sum(fan, pres, cones, force_hnf, threads), pres)
+    cones = sorted(fan.max_cones, key=lambda c: c.ray_indices)
+    mults = _multiplicities(fan, cones, force_hnf, threads)
+    top = _orbit_sum(pres, zip(cones, mults))[fan.ambient_dim]
+    return _integer_degree(top, pres)
 
 
 def _integer_degree(c: GradedClass, pres: ChowPresentation) -> int:

@@ -145,11 +145,17 @@ def build_fan(
     cones of dimension exactly ``ambient_dim`` with in-range indices,
     simpliciality of every maximal cone, every ray used, the wall
     condition, and that the two maximal cones of each wall lie on opposite
-    sides of it.  ``validate=False`` skips all checks (trusted input).
+    sides of it.  ``validate=False`` (trusted input) skips all of them
+    except the ray shape: each ray must have ``ambient_dim`` coordinates.
     """
     if ambient_dim < 1:
         raise ValidationError("ambient dimension must be at least 1")
     ray_tuples = [tuple(int(x) for x in r) for r in rays]
+    # The shape check runs even on trusted input: every later step indexes
+    # ray coordinates 0..n-1.
+    for i, v in enumerate(ray_tuples):
+        if len(v) != ambient_dim:
+            raise ValidationError(f"ray {i} has {len(v)} coordinates, expected {ambient_dim}")
     # Fresh cone objects: a caller-supplied Cone may carry a multiplicity
     # cached against some other fan's rays.
     cones = [Cone(c.ray_indices if isinstance(c, Cone) else c) for c in max_cones]
@@ -159,8 +165,6 @@ def build_fan(
 
     n = ambient_dim
     for i, v in enumerate(ray_tuples):
-        if len(v) != n:
-            raise ValidationError(f"ray {i} has {len(v)} coordinates, expected {n}")
         if all(x == 0 for x in v) or not _is_primitive(v):
             raise ValidationError(f"ray not primitive: ray {i} = {v}")
     if len(set(ray_tuples)) != len(ray_tuples):

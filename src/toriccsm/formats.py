@@ -46,6 +46,7 @@ def parse_fan_text(text: str, source: str = "<string>", validate: bool = True) -
     name: str | None = None
     dim: int | None = None
     rays: list[list[int]] = []
+    ray_lines: list[int] = []
     cones: list[list[int]] = []
     section: str | None = None
 
@@ -77,6 +78,7 @@ def parse_fan_text(text: str, source: str = "<string>", validate: bool = True) -
             fail(lineno, f"expected whitespace-separated integers, got {line!r}")
         if section == "rays":
             rays.append(values)
+            ray_lines.append(lineno)
         elif section == "max_cones":
             cones.append(values)
         else:
@@ -88,6 +90,10 @@ def parse_fan_text(text: str, source: str = "<string>", validate: bool = True) -
         raise ValidationError(f"{source}: missing or empty 'rays' section")
     if not cones:
         raise ValidationError(f"{source}: missing or empty 'max_cones' section")
+    for i, (ray, lineno) in enumerate(zip(rays, ray_lines)):
+        # a dim below 1 is left to build_fan, which rejects it
+        if len(ray) != dim and dim >= 1:
+            fail(lineno, f"ray {i} has {len(ray)} coordinates, expected {dim}")
     return build_fan(dim, rays, cones, validate=validate), name
 
 

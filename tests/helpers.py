@@ -5,7 +5,8 @@ paths it checks: cofactor determinants instead of Bareiss, gcd of maximal
 minors instead of echelon forms, a dumb full-variable row reduction for
 quotient dimensions instead of the elimination pipeline, and dense Macaulay
 row reduction of the substituted generators instead of the Groebner basis
-behind the presentation's reduction tables.
+behind the presentation's reduction tables, and one ``normal_form`` of the
+whole orbit sum per dimension instead of the face-trie walk.
 """
 
 from __future__ import annotations
@@ -18,8 +19,10 @@ from math import gcd
 from toriccsm import (
     ChowPresentation,
     Fan,
+    GradedClass,
     build_fan,
     hirzebruch,
+    multiplicity,
     product,
     projective_space,
     normal_form,
@@ -254,10 +257,23 @@ def macaulay_presentation(pres: ChowPresentation) -> ChowPresentation:
     out.degree_bases = tuple(bases)
     out._basis_sets = basis_sets
     out._reductions = reductions
+    out._mul_tables = None
     ref = min(pres.fan.max_cones, key=lambda c: c.ray_indices)
     reduced = normal_form({squarefree_monomial(ref.ray_indices): Fraction(1)}, out)
     out.point_coeff = reduced.get(out.degree_bases[n][0], Fraction(0))
     return out
+
+
+def normal_form_orbit_sums(fan: Fan, pres: ChowPresentation) -> dict[int, GradedClass]:
+    """Per-dimension orbit sums as class assembly once computed them: for
+    each d, the normal form of the sum of mult(sigma) * x_sigma over the
+    d-dimensional cones, every multiplicity computed, with d = 0 the
+    constant 1."""
+    sums = {0: normal_form({(): Fraction(1)}, pres)}
+    for d, cones in fan.faces.items():
+        raw = {squarefree_monomial(c.ray_indices): Fraction(multiplicity(fan, c)) for c in cones}
+        sums[d] = normal_form(raw, pres)
+    return sums
 
 
 def relabel(fan: Fan, perm: list[int]) -> Fan:

@@ -132,6 +132,16 @@ def test_trust_input_skips_wall_check(capsys, tmp_path):
     assert code == 0 and "validation skipped" in out
 
 
+@pytest.mark.parametrize("ray, length", [("0", 1), ("0 1 2", 3)])
+def test_trust_input_still_checks_ray_length(capsys, tmp_path, ray, length):
+    path = tmp_path / "ragged.fan"
+    path.write_text(f"dim: 2\nrays:\n  1 0\n  {ray}\n  -1 -1\nmax_cones:\n  0 1\n  1 2\n  2 0\n")
+    for command in ("csm", "euler", "chow", "validate"):
+        code, out, err = run(capsys, command, "--fan", str(path), "--trust-input")
+        assert code == 2 and out == "", command
+        assert f"line 4: ray 1 has {length} coordinates, expected 2" in err, command
+
+
 def test_bench_smoke(capsys):
     code, out, _ = run(capsys, "bench", "--only", "pn=2", "--only", "hirzebruch=1")
     assert code == 0

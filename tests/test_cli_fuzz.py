@@ -1,4 +1,5 @@
-"""Property test: no fan file and no command line makes ``main`` crash.
+"""Property tests: no fan file and no command line makes ``main`` crash,
+and ``parse_fan_text`` raises nothing but ``ValidationError``.
 
 Fans are small (dimension at most 3, at most 6 rays, entries in -3..3) and
 often malformed: ragged rays, out-of-range or repeated indices, cones of the
@@ -20,6 +21,7 @@ from pathlib import Path
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from toriccsm import Fan, ValidationError, parse_fan_text
 from toriccsm.cli import main
 
 # Builder specs with their number of maximal cones (None: rejected spec).
@@ -107,3 +109,28 @@ def test_main_never_crashes(fan, command, builder, flags, elim, threads):
     if code == 0 and command in ("csm", "euler") and "--json" in argv:
         expected = _BUILDERS[builder] if builder else num_cones
         assert json.loads(out.getvalue())["euler"] == expected, (argv, text)
+
+
+@st.composite
+def fan_texts(draw):
+    """Fan files as above, arbitrary text, or a fan file with lines
+    replaced by arbitrary text."""
+    kind = draw(st.sampled_from(["fan", "text", "spliced"]))
+    if kind == "text":
+        return draw(st.text(max_size=200))
+    lines = draw(fan_files())[0].splitlines()
+    if kind == "spliced":
+        for _ in range(draw(st.integers(1, 3))):
+            lines[draw(st.integers(0, len(lines) - 1))] = draw(st.text(max_size=20))
+    return "\n".join(lines) + "\n"
+
+
+@settings(max_examples=300, deadline=None, database=None)
+@given(text=fan_texts(), validate=st.booleans())
+def test_parse_fan_text_raises_only_validation_errors(text, validate):
+    try:
+        fan, _ = parse_fan_text(text, validate=validate)
+    except ValidationError:
+        return
+    assert isinstance(fan, Fan)
+    assert all(len(ray) == fan.ambient_dim for ray in fan.rays), text

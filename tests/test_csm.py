@@ -1,13 +1,18 @@
+import random
+import time
 from fractions import Fraction
 from math import comb
 
 import pytest
-from helpers import suite_fans
+from helpers import normal_form_orbit_sums, relabel, suite_fans
 
 from toriccsm import (
+    build_fan,
     build_presentation,
+    class_add,
     csm_class,
     csm_result,
+    degree,
     euler_by_cone_count,
     euler_characteristic,
     hirzebruch,
@@ -180,3 +185,56 @@ def test_product_euler_multiplicativity():
         p = product(f1, f2)
         assert euler_characteristic(p) == euler_characteristic(f1) * euler_characteristic(f2)
         assert euler_by_cone_count(p) == euler_by_cone_count(f1) * euler_by_cone_count(f2)
+
+
+def _shuffled(fan, rng):
+    """The same fan with ray indices permuted and maximal cones shuffled."""
+    perm = list(range(len(fan.rays)))
+    rng.shuffle(perm)
+    fan = relabel(fan, perm)
+    cones = [c.ray_indices for c in fan.max_cones]
+    rng.shuffle(cones)
+    return build_fan(fan.ambient_dim, fan.rays, cones)
+
+
+def _oracle_cases():
+    fans = list(suite_fans())
+    fans += [
+        ("wps=1,2,3*pn=2", product(weighted_projective([1, 2, 3]), projective_space(2))),
+        ("wps=1,1,2*wps=1,3,5", product(weighted_projective([1, 1, 2]), weighted_projective([1, 3, 5]))),
+        ("wps=1,2,3,5*hirzebruch=3", product(weighted_projective([1, 2, 3, 5]), hirzebruch(3))),
+    ]
+    rng = random.Random(5)
+    base = product(product(projective_space(2), weighted_projective([1, 1, 3])), projective_space(3))
+    fans.append(("shuffled pn=2*wps=1,1,3*pn=3", _shuffled(base, rng)))
+    for name, fan in fans:
+        cones = sorted(fan.max_cones, key=lambda c: c.ray_indices)
+        for elim in (cones[0], cones[len(cones) // 2], cones[-1]):
+            yield name, fan, elim
+
+
+def test_trie_orbit_sum_matches_normal_form_oracle():
+    for name, fan, elim in _oracle_cases():
+        pres = build_presentation(fan, elim)
+        expected = normal_form_orbit_sums(fan, pres)
+        total = {}
+        for part in expected.values():
+            total = class_add(total, part)
+        chi = degree(expected[fan.ambient_dim], pres)
+        for force in (False, True):
+            case = (name, elim, force)
+            res = csm_result(fan, pres, force_hnf=force)
+            assert res.per_dim_contributions == expected, case
+            assert res.csm_class == total, case
+            assert all(type(q) is Fraction for q in res.csm_class.values()), case
+            assert euler_characteristic(fan, True, pres, force_hnf=force) == chi, case
+
+
+def test_pn5_pn8_class_envelope():
+    fan = product(projective_space(5), projective_space(8))
+    pres = build_presentation(fan)
+    t0 = time.perf_counter()
+    res = csm_result(fan, pres)
+    elapsed = time.perf_counter() - t0
+    assert res.euler == 54
+    assert elapsed < 1.5, f"pn=5*pn=8 class took {elapsed:.2f} s"
