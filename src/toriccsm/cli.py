@@ -235,6 +235,7 @@ _BENCH_DEFAULTS = [
     "pn=6",
     "pn=5*pn=6",
     "pn=5*pn=8",
+    "pn=6*pn=7",
     "hirzebruch=1",
     "hirzebruch=5",
     "hirzebruch=10",

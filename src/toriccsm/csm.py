@@ -2,12 +2,21 @@
 
 The class of a complete simplicial toric variety is the sum, over all
 cones of its fan, of the orbit-closure classes; each of those is the
-cone's multiplicity times the product of its ray variables.  Reducing that
-sum in the Chow presentation gives the canonical class, and the degree of
-its top piece is the Euler characteristic, which must equal the number of
-maximal cones; a mismatch is an internal error.
+cone's multiplicity times the product of its ray variables (Aluffi,
+*Classes de Chern des variétés singulières, revisitées*, C. R. Acad. Sci.
+Paris 342, 2006).  Reducing that sum in the Chow presentation gives the
+canonical class, and the degree of its top piece is the Euler
+characteristic, which must equal the number of maximal cones; a mismatch
+is an internal error.
 
-The sum is never expanded.  The cones are walked in lexicographic order of
+The sum is never expanded.  Since x_S vanishes for every set S of rays
+that spans no cone (the Stanley-Reisner relations), the sum of x_sigma
+over all cones is the product of (1 + x_rho) over all rays, which on a
+smooth fan is the whole class (Barthel-Brasselet-Fieseler, C. R. Acad.
+Sci. Paris 315, 1992).  That product is r passes of the multiplication
+tables over one graded vector.  A singular fan adds (mult(sigma) - 1) *
+x_sigma for each cone of multiplicity other than 1.  Those cones, like the
+maximal cones of the Euler-only path, are walked in lexicographic order of
 their ray indices, which visits the face trie depth first: a cone sigma =
 tau + {j} follows its prefix tau, and nf(x_sigma) = nf(x_j * nf(x_tau)) is
 one sparse vector times the presentation's multiplication table of x_j.
@@ -30,7 +39,7 @@ from .chow import (
     class_add,
     degree,
     multiplication_tables,
-    normal_form,
+    normal_form,  # noqa: F401 -- not called here; perfbench/tracer.py wraps csm.normal_form
 )
 from .errors import InternalError, ValidationError
 from .fan import Cone, Fan, enumerate_cones, is_smooth, multiplicity
@@ -78,11 +87,32 @@ def _multiplicities(
     return [multiplicity(fan, c) for c in cones]
 
 
-def _orbit_sum(
-    pres: ChowPresentation, cones: Iterable[tuple[Cone, int]]
-) -> dict[int, GradedClass]:
-    """The reduced sum of mult(sigma) * x_sigma over ``(sigma, mult)`` pairs,
-    split by cone dimension.
+# Graded accumulators: sums[d] maps an index into degree_bases[d] to its
+# coefficient, an int while every table entry met so far was integral.
+_Sums = list[dict[int, int | Fraction]]
+
+
+def _ray_product(pres: ChowPresentation) -> _Sums:
+    """prod_rho (1 + x_rho) over all rays, reduced, as graded accumulators.
+
+    Each ray's pass replaces v by v + x_j * v, degree by degree from the
+    top down, so every step still reads the degree-d part from before the
+    pass.
+    """
+    n = pres.fan.ambient_dim
+    v: _Sums = [{0: 1}] + [{} for _ in range(n)]
+    for table in multiplication_tables(pres):
+        for d in range(n - 1, -1, -1):
+            rows, up = table[d], v[d + 1]
+            for b, q in v[d].items():
+                for i, e in rows[b]:
+                    up[i] = up.get(i, 0) + q * e
+    return v
+
+
+def _orbit_sum(pres: ChowPresentation, cones: Iterable[tuple[Cone, int]], sums: _Sums) -> _Sums:
+    """Add mult * nf(x_sigma) into ``sums[dim sigma]`` for each ``(sigma,
+    mult)`` pair, and return ``sums``.
 
     The walk keeps a path stack: ``stack[t]`` is nf(x_{i_1} ... x_{i_t})
     for the first t rays i_1 < ... < i_t of the current cone, as a sparse
@@ -94,13 +124,9 @@ def _orbit_sum(
     one, so most cones cost a single extension.  Any order gives the same
     sums.  Memory stays at the n + 1 vectors of the stack, O(n * h) for
     graded dimensions up to h, however many cones there are.
-    Coefficients stay ints while the tables' entries are integral and
-    become ``Fraction`` only on the way out.
     """
     tables = multiplication_tables(pres)
-    n = pres.fan.ambient_dim
-    sums: list[dict[int, int | Fraction]] = [{} for _ in range(n + 1)]
-    stack: list[dict[int, int | Fraction]] = [{0: 1}]
+    stack: _Sums = [{0: 1}]
     path: tuple[int, ...] = ()
     for cone, mult in cones:
         rays = cone.ray_indices
@@ -111,7 +137,7 @@ def _orbit_sum(
             shared += 1
         del stack[shared + 1 :]
         for t in range(shared, len(rays)):
-            # in range: _multiplicities built every maximal cone's ray matrix
+            # in range: build_fan checks every maximal cone's ray indices
             table = tables[rays[t]][t]
             vec: dict[int, int | Fraction] = {}
             for b, q in stack[t].items():
@@ -122,6 +148,12 @@ def _orbit_sum(
         acc = sums[len(rays)]
         for b, q in stack[-1].items():
             acc[b] = acc.get(b, 0) + mult * q
+    return sums
+
+
+def _graded_classes(pres: ChowPresentation, sums: _Sums) -> dict[int, GradedClass]:
+    """Accumulators as classes over the basis monomials, coefficients as
+    ``Fraction``, zeros dropped."""
     return {
         d: {pres.degree_bases[d][b]: Fraction(q) for b, q in acc.items() if q}
         for d, acc in enumerate(sums)
@@ -138,24 +170,38 @@ def csm_result(
     """Compute the full class, the Euler characteristic, and the per-dimension
     breakdown.
 
-    On a smooth fan every multiplicity is taken to be 1 (deciding smoothness
-    already computes the maximal cones' multiplicities).  ``force_hnf``
-    computes every cone's multiplicity anyway: maximal cones through the
-    Hermite form of their ray matrix, lower-dimensional ones through
-    ``column_lattice_index`` (for benchmarking; the results are identical).
-    ``threads`` bounds the worker count for the multiplicity batch; output
-    is deterministic regardless.  All cones then go through one walk of
-    ``_orbit_sum`` in lexicographic order.
+    The sum of mult(sigma) * x_sigma over all cones is computed as
+    prod_rho (1 + x_rho) plus (mult(sigma) - 1) * x_sigma for each cone of
+    multiplicity other than 1: the product is the sum of x_sigma over all
+    cones, the empty one included, because x_S vanishes when S spans no
+    cone (Aluffi 2006 for the sum, Barthel-Brasselet-Fieseler 1992 for the
+    product).  Its degree-d part, plus the degree-d corrections, is
+    ``per_dim_contributions[d]``.
+
+    On a smooth fan every multiplicity is 1 (deciding smoothness already
+    computes the maximal cones' multiplicities), so the product is the
+    class and the faces are never enumerated.  Otherwise, or with
+    ``force_hnf``, every cone's multiplicity is computed: maximal cones
+    through the Hermite form of their ray matrix, lower-dimensional ones
+    through ``column_lattice_index`` (for benchmarking; the results are
+    identical).  ``threads`` bounds the worker count for that batch; output
+    is deterministic regardless.  The cones of multiplicity other than 1
+    then go through one walk of ``_orbit_sum`` in lexicographic order.
     """
     if pres is None:
         pres = build_presentation(fan)
-    table = enumerate_cones(fan)
-    cones = [c for d in range(1, fan.ambient_dim + 1) for c in table[d]]
-    mults = _multiplicities(fan, cones, force_hnf, threads)
-    # Each table[d] is sorted already, so this merges n sorted runs.
-    walk = sorted(zip(cones, mults), key=lambda cm: cm[0].ray_indices)
-    per_dim = _orbit_sum(pres, walk)
-    per_dim[0] = normal_form({(): Fraction(1)}, pres)  # the empty cone
+    sums = _ray_product(pres)
+    if force_hnf or not is_smooth(fan):
+        table = enumerate_cones(fan)
+        cones = [c for d in range(1, fan.ambient_dim + 1) for c in table[d]]
+        mults = _multiplicities(fan, cones, force_hnf, threads)
+        # Each table[d] is sorted already, so this merges n sorted runs.
+        walk = sorted(
+            ((c, m - 1) for c, m in zip(cones, mults) if m != 1),
+            key=lambda cm: cm[0].ray_indices,
+        )
+        _orbit_sum(pres, walk, sums)
+    per_dim = _graded_classes(pres, sums)
     total: GradedClass = {}
     for part in per_dim.values():
         total = class_add(total, part)
@@ -193,10 +239,11 @@ def euler_characteristic(
         pres = build_presentation(fan)
     if not euler_only:
         return csm_result(fan, pres, force_hnf=force_hnf, threads=threads).euler
+    n = fan.ambient_dim
     cones = sorted(fan.max_cones, key=lambda c: c.ray_indices)
     mults = _multiplicities(fan, cones, force_hnf, threads)
-    top = _orbit_sum(pres, zip(cones, mults))[fan.ambient_dim]
-    return _integer_degree(top, pres)
+    sums = _orbit_sum(pres, zip(cones, mults), [{} for _ in range(n + 1)])
+    return _integer_degree(_graded_classes(pres, sums)[n], pres)
 
 
 def _integer_degree(c: GradedClass, pres: ChowPresentation) -> int:

@@ -89,7 +89,8 @@ class Fan:
         """Cones of each dimension 1..n, derived from the maximal cones.
 
         Built lazily on first access (a write-once cache, like the per-cone
-        multiplicities) since only the full class computation needs it.
+        multiplicities) since only the class of a singular fan, or one
+        computed with every multiplicity forced, needs it.
         """
         if self._faces is None:
             by_dim: dict[int, set[tuple[int, ...]]] = {d: set() for d in range(1, self.ambient_dim + 1)}
@@ -146,7 +147,8 @@ def build_fan(
     simpliciality of every maximal cone, every ray used, the wall
     condition, and that the two maximal cones of each wall lie on opposite
     sides of it.  ``validate=False`` (trusted input) skips all of them
-    except the ray shape: each ray must have ``ambient_dim`` coordinates.
+    except the shapes: each ray must have ``ambient_dim`` coordinates, and
+    each maximal cone ``ambient_dim`` in-range ray indices.
     """
     if ambient_dim < 1:
         raise ValidationError("ambient dimension must be at least 1")
@@ -161,6 +163,8 @@ def build_fan(
     cones = [Cone(c.ray_indices if isinstance(c, Cone) else c) for c in max_cones]
     fan = Fan(ambient_dim, ray_tuples, cones)
     if not validate:
+        for c in cones:
+            _check_cone_shape(c, ambient_dim, len(ray_tuples))
         return fan
 
     n = ambient_dim
@@ -175,13 +179,7 @@ def build_fan(
     used: set[int] = set()
     positive: list[bool] = []
     for c in cones:
-        if c.dim != n:
-            raise ValidationError(
-                f"maximal cone wrong dimension: cone {c.ray_indices} has {c.dim} rays, expected {n}"
-            )
-        for j in c.ray_indices:
-            if not 0 <= j < len(ray_tuples):
-                raise ValidationError(f"cone {c.ray_indices} references unknown ray {j}")
+        _check_cone_shape(c, n, len(ray_tuples))
         used.update(c.ray_indices)
         det = determinant(fan.ray_matrix(c))
         if det == 0:
@@ -200,6 +198,18 @@ def build_fan(
             f"lie on the same side of wall {wall}"
         )
     return fan
+
+
+def _check_cone_shape(c: Cone, n: int, num_rays: int) -> None:
+    """Raise ``ValidationError`` unless the maximal cone ``c`` has ``n``
+    rays, all indices below ``num_rays``."""
+    if c.dim != n:
+        raise ValidationError(
+            f"maximal cone wrong dimension: cone {c.ray_indices} has {c.dim} rays, expected {n}"
+        )
+    for j in c.ray_indices:
+        if not 0 <= j < num_rays:
+            raise ValidationError(f"cone {c.ray_indices} references unknown ray {j}")
 
 
 def wall_check(fan: Fan) -> bool:

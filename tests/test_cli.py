@@ -142,6 +142,23 @@ def test_trust_input_still_checks_ray_length(capsys, tmp_path, ray, length):
         assert f"line 4: ray 1 has {length} coordinates, expected 2" in err, command
 
 
+@pytest.mark.parametrize(
+    "cone, message",
+    [
+        ("0 -1", "cone (-1, 0) references unknown ray -1"),
+        ("0 3", "cone (0, 3) references unknown ray 3"),
+        ("0 1 2", "maximal cone wrong dimension: cone (0, 1, 2) has 3 rays, expected 2"),
+    ],
+)
+def test_trust_input_still_checks_cone_shape(capsys, tmp_path, cone, message):
+    path = tmp_path / "malformed.fan"
+    path.write_text(f"dim: 2\nrays:\n  1 0\n  0 1\n  -1 -1\nmax_cones:\n  0 1\n  1 2\n  {cone}\n")
+    for command in ("csm", "euler", "chow", "validate"):
+        code, out, err = run(capsys, command, "--fan", str(path), "--trust-input")
+        assert code == 2 and out == "", command
+        assert message in err, command
+
+
 def test_bench_smoke(capsys):
     code, out, _ = run(capsys, "bench", "--only", "pn=2", "--only", "hirzebruch=1")
     assert code == 0

@@ -17,6 +17,7 @@ from toriccsm import (
     euler_characteristic,
     hirzebruch,
     is_smooth,
+    multiplicity,
     normal_form,
     product,
     projective_space,
@@ -238,3 +239,36 @@ def test_pn5_pn8_class_envelope():
     elapsed = time.perf_counter() - t0
     assert res.euler == 54
     assert elapsed < 1.5, f"pn=5*pn=8 class took {elapsed:.2f} s"
+
+
+def test_smooth_class_never_enumerates_faces(monkeypatch):
+    import toriccsm.csm as csm
+
+    def refuse(fan):
+        raise AssertionError("a smooth fan's class enumerated its faces")
+
+    monkeypatch.setattr(csm, "enumerate_cones", refuse)
+    fan = product(projective_space(5), projective_space(8))
+    res = csm_result(fan, build_presentation(fan))
+    assert res.euler == 54
+    assert len(res.per_dim_contributions) == 14
+
+
+def test_correction_walk_sees_only_singular_cones(monkeypatch):
+    import toriccsm.csm as csm
+
+    walked = []
+    orbit_sum = csm._orbit_sum
+
+    def record(pres, cones, sums):
+        cones = list(cones)
+        walked.extend(cones)
+        return orbit_sum(pres, cones, sums)
+
+    monkeypatch.setattr(csm, "_orbit_sum", record)
+    fan = product(product(projective_space(2), weighted_projective([1, 1, 3])), projective_space(3))
+    res = csm_result(fan, build_presentation(fan))
+    assert res.euler == 36
+    expected = [(c, multiplicity(fan, c) - 1) for d in sorted(fan.faces) for c in fan.faces[d]]
+    expected = sorted((cm for cm in expected if cm[1]), key=lambda cm: cm[0].ray_indices)
+    assert walked and walked == expected
