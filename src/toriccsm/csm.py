@@ -178,15 +178,17 @@ def csm_result(
     product).  Its degree-d part, plus the degree-d corrections, is
     ``per_dim_contributions[d]``.
 
-    On a smooth fan every multiplicity is 1 (deciding smoothness already
-    computes the maximal cones' multiplicities), so the product is the
-    class and the faces are never enumerated.  Otherwise, or with
-    ``force_hnf``, every cone's multiplicity is computed: maximal cones
-    through the Hermite form of their ray matrix, lower-dimensional ones
-    through ``column_lattice_index`` (for benchmarking; the results are
-    identical).  ``threads`` bounds the worker count for that batch; output
-    is deterministic regardless.  The cones of multiplicity other than 1
-    then go through one walk of ``_orbit_sum`` in lexicographic order.
+    On a smooth fan every multiplicity is 1 (deciding smoothness reads the
+    maximal cones' multiplicities, which validation caches as the |det| it
+    takes), so the product is the class and the faces are never
+    enumerated.  Otherwise, or with ``force_hnf``, every cone's
+    multiplicity is computed: maximal cones from that cache (one
+    determinant each on trusted input), lower-dimensional ones through
+    ``column_lattice_index`` (``force_hnf`` is for benchmarking; the
+    results are identical).  ``threads`` bounds the worker count for that
+    batch; output is deterministic regardless.  The cones of multiplicity
+    other than 1 then go through one walk of ``_orbit_sum`` in
+    lexicographic order.
     """
     if pres is None:
         pres = build_presentation(fan)

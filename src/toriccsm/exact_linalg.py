@@ -6,9 +6,11 @@ are tiny (fan ray matrices, at most a few dozen rows), so the
 implementations favour clarity and exactness over asymptotics:
 
 * ``hermite_normal_form``  -- column-style HNF with the unimodular column
-  transform, used to put cone generator matrices in canonical form.
-* ``determinant``          -- fraction-free Bareiss elimination, kept as an
-  algorithmically independent cross-check for the HNF pipeline.
+  transform: a canonical form of a cone's generator matrix, which the
+  tests use as an independent route to the maximal cones' multiplicities.
+* ``determinant``          -- fraction-free Bareiss elimination; its
+  absolute value is the multiplicity of a full-dimensional simplicial
+  cone, so each maximal cone needs exactly one.
 * ``rational_rref``        -- reduced row echelon form over the rationals,
   used only for the elimination solve (the eliminated variables as
   rational combinations of the kept ones).
@@ -207,7 +209,17 @@ def strip_zero_rows(h: IntegerMatrix) -> IntegerMatrix:
 
 
 def determinant(m: IntegerMatrix) -> int:
-    """Exact determinant by fraction-free (Bareiss) elimination."""
+    """Exact determinant by fraction-free (Bareiss) elimination.
+
+    Step k replaces each entry below and right of the pivot ``akk`` by
+    ``(a[i][j] * akk - a[i][k] * a[k][j]) // prev``, ``prev`` being the
+    previous pivot; the division is exact (Bareiss 1968).  Cone ray
+    matrices are sparse with entries mostly 0 and +-1, so two kinds of
+    no-op work are skipped.  A negative pivot row is negated first (the
+    sign is tracked), so unit pivots stay at 1.  Then, when ``akk ==
+    prev``, a row whose pivot-column entry is 0 is unchanged, and in the
+    other rows only the columns where the pivot row is nonzero change.
+    """
     if m.rows != m.cols:
         raise ValueError("determinant of a non-square matrix")
     n = m.rows
@@ -225,12 +237,27 @@ def determinant(m: IntegerMatrix) -> int:
                     break
             else:
                 return 0
-        for i in range(k + 1, n):
-            for j in range(k + 1, n):
-                # Exact division: guaranteed by the Bareiss identity.
-                a[i][j] = (a[i][j] * a[k][k] - a[i][k] * a[k][j]) // prev
-            a[i][k] = 0
-        prev = a[k][k]
+        pivot = a[k]
+        akk = pivot[k]
+        if akk < 0:
+            pivot = a[k] = [-x for x in pivot]
+            akk = -akk
+            sign = -sign
+        if akk == prev:
+            cols = [j for j in range(k + 1, n) if pivot[j]]
+            for i in range(k + 1, n):
+                row = a[i]
+                aik = row[k]
+                if aik:
+                    for j in cols:
+                        row[j] = (row[j] * akk - aik * pivot[j]) // prev
+        else:
+            for i in range(k + 1, n):
+                row = a[i]
+                aik = row[k]
+                for j in range(k + 1, n):
+                    row[j] = (row[j] * akk - aik * pivot[j]) // prev
+        prev = akk
     return sign * a[n - 1][n - 1]
 
 

@@ -20,8 +20,10 @@ from .exact_linalg import (
     IntegerMatrix,
     column_lattice_index,
     determinant,
-    hermite_normal_form,
-    strip_zero_rows,
+    # not called here; perfbench/tracer.py wraps fan.hermite_normal_form and
+    # fan.strip_zero_rows, and the tests use them as the multiplicity oracle
+    hermite_normal_form,  # noqa: F401
+    strip_zero_rows,  # noqa: F401
 )
 
 __all__ = [
@@ -44,9 +46,11 @@ LatticeVector = tuple[int, ...]
 class Cone:
     """A simplicial cone, identified by its sorted ray indices.
 
-    The multiplicity is cached after first computation; everything else is
-    immutable, so cones are safe to share across threads (the cache write
-    is idempotent).
+    ``_mult`` caches the multiplicity.  ``build_fan`` fills it for every
+    maximal cone of validated input, from the determinant that validation
+    takes anyway; other cones fill it on the first ``multiplicity`` call.
+    Everything else is immutable, so cones are safe to share across
+    threads (the cache write is idempotent).
     """
 
     __slots__ = ("ray_indices", "_mult")
@@ -115,10 +119,9 @@ class Fan:
         for j in cone.ray_indices:
             if not 0 <= j < len(self.rays):
                 raise ValidationError(f"cone {cone.ray_indices} references unknown ray {j}")
-        n = self.ambient_dim
-        return IntegerMatrix.from_rows(
-            [[self.rays[j][k] for j in cone.ray_indices] for k in range(n)]
-        )
+        rays = [self.rays[j] for j in cone.ray_indices]
+        entries = tuple(v[k] for k in range(self.ambient_dim) for v in rays)
+        return IntegerMatrix(self.ambient_dim, len(rays), entries)
 
     def __repr__(self) -> str:
         return (
@@ -143,12 +146,14 @@ def build_fan(
     """Build and validate a fan from raw data.
 
     Checks, in order: ray shape and primitivity, no duplicate rays, maximal
-    cones of dimension exactly ``ambient_dim`` with in-range indices,
-    simpliciality of every maximal cone, every ray used, the wall
-    condition, and that the two maximal cones of each wall lie on opposite
-    sides of it.  ``validate=False`` (trusted input) skips all of them
-    except the shapes: each ray must have ``ambient_dim`` coordinates, and
-    each maximal cone ``ambient_dim`` in-range ray indices.
+    cones of dimension exactly ``ambient_dim`` with in-range indices, each
+    listed once, simpliciality of every maximal cone, every ray used, the
+    wall condition, and that the two maximal cones of each wall lie on
+    opposite sides of it.  The determinant that decides simpliciality is kept: its
+    absolute value is the cone's multiplicity, cached on the cone.
+    ``validate=False`` (trusted input) skips all of them except the shapes:
+    each ray must have ``ambient_dim`` coordinates, and each maximal cone
+    ``ambient_dim`` in-range ray indices, no cone listed twice.
     """
     if ambient_dim < 1:
         raise ValidationError("ambient dimension must be at least 1")
@@ -162,9 +167,10 @@ def build_fan(
     # cached against some other fan's rays.
     cones = [Cone(c.ray_indices if isinstance(c, Cone) else c) for c in max_cones]
     fan = Fan(ambient_dim, ray_tuples, cones)
+    seen: set[Cone] = set()
     if not validate:
         for c in cones:
-            _check_cone_shape(c, ambient_dim, len(ray_tuples))
+            _check_cone_shape(c, ambient_dim, len(ray_tuples), seen)
         return fan
 
     n = ambient_dim
@@ -179,12 +185,13 @@ def build_fan(
     used: set[int] = set()
     positive: list[bool] = []
     for c in cones:
-        _check_cone_shape(c, n, len(ray_tuples))
+        _check_cone_shape(c, n, len(ray_tuples), seen)
         used.update(c.ray_indices)
         det = determinant(fan.ray_matrix(c))
         if det == 0:
             raise ValidationError(f"not simplicial: maximal cone {c.ray_indices}")
         positive.append(det > 0)
+        c._mult = abs(det)
     missing = sorted(set(range(len(ray_tuples))) - used)
     if missing:
         raise ValidationError(f"unused ray: ray {missing[0]} appears in no maximal cone")
@@ -200,9 +207,10 @@ def build_fan(
     return fan
 
 
-def _check_cone_shape(c: Cone, n: int, num_rays: int) -> None:
+def _check_cone_shape(c: Cone, n: int, num_rays: int, seen: set[Cone]) -> None:
     """Raise ``ValidationError`` unless the maximal cone ``c`` has ``n``
-    rays, all indices below ``num_rays``."""
+    rays, all indices below ``num_rays``, and is not in ``seen``; then add
+    it to ``seen``."""
     if c.dim != n:
         raise ValidationError(
             f"maximal cone wrong dimension: cone {c.ray_indices} has {c.dim} rays, expected {n}"
@@ -210,6 +218,9 @@ def _check_cone_shape(c: Cone, n: int, num_rays: int) -> None:
     for j in c.ray_indices:
         if not 0 <= j < num_rays:
             raise ValidationError(f"cone {c.ray_indices} references unknown ray {j}")
+    if c in seen:
+        raise ValidationError(f"maximal cone {c.ray_indices} is listed twice")
+    seen.add(c)
 
 
 def wall_check(fan: Fan) -> bool:
@@ -259,18 +270,21 @@ def multiplicity(fan: Fan, cone: Cone) -> int:
     """Multiplicity of a cone: the index of the sublattice spanned by its
     ray generators inside the lattice points of its linear span.
 
-    Full-dimensional cones go through the Hermite normal form of the square
-    ray matrix (strip, then take the determinant); lower-dimensional cones
-    use the ambient-basis echelon form, which computes the same index when
-    the cone's span is a proper subspace.  Equals 1 exactly when the
-    corresponding affine chart is smooth.
+    A maximal cone of validated input reads the ``|det|`` that
+    ``build_fan`` cached.  Otherwise a full-dimensional cone takes ``|det|``
+    of its square ray matrix, and raises ``ValueError`` ("not simplicial")
+    when it is 0; lower-dimensional cones use the ambient-basis echelon form
+    of ``column_lattice_index``, which computes the index when the cone's
+    span is a proper subspace.  Equals 1 exactly when the corresponding
+    affine chart is smooth.
     """
     if cone._mult is not None:
         return cone._mult
     mat = fan.ray_matrix(cone)
     if mat.rows == mat.cols:
-        h, _ = hermite_normal_form(mat)
-        m = abs(determinant(strip_zero_rows(h)))
+        m = abs(determinant(mat))
+        if m == 0:
+            raise ValueError("not simplicial")
     else:
         m = column_lattice_index(mat)
     cone._mult = m
@@ -281,7 +295,9 @@ def is_smooth(fan: Fan) -> bool:
     """True iff every maximal cone is unimodular (multiplicity 1).
 
     Faces of unimodular simplicial cones are unimodular, so checking the
-    maximal cones suffices.
+    maximal cones suffices.  On validated input their multiplicities are
+    already cached by ``build_fan``, so this computes nothing; on trusted
+    input it takes one determinant per maximal cone.
     """
     if fan._smooth is None:
         fan._smooth = all(multiplicity(fan, c) == 1 for c in fan.max_cones)

@@ -1,12 +1,13 @@
 """Independent oracles and shared fixtures for the test suite.
 
 Everything here is deliberately naive and separate from the library code
-paths it checks: cofactor determinants instead of Bareiss, gcd of maximal
-minors instead of echelon forms, a dumb full-variable row reduction for
-quotient dimensions instead of the elimination pipeline, and dense Macaulay
-row reduction of the substituted generators instead of the Groebner basis
-behind the presentation's reduction tables, and one ``normal_form`` of the
-whole orbit sum per dimension instead of the face-trie walk.
+paths it checks: cofactor determinants and Gaussian elimination over
+``Fraction`` instead of Bareiss, gcd of maximal minors instead of echelon
+forms, a dumb full-variable row reduction for quotient dimensions instead
+of the elimination pipeline, and dense Macaulay row reduction of the
+substituted generators instead of the Groebner basis behind the
+presentation's reduction tables, and one ``normal_form`` of the whole
+orbit sum per dimension instead of the face-trie walk.
 """
 
 from __future__ import annotations
@@ -46,6 +47,24 @@ def cofactor_det(rows: list[list[int]]) -> int:
         minor = [r[:j] + r[j + 1 :] for r in rows[1:]]
         total += (-1) ** j * rows[0][j] * cofactor_det(minor)
     return total
+
+
+def fraction_det(rows: list[list[int]]) -> Fraction:
+    """Determinant by Gaussian elimination over ``Fraction``."""
+    a = [[Fraction(x) for x in r] for r in rows]
+    det = Fraction(1)
+    for k in range(len(a)):
+        p = next((i for i in range(k, len(a)) if a[i][k]), None)
+        if p is None:
+            return Fraction(0)
+        if p != k:
+            a[k], a[p] = a[p], a[k]
+            det = -det
+        det *= a[k][k]
+        for i in range(k + 1, len(a)):
+            f = a[i][k] / a[k][k]
+            a[i] = [x - f * y for x, y in zip(a[i], a[k])]
+    return det
 
 
 def gcd_minors_index(rows: list[list[int]]) -> int:

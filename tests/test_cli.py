@@ -148,15 +148,58 @@ def test_trust_input_still_checks_ray_length(capsys, tmp_path, ray, length):
         ("0 -1", "cone (-1, 0) references unknown ray -1"),
         ("0 3", "cone (0, 3) references unknown ray 3"),
         ("0 1 2", "maximal cone wrong dimension: cone (0, 1, 2) has 3 rays, expected 2"),
+        ("1 0", "maximal cone (0, 1) is listed twice"),
     ],
 )
 def test_trust_input_still_checks_cone_shape(capsys, tmp_path, cone, message):
     path = tmp_path / "malformed.fan"
     path.write_text(f"dim: 2\nrays:\n  1 0\n  0 1\n  -1 -1\nmax_cones:\n  0 1\n  1 2\n  {cone}\n")
     for command in ("csm", "euler", "chow", "validate"):
+        for trust in (["--trust-input"], []):
+            code, out, err = run(capsys, command, "--fan", str(path), *trust)
+            assert code == 2 and out == "", (command, trust)
+            assert message in err, (command, trust)
+
+
+def test_trust_input_degenerate_cone(capsys, tmp_path):
+    # Cone (0, 3) spans a line.  Trusted, the presentation notices first;
+    # validate reaches only is_smooth, whose determinant is 0.
+    path = tmp_path / "degenerate.fan"
+    path.write_text("dim: 2\nrays:\n  1 0\n  0 1\n  -1 -1\n  -1 0\n"
+                    "max_cones:\n  0 1\n  1 2\n  2 0\n  0 3\n")
+    for command in ("csm", "euler", "chow"):
         code, out, err = run(capsys, command, "--fan", str(path), "--trust-input")
-        assert code == 2 and out == "", command
-        assert message in err, command
+        assert (code, out) == (2, ""), command
+        assert err == "toric-csm: validation error: fan not complete: top graded piece has dimension 2\n"
+    code, out, err = run(capsys, "validate", "--fan", str(path), "--trust-input")
+    assert (code, out, err) == (3, "", "toric-csm: internal error: not simplicial\n")
+
+
+def test_cached_parser_matches_a_fresh_one(capsys, monkeypatch):
+    import toriccsm.cli as cli
+
+    assert cli.build_parser() is cli.build_parser()
+    argvs = [
+        ["euler", "--builder", "pn=2"],
+        ["csm"],
+        ["validate", "--builder", "wps=1,1,2", "--json"],
+        ["euler", "--builder", "pn=2", "--only", "pn=1"],
+        ["csm", "--builder", "hirzebruch=1", "--elim-cone", "0,1", "--euler-only"],
+        ["frob"],
+        ["chow", "--builder", "pn=1*pn=1", "--json"],
+        ["validate", "--help"],
+        ["euler", "--builder", "frob=1"],
+        ["csm", "--builder", "wps=1,1,3", "--force-hnf", "--threads", "2"],
+    ]
+
+    def runs():
+        outs = [run(capsys, *argv) for argv in argvs + argvs]
+        return [(code, re.sub(r"\d+\.\d+", "T", out), err) for code, out, err in outs]
+
+    cached = runs()
+    monkeypatch.setattr(cli, "build_parser", cli.build_parser.__wrapped__)
+    assert cached == runs()
+    assert [code for code, _, _ in cached[: len(argvs)]] == [0, 1, 0, 1, 0, 1, 0, 0, 1, 0]
 
 
 def test_bench_smoke(capsys):

@@ -1,3 +1,4 @@
+import json
 import random
 import time
 from fractions import Fraction
@@ -272,3 +273,24 @@ def test_correction_walk_sees_only_singular_cones(monkeypatch):
     expected = [(c, multiplicity(fan, c) - 1) for d in sorted(fan.faces) for c in fan.faces[d]]
     expected = sorted((cm for cm in expected if cm[1]), key=lambda cm: cm[0].ray_indices)
     assert walked and walked == expected
+
+
+@pytest.mark.parametrize("spec", ["pn=4*pn=4*pn=4", "wps=1,1,3*pn=2*wps=1,1,2"])
+def test_csm_run_takes_one_determinant_per_maximal_cone(spec, monkeypatch, tmp_path, capsys):
+    import toriccsm.fan as fan_mod
+    from toriccsm import render_fan
+    from toriccsm.cli import _builder_fan, main
+
+    path = tmp_path / "input.fan"
+    path.write_text(render_fan(_builder_fan(spec)))
+    calls = {"determinant": 0, "hermite_normal_form": 0}
+    for name in calls:
+        def counted(*args, _name=name, _fn=getattr(fan_mod, name)):
+            calls[_name] += 1
+            return _fn(*args)
+
+        monkeypatch.setattr(fan_mod, name, counted)
+    assert main(["csm", "--fan", str(path), "--json"]) == 0
+    report = json.loads(capsys.readouterr().out)
+    assert calls == {"determinant": report["fan"]["max_cones"], "hermite_normal_form": 0}
+    assert report["fan"]["smooth"] == (spec == "pn=4*pn=4*pn=4")

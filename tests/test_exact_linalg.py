@@ -1,7 +1,9 @@
 import random
 
 import pytest
-from helpers import cofactor_det, gcd_minors_index, is_column_hnf
+from helpers import cofactor_det, fraction_det, gcd_minors_index, is_column_hnf
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from toriccsm.errors import InternalError
 from toriccsm.exact_linalg import (
@@ -81,6 +83,37 @@ def test_determinant_against_cofactor_oracle():
         n = rng.randint(1, 5)
         rows = [[rng.randint(-9, 9) for _ in range(n)] for _ in range(n)]
         assert determinant(IntegerMatrix.from_rows(rows)) == cofactor_det(rows)
+
+
+@st.composite
+def square_matrices(draw):
+    """Dense matrices, sparse 0/+-1 ones like cone ray matrices, and those
+    with rows scaled (non-unit pivots), a zero leading entry (a row swap)
+    or a row that is a combination of two others (singular)."""
+    n = draw(st.integers(1, 7))
+    sparse = draw(st.booleans())
+    entries = st.sampled_from([0, 0, 0, 1, -1]) if sparse else st.integers(-9, 9)
+    rows = draw(st.lists(st.lists(entries, min_size=n, max_size=n), min_size=n, max_size=n))
+    for i in draw(st.lists(st.integers(0, n - 1), max_size=3)):
+        factor = draw(st.integers(2, 5))
+        rows[i] = [factor * x for x in rows[i]]
+    if draw(st.booleans()):
+        rows[0][0] = 0
+    if n > 2 and draw(st.booleans()):
+        a, b = draw(st.integers(1, n - 1)), draw(st.integers(1, n - 1))
+        c = draw(st.integers(-3, 3))
+        rows[0] = [x + c * y for x, y in zip(rows[a], rows[b])]
+    return rows
+
+
+@settings(max_examples=400, deadline=None, database=None)
+@given(rows=square_matrices())
+# step 0 has pivot 2 over rows whose first entry is 0: those rows must
+# still be rescaled by 2 / 1 before step 1 divides by 2
+@example(rows=[[2, 0, 0], [0, 1, 0], [0, 0, 1]])
+@example(rows=[[0, -1, 0], [-3, 0, 1], [0, 0, 2]])
+def test_determinant_matches_fraction_elimination(rows):
+    assert determinant(IntegerMatrix.from_rows(rows)) == fraction_det(rows)
 
 
 def test_rational_rref_examples():

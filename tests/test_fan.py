@@ -2,7 +2,7 @@ import random
 from itertools import combinations
 
 import pytest
-from helpers import oracle_multiplicity, suite_fans
+from helpers import oracle_multiplicity, relabel, suite_fans
 
 from toriccsm import (
     Cone,
@@ -17,6 +17,7 @@ from toriccsm import (
     weighted_projective,
 )
 from toriccsm.errors import ValidationError
+from toriccsm.exact_linalg import column_lattice_index, determinant, hermite_normal_form, strip_zero_rows
 
 H5_RAYS = [(1, 0), (0, 1), (-1, 5), (0, -1)]
 H5_CONES = [(0, 1), (1, 2), (2, 3), (3, 0)]
@@ -63,7 +64,9 @@ def test_build_rejects_folded_fan():
     # Every wall lies in two cones, but all three rays are in one quadrant.
     with pytest.raises(ValidationError, match=r"cones \(0, 1\) and \(1, 2\) lie on the same side of wall \(1,\)"):
         build_fan(2, [(1, 0), (0, 1), (1, 1)], [(0, 1), (1, 2), (0, 2)])
-    with pytest.raises(ValidationError, match="same side"):
+    # In dimension 1 the only folded fan repeats its cone, which the shape
+    # check names first.
+    with pytest.raises(ValidationError, match=r"maximal cone \(0,\) is listed twice"):
         build_fan(1, [(1,)], [(0,), (0,)])
     with pytest.raises(ValidationError, match="same side"):
         build_fan(3, [(1, 3, -3), (-3, 1, 1), (3, -1, 3), (3, 0, -1)],
@@ -132,6 +135,22 @@ def test_multiplicity_against_minor_gcd_oracle_on_suite():
         for d in range(1, fan.ambient_dim + 1):
             for c in table[d]:
                 assert multiplicity(fan, c) == oracle_multiplicity(fan, c), (name, c)
+
+
+def test_cached_maximal_multiplicity_matches_hnf_and_lattice_index():
+    # Validation caches |det| as each maximal cone's multiplicity; the
+    # Hermite form and the lattice index are independent routes to it.
+    singular = product(product(weighted_projective([1, 1, 3]), projective_space(2)),
+                       weighted_projective([1, 2, 3]))
+    perm = list(range(len(singular.rays)))
+    random.Random(3).shuffle(perm)
+    fans = suite_fans() + [("relabelled wps=1,1,3*pn=2*wps=1,2,3", relabel(singular, perm))]
+    for name, fan in fans:
+        for c in fan.max_cones:
+            mat = fan.ray_matrix(c)
+            h, _ = hermite_normal_form(mat)
+            assert c._mult is not None, (name, c)
+            assert c._mult == abs(determinant(strip_zero_rows(h))) == column_lattice_index(mat), (name, c)
 
 
 def test_smoothness():
