@@ -7,9 +7,11 @@ We eliminate the ``n`` variables of one maximal cone (its ray matrix is
 invertible), which leaves ``r - n`` variables and an ideal generated by the
 substituted non-faces alone.  A homogeneous Buchberger run in graded-lex
 order (an earlier kept variable is more significant), truncated at degree
-``n``, gives that ideal's leading terms; the monomials they do not divide
-are the basis of each graded piece, and every other monomial gets its
-unique normal form in one ascending pass per degree.
+``n``, gives that ideal's leading terms.  The monomials they do not divide
+are the basis of each graded piece, an order ideal grown degree by degree
+from its border; the normal forms of the border monomials are the kept
+variables' multiplication tables, the presentation's only reduction data.
+Every normal form, class assembly and the degree calibration walk them.
 
 Classes are sparse:
 
@@ -22,6 +24,7 @@ The empty tuple is the constant monomial 1.
 from __future__ import annotations
 
 from fractions import Fraction
+from operator import add, ge, sub
 from typing import Dict, Iterable, Tuple
 
 from .errors import InternalError, ValidationError
@@ -136,25 +139,6 @@ def _poly_mul(a: _Dense, b: _Dense) -> _Dense:
     return out
 
 
-def _exponent_tuples(nvars: int, total: int) -> list[tuple[int, ...]]:
-    """All exponent tuples of the given length summing to ``total``, in
-    decreasing graded-lexicographic order (earlier variable more
-    significant)."""
-    if nvars == 0:
-        return [()] if total == 0 else []
-    out: list[tuple[int, ...]] = []
-
-    def rec(prefix: tuple[int, ...], remaining: int, left: int) -> None:
-        if left == 1:
-            out.append(prefix + (remaining,))
-            return
-        for e in range(remaining, -1, -1):
-            rec(prefix + (e,), remaining - e, left - 1)
-
-    rec((), total, nvars)
-    return out
-
-
 class ChowPresentation:
     """Quotient-ring data for one fan and one choice of elimination cone.
 
@@ -169,6 +153,11 @@ class ChowPresentation:
         point_coeff:    coefficient of the top basis monomial in the reduced
                         squarefree monomial of the reference maximal cone
         point_mult:     multiplicity of the reference maximal cone
+
+    The private ``_mul_tables`` holds, per ray, the multiplication tables
+    that ``multiplication_tables`` documents: the kept variables' from the
+    build, the eliminated variables' ``None`` until class assembly first
+    asks for them.
 
     The degree map sends the top basis monomial to 1/(point_coeff * point_mult),
     which makes every maximal cone's orbit-closure class integrate to 1.
@@ -186,8 +175,6 @@ class ChowPresentation:
         "point_mult",
         "_kept_pos",
         "_subst_dense",
-        "_basis_sets",
-        "_reductions",
         "_mul_tables",
     )
 
@@ -230,7 +217,9 @@ def build_presentation(fan: Fan, elim_cone: Cone | Iterable[int] | None = None) 
     # Solve the linear relations for the eliminated variables: the columns
     # of the elimination cone form an invertible matrix, so each form
     # determines one eliminated variable as a rational combination of the
-    # kept ones.
+    # kept ones.  ``multiplicity`` rejects a degenerate elimination cone,
+    # which only trusted input can bring, as a validation error first.
+    multiplicity(fan, elim)
     elim_idx = elim.ray_indices
     aug_rows = []
     for k in range(n):
@@ -276,14 +265,13 @@ def build_presentation(fan: Fan, elim_cone: Cone | Iterable[int] | None = None) 
 
     # Per-degree reduction data from a truncated Groebner basis of the
     # substituted generators: the basis monomials of each graded piece, in
-    # descending graded-lex order, and the normal form of every other
-    # monomial over them.
-    groebner = _truncated_groebner(gens, n)
-    tables = [_standard_monomials(_exponent_tuples(nk, d), groebner) for d in range(n + 1)]
-    p.degree_bases = tuple(tuple(_dense_to_sparse(m, kept) for m in b) for b, _ in tables)
-    p._basis_sets = [set(b) for b, _ in tables]
-    p._reductions = [red for _, red in tables]
-    p._mul_tables = None
+    # descending graded-lex order, and each kept variable's multiplication
+    # table between them.
+    bases, kept_tables = _border_tables(_truncated_groebner(gens, n), nk, n)
+    p.degree_bases = tuple(tuple(_dense_to_sparse(m, kept) for m in b) for b in bases)
+    p._mul_tables = [None] * r
+    for ray, table in zip(kept, kept_tables):
+        p._mul_tables[ray] = table
     if len(p.degree_bases[n]) != 1:
         raise ValidationError(
             f"fan not complete: top graded piece has dimension {len(p.degree_bases[n])}"
@@ -309,7 +297,7 @@ def _leading_divisor(
 ) -> tuple[tuple[int, ...], _Dense] | None:
     """The first basis element whose leading monomial divides ``m``."""
     for lead, g in groebner:
-        if all(a >= b for a, b in zip(m, lead)):
+        if all(map(ge, m, lead)):
             return lead, g
     return None
 
@@ -387,48 +375,69 @@ def _truncated_groebner(
     return basis
 
 
-def _standard_monomials(
-    mons: list[tuple[int, ...]],
-    groebner: list[tuple[tuple[int, ...], _Dense]],
-) -> tuple[list[tuple[int, ...]], dict[tuple[int, ...], dict[tuple[int, ...], Fraction]]]:
-    """Basis monomials and normal-form table of one graded piece.
+def _border_tables(
+    groebner: list[tuple[tuple[int, ...], _Dense]], nvars: int, top: int
+) -> tuple[list[list[tuple[int, ...]]], list[tuple]]:
+    """Basis monomials of degrees 0..top and each kept variable's
+    multiplication table between them.
 
-    ``mons`` is every monomial of the degree in descending order.  Walking
-    it upwards, a monomial no leading monomial divides is a basis monomial;
-    any other is ``t * lead(g)`` and reduces to minus the sum of ``c *
-    nf(t * u)`` over the tail terms ``c * u`` of the monic ``g``, each of
-    which is smaller and so already known.  A monomial of the ideal gets an
-    empty dict.  Both outputs list monomials in descending order.
+    The basis monomials are the monomials no leading monomial divides, an
+    order ideal, so degree d + 1 is grown from its border: the products
+    ``b * x_p`` of a degree-d basis monomial ``b`` and a variable.  Only
+    the border products that are not basis monomials need a normal form
+    (Mourrain, AAECC-13, 1999).  Tables and bases are laid out as
+    ``multiplication_tables`` documents, bases in descending graded-lex
+    order.
     """
-    basis_set: set[tuple[int, ...]] = set()
-    table: dict[tuple[int, ...], dict[tuple[int, ...], Fraction]] = {}
-    for m in reversed(mons):
-        hit = _leading_divisor(m, groebner)
-        if hit is None:
-            basis_set.add(m)
+    bases = [[(0,) * nvars]]
+    tables: list[list[tuple]] = [[] for _ in range(nvars)]
+    for d in range(top):
+        border = {b[:p] + (b[p] + 1,) + b[p + 1 :] for b in bases[d] for p in range(nvars)}
+        basis = sorted((w for w in border if _leading_divisor(w, groebner) is None), reverse=True)
+        index = {m: i for i, m in enumerate(basis)}
+        nf = _normal_forms([w for w in border if w not in index], index, groebner)
+        for p, per_degree in enumerate(tables):
+            rows = []
+            for b in bases[d]:
+                w = b[:p] + (b[p] + 1,) + b[p + 1 :]
+                rows.append(((index[w], 1),) if w in index else nf[w])
+            per_degree.append(tuple(rows))
+        bases.append(basis)
+    return bases, [tuple(t) for t in tables]
+
+
+def _normal_forms(
+    mons: list[tuple[int, ...]],
+    index: dict[tuple[int, ...], int],
+    groebner: list[tuple[tuple[int, ...], _Dense]],
+) -> dict[tuple[int, ...], tuple]:
+    """Normal forms of the given non-basis monomials of one degree, as
+    ``(index, coeff)`` rows over the basis monomials ``index``.
+
+    A monomial ``t * lead(g)`` reduces to minus the sum of ``c * nf(t * u)``
+    over the tail terms ``c * u`` of the monic ``g``.  Each such ``t * u`` is
+    smaller, so the monomials reached are collected first and then reduced
+    in ascending order, each from normal forms already known.  Integral
+    coefficients are stored as ``int``.
+    """
+    tails: dict[tuple[int, ...], list[tuple[tuple[int, ...], Fraction]]] = {}
+    todo = list(mons)
+    while todo:
+        m = todo.pop()
+        if m in tails or m in index:
             continue
-        lead, g = hit
-        t = tuple(a - b for a, b in zip(m, lead))
-        acc: dict[tuple[int, ...], Fraction] = {}
-        for u, cu in g.items():
-            if u == lead:
-                continue
-            w = tuple(x + y for x, y in zip(t, u))
-            terms = {w: _F1} if w in basis_set else table[w]
-            for b, q in terms.items():
-                s = acc.get(b, _F0) - cu * q
-                if s:
-                    acc[b] = s
-                else:
-                    acc.pop(b, None)
-        table[m] = acc
-    basis = [m for m in mons if m in basis_set]
-    reductions = {
-        m: {b: table[m][b] for b in sorted(table[m], reverse=True)}
-        for m in mons
-        if m in table
-    }
-    return basis, reductions
+        lead, g = _leading_divisor(m, groebner)
+        t = tuple(map(sub, m, lead))
+        tails[m] = [(tuple(map(add, t, u)), cu) for u, cu in g.items() if u != lead]
+        todo.extend(w for w, _ in tails[m])
+    nf: dict[tuple[int, ...], tuple] = {}
+    for m in sorted(tails):
+        acc: dict[int, Fraction] = {}
+        for w, cu in tails[m]:
+            for i, q in ((index[w], 1),) if w in index else nf[w]:
+                acc[i] = acc.get(i, _F0) - cu * q
+        nf[m] = tuple((i, _int_if_integral(q)) for i, q in sorted(acc.items()) if q)
+    return nf
 
 
 def _check_graded_dimensions(dims: tuple[int, ...], num_max_cones: int) -> None:
@@ -448,110 +457,77 @@ def _dense_to_sparse(m: tuple[int, ...], kept: tuple[int, ...]) -> Monomial:
 
 
 def normal_form(c: GradedClass, pres: ChowPresentation) -> GradedClass:
-    """Canonical representative of a class: substitute the eliminated
-    variables, expand, and reduce every graded piece to its basis monomials.
+    """Canonical representative of a class over the basis monomials.
+
+    Each monomial is walked through the multiplication tables: starting
+    from 1, one table row per variable occurrence, so no product is ever
+    expanded.  An eliminated variable is applied as its linear
+    substitution, the same combination of kept-variable rows that
+    ``multiplication_tables`` would store, which is never built here.
 
     Linear in the input and idempotent on classes already in basis form.
     """
     n = pres.fan.ambient_dim
-    nk = len(pres.kept)
-    kept_pos = pres._kept_pos
-    subst = pres._subst_dense
-    acc: _Dense = {}
+    tables = pres._mul_tables
+    out: list[dict[int, int | Fraction]] = [{} for _ in range(n + 1)]
     for mono, coeff in c.items():
         if coeff == 0:
             continue
         if monomial_degree(mono) > n:
             raise ValidationError("monomial degree exceeds the fan dimension")
-        base = [0] * nk
-        factors: list[tuple[int, int]] = []
+        vec: dict[int, int | Fraction] = {0: 1}
+        d = 0
         for ray, e in mono:
-            if ray in kept_pos:
-                base[kept_pos[ray]] += e
-            elif ray in subst:
-                factors.append((ray, e))
+            if ray in pres._kept_pos:
+                terms = [(tables[ray], 1)]
+            elif ray in pres._subst_dense:
+                form = pres._subst_dense[ray]
+                terms = [(tables[pres.kept[exp.index(1)]], q) for exp, q in form.items()]
             else:
                 raise ValidationError(f"monomial references unknown ray index {ray}")
-        poly: _Dense = {tuple(base): Fraction(coeff)}
-        for ray, e in factors:
             for _ in range(e):
-                poly = _poly_mul(poly, subst[ray])
-        for m, q in poly.items():
-            s = acc.get(m, _F0) + q
-            if s:
-                acc[m] = s
-            else:
-                acc.pop(m, None)
-    out: _Dense = {}
-
-    def put(m: tuple[int, ...], q: Fraction) -> None:
-        s = out.get(m, _F0) + q
-        if s:
-            out[m] = s
-        else:
-            out.pop(m, None)
-
-    for m, q in acc.items():
-        d = sum(m)
-        if m in pres._basis_sets[d]:
-            put(m, q)
-        else:
-            for bm, rc in pres._reductions[d][m].items():
-                put(bm, q * rc)
-    return {_dense_to_sparse(m, pres.kept): q for m, q in out.items()}
+                nxt: dict[int, int | Fraction] = {}
+                for table, q in terms:
+                    rows = table[d]
+                    for b, v in vec.items():
+                        qv = q * v
+                        for i, w in rows[b]:
+                            nxt[i] = nxt.get(i, 0) + qv * w
+                vec = nxt
+                d += 1
+        acc = out[d]
+        for i, v in vec.items():
+            acc[i] = acc.get(i, 0) + coeff * v
+    bases = pres.degree_bases
+    return {bases[d][i]: Fraction(q) for d, acc in enumerate(out) for i, q in acc.items() if q}
 
 
-def multiplication_tables(pres: ChowPresentation) -> tuple[tuple[tuple, ...], ...]:
+def multiplication_tables(pres: ChowPresentation) -> list[tuple[tuple, ...]]:
     """Multiplication by each ray variable, as a map between graded pieces.
 
     ``tables[j][d][b]`` is the normal form of ``x_j`` times the basis
     monomial ``degree_bases[d][b]``, for every ray ``j`` and degree
     ``d < n``, as ``(index, coeff)`` pairs over ``degree_bases[d + 1]``.
-    A kept variable's entries are read off the basis sets and reduction
-    tables; an eliminated variable is its linear substitution, so its
-    table is that combination of the kept variables' tables.  Integral
-    coefficients are stored as ``int``, so that walks over integral tables
-    stay in int arithmetic; mixed with ``Fraction`` they remain exact.
+    Integral coefficients are stored as ``int``, so that walks over
+    integral tables stay in int arithmetic; mixed with ``Fraction`` they
+    remain exact.
 
-    Built on first use and kept on the presentation: only class assembly
-    needs them, so building or validating a presentation never pays for
-    them.
+    The kept variables' tables are the presentation's reduction data,
+    built with it.  An eliminated variable is its linear substitution, so
+    its table is that combination of the kept variables' tables; those are
+    built on first use and kept on the presentation, since only class
+    assembly needs them.
     """
-    if pres._mul_tables is not None:
-        return pres._mul_tables
     n = pres.fan.ambient_dim
-    nk = len(pres.kept)
-    dense = []
-    for basis in pres.degree_bases:
-        exps = []
-        for mono in basis:
-            e = [0] * nk
-            for ray, k in mono:
-                e[pres._kept_pos[ray]] = k
-            exps.append(tuple(e))
-        dense.append(exps)
-    index = [{m: i for i, m in enumerate(exps)} for exps in dense]
-
-    tables: dict[int, tuple] = {}
-    for p, ray in enumerate(pres.kept):
-        per_degree = []
-        for d in range(n):
-            up, rows = index[d + 1], []
-            for m in dense[d]:
-                w = m[:p] + (m[p] + 1,) + m[p + 1 :]
-                if w in up:
-                    rows.append(((up[w], 1),))
-                else:
-                    red = pres._reductions[d + 1][w]
-                    rows.append(tuple((up[b], _int_if_integral(q)) for b, q in red.items()))
-            per_degree.append(tuple(rows))
-        tables[ray] = tuple(per_degree)
+    tables = pres._mul_tables
     for ray, form in pres._subst_dense.items():
+        if tables[ray] is not None:
+            continue
         terms = [(tables[pres.kept[exp.index(1)]], c) for exp, c in form.items()]
         per_degree = []
         for d in range(n):
             rows = []
-            for b in range(len(dense[d])):
+            for b in range(len(pres.degree_bases[d])):
                 acc: dict[int, Fraction] = {}
                 for table, c in terms:
                     for i, q in table[d][b]:
@@ -559,8 +535,7 @@ def multiplication_tables(pres: ChowPresentation) -> tuple[tuple[tuple, ...], ..
                 rows.append(tuple((i, _int_if_integral(q)) for i, q in sorted(acc.items()) if q))
             per_degree.append(tuple(rows))
         tables[ray] = tuple(per_degree)
-    pres._mul_tables = tuple(tables[j] for j in range(len(pres.fan.rays)))
-    return pres._mul_tables
+    return tables
 
 
 def _int_if_integral(q: Fraction) -> int | Fraction:

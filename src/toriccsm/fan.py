@@ -272,11 +272,11 @@ def multiplicity(fan: Fan, cone: Cone) -> int:
 
     A maximal cone of validated input reads the ``|det|`` that
     ``build_fan`` cached.  Otherwise a full-dimensional cone takes ``|det|``
-    of its square ray matrix, and raises ``ValueError`` ("not simplicial")
-    when it is 0; lower-dimensional cones use the ambient-basis echelon form
-    of ``column_lattice_index``, which computes the index when the cone's
-    span is a proper subspace.  Equals 1 exactly when the corresponding
-    affine chart is smooth.
+    of its square ray matrix, and raises ``ValidationError`` ("not
+    simplicial: maximal cone ...") when it is 0; lower-dimensional cones
+    use the ambient-basis echelon form of ``column_lattice_index``, which
+    computes the index when the cone's span is a proper subspace.  Equals 1
+    exactly when the corresponding affine chart is smooth.
     """
     if cone._mult is not None:
         return cone._mult
@@ -284,7 +284,7 @@ def multiplicity(fan: Fan, cone: Cone) -> int:
     if mat.rows == mat.cols:
         m = abs(determinant(mat))
         if m == 0:
-            raise ValueError("not simplicial")
+            raise ValidationError(f"not simplicial: maximal cone {cone.ray_indices}")
     else:
         m = column_lattice_index(mat)
     cone._mult = m

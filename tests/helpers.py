@@ -5,17 +5,21 @@ paths it checks: cofactor determinants and Gaussian elimination over
 ``Fraction`` instead of Bareiss, gcd of maximal minors instead of echelon
 forms, a dumb full-variable row reduction for quotient dimensions instead
 of the elimination pipeline, and dense Macaulay row reduction of the
-substituted generators instead of the Groebner basis behind the
-presentation's reduction tables, and one ``normal_form`` of the whole
-orbit sum per dimension instead of the face-trie walk.
+substituted generators instead of the Groebner basis and border
+multiplication tables of the presentation.  The Macaulay reductions drive
+their own normal form, which substitutes the eliminated variables, expands
+every product and looks each monomial up, so it shares no table with the
+library's ``normal_form`` or class assembly; the per-dimension orbit sums
+are that normal form of the whole sum of each dimension, not the product
+and face-trie walk.
 """
 
 from __future__ import annotations
 
-import copy
 from fractions import Fraction
 from itertools import combinations
 from math import gcd
+from types import SimpleNamespace
 
 from toriccsm import (
     ChowPresentation,
@@ -26,7 +30,6 @@ from toriccsm import (
     multiplicity,
     product,
     projective_space,
-    normal_form,
     squarefree_monomial,
     weighted_projective,
 )
@@ -203,17 +206,29 @@ def brute_quotient_dims(fan: Fan) -> list[int]:
     return dims
 
 
-def macaulay_presentation(pres: ChowPresentation) -> ChowPresentation:
-    """A copy of ``pres`` whose reduction tables and degree calibration are
-    recomputed by dense row reduction of the degree-d Macaulay matrix.
+def _poly_mul(a: dict, b: dict) -> dict:
+    out: dict = {}
+    for ma, ca in a.items():
+        for mb, cb in b.items():
+            m = tuple(x + y for x, y in zip(ma, mb))
+            out[m] = out.get(m, 0) + ca * cb
+    return {m: c for m, c in out.items() if c}
+
+
+def macaulay_presentation(pres: ChowPresentation) -> SimpleNamespace:
+    """The reduction data of ``pres``'s quotient recomputed by dense row
+    reduction of the degree-d Macaulay matrix, for ``oracle_normal_form``.
 
     For each degree d the rows are every monomial multiple of degree d of
     the substituted non-face generators, over columns of all degree-d
     monomials in decreasing graded-lex order (an earlier kept variable is
     more significant).  The non-pivot columns of the reduced row echelon
     form are the basis monomials, and each pivot row gives the normal form
-    of its pivot monomial.  Only the substitution and the non-faces are
-    taken from ``pres``.
+    of its pivot monomial.  Only the kept variables, the substitution and
+    the non-faces are taken from ``pres``.  The result carries ``kept``,
+    ``degree_bases`` (sparse monomials, descending), the dense ``subst``,
+    ``basis_sets`` and ``reductions`` over exponent tuples of the kept
+    variables, and the ``point_coeff`` of the degree calibration.
     """
     n = pres.fan.ambient_dim
     kept = pres.kept
@@ -226,19 +241,12 @@ def macaulay_presentation(pres: ChowPresentation) -> ChowPresentation:
             e[pos[ray]] += k
         return tuple(e)
 
+    subst = {j: {dense(m): c for m, c in form.items()} for j, form in pres.substitution.items()}
     gens = []
     for s in pres.nonfaces:
         poly = {(0,) * nk: Fraction(1)}
         for j in s:
-            factor = {dense(((j, 1),)): Fraction(1)} if j in pos else {
-                dense(m): c for m, c in pres.substitution[j].items()
-            }
-            prod = {}
-            for ma, ca in poly.items():
-                for mb, cb in factor.items():
-                    m = tuple(x + y for x, y in zip(ma, mb))
-                    prod[m] = prod.get(m, 0) + ca * cb
-            poly = {m: c for m, c in prod.items() if c}
+            poly = _poly_mul(poly, {dense(((j, 1),)): Fraction(1)} if j in pos else subst[j])
         if poly:
             gens.append((len(s), poly))
 
@@ -272,26 +280,63 @@ def macaulay_presentation(pres: ChowPresentation) -> ChowPresentation:
         basis_sets.append({mons[j] for j in basis_idx})
         reductions.append(red_d)
 
-    out = copy.copy(pres)
-    out.degree_bases = tuple(bases)
-    out._basis_sets = basis_sets
-    out._reductions = reductions
-    out._mul_tables = None
+    out = SimpleNamespace(
+        kept=kept,
+        subst=subst,
+        degree_bases=tuple(bases),
+        basis_sets=basis_sets,
+        reductions=reductions,
+    )
     ref = min(pres.fan.max_cones, key=lambda c: c.ray_indices)
-    reduced = normal_form({squarefree_monomial(ref.ray_indices): Fraction(1)}, out)
+    reduced = oracle_normal_form({squarefree_monomial(ref.ray_indices): Fraction(1)}, out)
     out.point_coeff = reduced.get(out.degree_bases[n][0], Fraction(0))
     return out
 
 
-def normal_form_orbit_sums(fan: Fan, pres: ChowPresentation) -> dict[int, GradedClass]:
+def oracle_normal_form(c: GradedClass, mac: SimpleNamespace) -> GradedClass:
+    """Normal form of a class from the Macaulay reductions of
+    ``macaulay_presentation``: substitute the eliminated variables, expand
+    every product, and look each monomial up in the per-degree reductions.
+    """
+    nk = len(mac.kept)
+    pos = {ray: i for i, ray in enumerate(mac.kept)}
+    acc: dict = {}
+    for mono, coeff in c.items():
+        base = [0] * nk
+        factors = []
+        for ray, e in mono:
+            if ray in pos:
+                base[pos[ray]] += e
+            else:
+                factors += [mac.subst[ray]] * e
+        poly = {tuple(base): Fraction(coeff)}
+        for factor in factors:
+            poly = _poly_mul(poly, factor)
+        for m, q in poly.items():
+            acc[m] = acc.get(m, 0) + q
+    out: dict = {}
+    for m, q in acc.items():
+        d = sum(m)
+        terms = {m: 1} if m in mac.basis_sets[d] else mac.reductions[d][m]
+        for b, rc in terms.items():
+            out[b] = out.get(b, 0) + q * rc
+    return {tuple((mac.kept[i], e) for i, e in enumerate(m) if e): q for m, q in out.items() if q}
+
+
+def normal_form_orbit_sums(
+    fan: Fan, pres: ChowPresentation, mac: SimpleNamespace | None = None
+) -> dict[int, GradedClass]:
     """Per-dimension orbit sums as class assembly once computed them: for
-    each d, the normal form of the sum of mult(sigma) * x_sigma over the
-    d-dimensional cones, every multiplicity computed, with d = 0 the
-    constant 1."""
-    sums = {0: normal_form({(): Fraction(1)}, pres)}
+    each d, the oracle normal form of the sum of mult(sigma) * x_sigma over
+    the d-dimensional cones, every multiplicity computed, with d = 0 the
+    constant 1.  ``mac`` is ``macaulay_presentation(pres)``, computed when
+    not given."""
+    if mac is None:
+        mac = macaulay_presentation(pres)
+    sums = {0: oracle_normal_form({(): Fraction(1)}, mac)}
     for d, cones in fan.faces.items():
         raw = {squarefree_monomial(c.ray_indices): Fraction(multiplicity(fan, c)) for c in cones}
-        sums[d] = normal_form(raw, pres)
+        sums[d] = oracle_normal_form(raw, mac)
     return sums
 
 

@@ -1,9 +1,18 @@
 import random
 import time
 from fractions import Fraction
+from math import comb
 
 import pytest
-from helpers import brute_quotient_dims, macaulay_presentation, relabel, suite_fans
+from helpers import (
+    brute_quotient_dims,
+    exponent_tuples,
+    macaulay_presentation,
+    normal_form_orbit_sums,
+    oracle_normal_form,
+    relabel,
+    suite_fans,
+)
 
 from toriccsm import (
     build_presentation,
@@ -22,7 +31,7 @@ from toriccsm import (
     stanley_reisner_nonfaces,
     weighted_projective,
 )
-from toriccsm.chow import _check_graded_dimensions
+from toriccsm.chow import _check_graded_dimensions, multiplication_tables
 from toriccsm.errors import InternalError, ValidationError
 
 
@@ -193,10 +202,15 @@ def test_groebner_tables_match_macaulay_oracle():
             q = macaulay_presentation(p)
             case = (name, elim)
             assert p.degree_bases == q.degree_bases, case
-            assert p._basis_sets == q._basis_sets, case
-            assert p._reductions == q._reductions, case
             assert p.point_coeff == q.point_coeff, case
-            assert csm_result(fan, p).csm_class == csm_result(fan, q).csm_class, case
+            for d in range(fan.ambient_dim + 1):
+                for e in exponent_tuples(len(p.kept), d):
+                    mono = {tuple((p.kept[i], k) for i, k in enumerate(e) if k): Fraction(1)}
+                    assert normal_form(mono, p) == oracle_normal_form(mono, q), (case, mono)
+            oracle_class = {}
+            for part in normal_form_orbit_sums(fan, p, q).values():
+                oracle_class = class_add(oracle_class, part)
+            assert csm_result(fan, p).csm_class == oracle_class, case
 
 
 def test_graded_dimension_invariants():
@@ -207,12 +221,38 @@ def test_graded_dimension_invariants():
         _check_graded_dimensions((1, 2, 1), 5)
 
 
-def test_p1_power_7_presentation_envelope():
+@pytest.mark.parametrize("k, limit", [(7, 5.0), (10, 1.5)])
+def test_p1_power_7_presentation_envelope(k, limit):
     fan = projective_space(1)
-    for _ in range(6):
+    for _ in range(k - 1):
         fan = product(fan, projective_space(1))
     t0 = time.perf_counter()
     p = build_presentation(fan)
     elapsed = time.perf_counter() - t0
-    assert graded_dimensions(p) == (1, 7, 21, 35, 35, 21, 7, 1)
-    assert elapsed < 5.0, f"(P1)^7 presentation took {elapsed:.2f}s"
+    assert graded_dimensions(p) == tuple(comb(k, d) for d in range(k + 1))
+    assert elapsed < limit, f"(P1)^{k} presentation took {elapsed:.2f}s"
+
+
+def test_table_entries_are_int_exactly_when_integral():
+    # == cannot tell 1 from Fraction(1); the class walks rely on int
+    # entries to stay in int arithmetic.
+    fans = [
+        ("hirzebruch=1", hirzebruch(1)),
+        ("wps=1,2,3*wps=1,1,3", product(weighted_projective([1, 2, 3]), weighted_projective([1, 1, 3]))),
+    ]
+    kinds = set()
+    for name, fan in fans:
+        cones = sorted(c.ray_indices for c in fan.max_cones)
+        for elim in (cones[0], cones[-1]):
+            entries = [
+                q
+                for table in multiplication_tables(build_presentation(fan, elim))
+                for rows in table
+                for row in rows
+                for _, q in row
+            ]
+            assert entries, (name, elim)
+            for q in entries:
+                assert type(q) is int or q.denominator != 1, (name, elim, q)
+                kinds.add(type(q))
+    assert kinds == {int, Fraction}

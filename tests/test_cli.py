@@ -163,7 +163,8 @@ def test_trust_input_still_checks_cone_shape(capsys, tmp_path, cone, message):
 
 def test_trust_input_degenerate_cone(capsys, tmp_path):
     # Cone (0, 3) spans a line.  Trusted, the presentation notices first;
-    # validate reaches only is_smooth, whose determinant is 0.
+    # validate reaches only is_smooth, whose determinant is 0, and an
+    # elimination by that cone stops before the solve.
     path = tmp_path / "degenerate.fan"
     path.write_text("dim: 2\nrays:\n  1 0\n  0 1\n  -1 -1\n  -1 0\n"
                     "max_cones:\n  0 1\n  1 2\n  2 0\n  0 3\n")
@@ -172,7 +173,12 @@ def test_trust_input_degenerate_cone(capsys, tmp_path):
         assert (code, out) == (2, ""), command
         assert err == "toric-csm: validation error: fan not complete: top graded piece has dimension 2\n"
     code, out, err = run(capsys, "validate", "--fan", str(path), "--trust-input")
-    assert (code, out, err) == (3, "", "toric-csm: internal error: not simplicial\n")
+    degenerate = "toric-csm: validation error: not simplicial: maximal cone (0, 3)\n"
+    assert (code, out, err) == (2, "", degenerate)
+    for command in ("csm", "euler", "chow"):
+        argv = (command, "--fan", str(path), "--trust-input", "--elim-cone", "0,3")
+        code, out, err = run(capsys, *argv)
+        assert (code, out, err) == (2, "", degenerate), command
 
 
 def test_cached_parser_matches_a_fresh_one(capsys, monkeypatch):
