@@ -13,6 +13,7 @@ from .exact_linalg import (
     RationalMatrix,
     column_lattice_index,
     determinant,
+    fraction_free_solve,
     hermite_normal_form,
     rational_rref,
     strip_zero_rows,
@@ -64,6 +65,7 @@ __all__ = [
     "hermite_normal_form",
     "strip_zero_rows",
     "determinant",
+    "fraction_free_solve",
     "rational_rref",
     "column_lattice_index",
     "Cone",

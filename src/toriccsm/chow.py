@@ -5,13 +5,17 @@ polynomial ring over Q modulo the squarefree monomial ideal of minimal
 non-faces and the ``n`` linear relations coming from the ray coordinates.
 We eliminate the ``n`` variables of one maximal cone (its ray matrix is
 invertible), which leaves ``r - n`` variables and an ideal generated by the
-substituted non-faces alone.  A homogeneous Buchberger run in graded-lex
-order (an earlier kept variable is more significant), truncated at degree
-``n``, gives that ideal's leading terms.  The monomials they do not divide
-are the basis of each graded piece, an order ideal grown degree by degree
-from its border; the normal forms of the border monomials are the kept
-variables' multiplication tables, the presentation's only reduction data.
-Every normal form, class assembly and the degree calibration walk them.
+substituted non-faces alone.  The linear relations are solved in integers
+by a fraction-free solve, and integral substitution coefficients stay
+``int``, so on a unimodular elimination cone the eliminated variables'
+multiplication tables are built in int arithmetic.  A homogeneous
+Buchberger run in graded-lex order (an earlier kept variable is more
+significant), truncated at degree ``n``, gives that ideal's leading terms.
+The monomials they do not divide are the basis of each graded piece, an
+order ideal grown degree by degree from its border; the normal forms of
+the border monomials are the kept variables' multiplication tables, the
+presentation's only reduction data.  Every normal form, class assembly
+and the degree calibration walk them.
 
 Classes are sparse:
 
@@ -28,7 +32,11 @@ from operator import add, ge, sub
 from typing import Dict, Iterable, Tuple
 
 from .errors import InternalError, ValidationError
-from .exact_linalg import RationalMatrix, rational_rref
+from .exact_linalg import (
+    IntegerMatrix,
+    fraction_free_solve,
+    rational_rref,  # noqa: F401 -- not called here; perfbench/tracer.py wraps chow.rational_rref
+)
 from .fan import Cone, Fan, multiplicity
 
 __all__ = [
@@ -122,8 +130,10 @@ def linear_relations(fan: Fan) -> tuple[tuple[int, ...], ...]:
     return tuple(tuple(v[k] for v in fan.rays) for k in range(n))
 
 
-# Dense polynomials over the kept variables: exponent tuple -> Fraction.
-_Dense = Dict[Tuple[int, ...], Fraction]
+# Dense polynomials over the kept variables: exponent tuple -> coefficient.
+# The Groebner input and basis are over Fraction; the substitution keeps
+# its integral coefficients as int.
+_Dense = Dict[Tuple[int, ...], int | Fraction]
 
 
 def _poly_mul(a: _Dense, b: _Dense) -> _Dense:
@@ -215,34 +225,32 @@ def build_presentation(fan: Fan, elim_cone: Cone | Iterable[int] | None = None) 
     p._kept_pos = {ray: i for i, ray in enumerate(kept)}
 
     # Solve the linear relations for the eliminated variables: the columns
-    # of the elimination cone form an invertible matrix, so each form
-    # determines one eliminated variable as a rational combination of the
-    # kept ones.  ``multiplicity`` rejects a degenerate elimination cone,
+    # of the elimination cone form an invertible matrix A, so the relations
+    # A x_elim + B x_kept = 0 give x_elim = -A^-1 B x_kept.  The solve runs
+    # in integers and returns d times that matrix, d = |det A|; an entry
+    # that d divides is stored as an ``int`` (always, when the cone is
+    # unimodular), so the eliminated variables' tables are built in int
+    # arithmetic.  ``multiplicity`` rejects a degenerate elimination cone,
     # which only trusted input can bring, as a validation error first.
     multiplicity(fan, elim)
     elim_idx = elim.ray_indices
-    aug_rows = []
-    for k in range(n):
-        row = [Fraction(fan.rays[j][k]) for j in elim_idx]
-        row += [Fraction(-fan.rays[j][k]) for j in kept]
-        aug_rows.append(row)
-    red, pivots = rational_rref(RationalMatrix.from_rows(aug_rows))
-    if pivots != tuple(range(n)):
-        raise InternalError("elimination system is singular; contradicts simpliciality")
-    rl = red.row_lists()
     nk = len(kept)
+    rhs = IntegerMatrix(n, nk, tuple(-fan.rays[j][k] for k in range(n) for j in kept))
+    d, x = fraction_free_solve(fan.ray_matrix(elim), rhs)
+    if not d:
+        raise InternalError("elimination system is singular; contradicts simpliciality")
     subst_dense: dict[int, _Dense] = {}
     for i, ray in enumerate(elim_idx):
         form: _Dense = {}
         for m in range(nk):
-            c = rl[i][n + m]
+            c = x.at(i, m)
             if c:
                 exp = tuple(1 if t == m else 0 for t in range(nk))
-                form[exp] = c
+                form[exp] = c // d if c % d == 0 else Fraction(c, d)
         subst_dense[ray] = form
     p._subst_dense = subst_dense
     p.substitution = {
-        ray: {_dense_to_sparse(m, kept): c for m, c in form.items()}
+        ray: {_dense_to_sparse(m, kept): Fraction(c) for m, c in form.items()}
         for ray, form in subst_dense.items()
     }
 
@@ -364,7 +372,7 @@ def _truncated_groebner(
             if not h:
                 continue
             lead = max(h)
-            inv = 1 / h[lead]
+            inv = _F1 / h[lead]
             new = len(basis)
             for i, (li, _) in enumerate(basis):
                 if any(a and b for a, b in zip(li, lead)):
@@ -393,9 +401,10 @@ def _border_tables(
     tables: list[list[tuple]] = [[] for _ in range(nvars)]
     for d in range(top):
         border = {b[:p] + (b[p] + 1,) + b[p + 1 :] for b in bases[d] for p in range(nvars)}
-        basis = sorted((w for w in border if _leading_divisor(w, groebner) is None), reverse=True)
+        hits = {w: _leading_divisor(w, groebner) for w in border}
+        basis = sorted((w for w, hit in hits.items() if hit is None), reverse=True)
         index = {m: i for i, m in enumerate(basis)}
-        nf = _normal_forms([w for w in border if w not in index], index, groebner)
+        nf = _normal_forms({w: hit for w, hit in hits.items() if hit}, index, groebner)
         for p, per_degree in enumerate(tables):
             rows = []
             for b in bases[d]:
@@ -407,12 +416,13 @@ def _border_tables(
 
 
 def _normal_forms(
-    mons: list[tuple[int, ...]],
+    hits: dict[tuple[int, ...], tuple[tuple[int, ...], _Dense]],
     index: dict[tuple[int, ...], int],
     groebner: list[tuple[tuple[int, ...], _Dense]],
 ) -> dict[tuple[int, ...], tuple]:
     """Normal forms of the given non-basis monomials of one degree, as
-    ``(index, coeff)`` rows over the basis monomials ``index``.
+    ``(index, coeff)`` rows over the basis monomials ``index``; ``hits``
+    maps each of them to its ``_leading_divisor``, already found.
 
     A monomial ``t * lead(g)`` reduces to minus the sum of ``c * nf(t * u)``
     over the tail terms ``c * u`` of the monic ``g``.  Each such ``t * u`` is
@@ -421,12 +431,12 @@ def _normal_forms(
     coefficients are stored as ``int``.
     """
     tails: dict[tuple[int, ...], list[tuple[tuple[int, ...], Fraction]]] = {}
-    todo = list(mons)
+    todo = list(hits)
     while todo:
         m = todo.pop()
         if m in tails or m in index:
             continue
-        lead, g = _leading_divisor(m, groebner)
+        lead, g = hits[m] if m in hits else _leading_divisor(m, groebner)
         t = tuple(map(sub, m, lead))
         tails[m] = [(tuple(map(add, t, u)), cu) for u, cu in g.items() if u != lead]
         todo.extend(w for w, _ in tails[m])
@@ -528,17 +538,17 @@ def multiplication_tables(pres: ChowPresentation) -> list[tuple[tuple, ...]]:
         for d in range(n):
             rows = []
             for b in range(len(pres.degree_bases[d])):
-                acc: dict[int, Fraction] = {}
+                acc: dict[int, int | Fraction] = {}
                 for table, c in terms:
                     for i, q in table[d][b]:
-                        acc[i] = acc.get(i, _F0) + c * q
+                        acc[i] = acc.get(i, 0) + c * q
                 rows.append(tuple((i, _int_if_integral(q)) for i, q in sorted(acc.items()) if q))
             per_degree.append(tuple(rows))
         tables[ray] = tuple(per_degree)
     return tables
 
 
-def _int_if_integral(q: Fraction) -> int | Fraction:
+def _int_if_integral(q: int | Fraction) -> int | Fraction:
     return q.numerator if q.denominator == 1 else q
 
 

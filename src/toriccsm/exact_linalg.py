@@ -11,9 +11,13 @@ implementations favour clarity and exactness over asymptotics:
 * ``determinant``          -- fraction-free Bareiss elimination; its
   absolute value is the multiplicity of a full-dimensional simplicial
   cone, so each maximal cone needs exactly one.
-* ``rational_rref``        -- reduced row echelon form over the rationals,
-  used only for the elimination solve (the eliminated variables as
-  rational combinations of the kept ones).
+* ``fraction_free_solve``  -- fraction-free Gauss-Jordan elimination,
+  ``d . a^-1 . b`` in integers with ``d = |det a|``: the elimination
+  solve (the eliminated variables as combinations of the kept ones, with
+  integer coefficients when the elimination cone is unimodular).
+* ``rational_rref``        -- reduced row echelon form over the rationals;
+  no longer called by the library, kept as public API and as the tests'
+  oracle for the elimination solve and the Macaulay presentation.
 * ``column_lattice_index`` -- the index of an integer column span inside
   the lattice points of its real span, via a left-unimodular echelon form.
 """
@@ -30,6 +34,7 @@ __all__ = [
     "hermite_normal_form",
     "strip_zero_rows",
     "determinant",
+    "fraction_free_solve",
     "rational_rref",
     "column_lattice_index",
 ]
@@ -259,6 +264,56 @@ def determinant(m: IntegerMatrix) -> int:
                     row[j] = (row[j] * akk - aik * pivot[j]) // prev
         prev = akk
     return sign * a[n - 1][n - 1]
+
+
+def fraction_free_solve(a: IntegerMatrix, b: IntegerMatrix) -> tuple[int, IntegerMatrix | None]:
+    """Solve ``a . Y = b`` in integers: ``(d, X)`` with ``X = d . a^-1 . b``.
+
+    Fraction-free Gauss-Jordan elimination on ``[a | b]``: step k replaces
+    every entry outside the pivot row by ``(a[i][j] * akk - a[i][k] *
+    a[k][j]) // prev``, an exact division that clears column k.  Then the
+    left block is ``d`` times the identity, with ``d = |det a|``, and the
+    right block is ``X``.  The sparse skips are those of ``determinant``:
+    a negative pivot row is negated, so unit pivots stay at 1, and when
+    ``akk == prev`` only rows with a nonzero pivot-column entry and only
+    the pivot row's nonzero columns change.  With ``b`` the identity,
+    ``X`` is the adjugate up to sign.  A singular ``a`` gives ``(0, None)``.
+    """
+    n = a.rows
+    if a.cols != n or b.rows != n:
+        raise ValueError("dimension mismatch in linear solve")
+    width = n + b.cols
+    rows_a, rows_b = a.row_lists(), b.row_lists()
+    m = [rows_a[i] + rows_b[i] for i in range(n)]
+    prev = 1
+    for k in range(n):
+        if m[k][k] == 0:
+            for i in range(k + 1, n):
+                if m[i][k]:
+                    m[k], m[i] = m[i], m[k]
+                    break
+            else:
+                return 0, None
+        pivot = m[k]
+        akk = pivot[k]
+        if akk < 0:
+            pivot = m[k] = [-x for x in pivot]
+            akk = -akk
+        if akk == prev:
+            cols = [j for j in range(width) if pivot[j]]
+            for i in range(n):
+                row = m[i]
+                aik = row[k]
+                if aik and i != k:
+                    for j in cols:
+                        row[j] = (row[j] * akk - aik * pivot[j]) // prev
+        else:
+            for i in range(n):
+                if i != k:
+                    aik = m[i][k]
+                    m[i] = [(x * akk - aik * y) // prev for x, y in zip(m[i], pivot)]
+        prev = akk
+    return prev, IntegerMatrix(n, b.cols, tuple(x for row in m for x in row[n:]))
 
 
 def rational_rref(m: RationalMatrix) -> tuple[RationalMatrix, tuple[int, ...]]:

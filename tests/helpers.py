@@ -2,16 +2,18 @@
 
 Everything here is deliberately naive and separate from the library code
 paths it checks: cofactor determinants and Gaussian elimination over
-``Fraction`` instead of Bareiss, gcd of maximal minors instead of echelon
-forms, a dumb full-variable row reduction for quotient dimensions instead
-of the elimination pipeline, and dense Macaulay row reduction of the
-substituted generators instead of the Groebner basis and border
-multiplication tables of the presentation.  The Macaulay reductions drive
-their own normal form, which substitutes the eliminated variables, expands
-every product and looks each monomial up, so it shares no table with the
-library's ``normal_form`` or class assembly; the per-dimension orbit sums
-are that normal form of the whole sum of each dimension, not the product
-and face-trie walk.
+``Fraction`` instead of Bareiss, linear solves and the elimination
+substitution over ``Fraction`` instead of the fraction-free solve, gcd of
+maximal minors instead of echelon forms, a dumb full-variable row
+reduction for quotient dimensions instead of the elimination pipeline,
+and dense Macaulay row reduction of the substituted generators instead
+of the Groebner basis and border multiplication tables of the
+presentation.  The Macaulay reductions drive their own normal form,
+which substitutes the eliminated variables, expands every product and
+looks each monomial up, so it shares no table with the library's
+``normal_form`` or class assembly; the per-dimension orbit sums are that
+normal form of the whole sum of each dimension, not the product and
+face-trie walk.
 """
 
 from __future__ import annotations
@@ -68,6 +70,41 @@ def fraction_det(rows: list[list[int]]) -> Fraction:
             f = a[i][k] / a[k][k]
             a[i] = [x - f * y for x, y in zip(a[i], a[k])]
     return det
+
+
+def fraction_solve(a: list[list[int]], b: list[list[int]]) -> list[list[Fraction]] | None:
+    """``a^-1 . b`` by Gauss-Jordan elimination over ``Fraction``, or
+    ``None`` when ``a`` is singular."""
+    n = len(a)
+    m = [[Fraction(x) for x in a[i] + b[i]] for i in range(n)]
+    for k in range(n):
+        p = next((i for i in range(k, n) if m[i][k]), None)
+        if p is None:
+            return None
+        m[k], m[p] = m[p], m[k]
+        m[k] = [x / m[k][k] for x in m[k]]
+        for i in range(n):
+            if i != k and m[i][k]:
+                f = m[i][k]
+                m[i] = [x - f * y for x, y in zip(m[i], m[k])]
+    return [row[n:] for row in m]
+
+
+def oracle_substitution(fan: Fan, elim: tuple[int, ...]) -> dict[int, GradedClass]:
+    """The eliminated variables as rational combinations of the kept ones,
+    from the reduced row echelon form of ``[A | -B]`` over ``Fraction``:
+    ``A`` holds the elimination cone's rays as columns, ``B`` the kept
+    rays'.  Same layout as ``ChowPresentation.substitution``."""
+    n = fan.ambient_dim
+    kept = [j for j in range(len(fan.rays)) if j not in elim]
+    rows = [[fan.rays[j][k] for j in elim] + [-fan.rays[j][k] for j in kept] for k in range(n)]
+    red, pivots = rational_rref(RationalMatrix.from_rows(rows))
+    assert pivots == tuple(range(n)), "elimination cone is singular"
+    rl = red.row_lists()
+    return {
+        ray: {((kept[m], 1),): c for m, c in enumerate(rl[i][n:]) if c}
+        for i, ray in enumerate(elim)
+    }
 
 
 def gcd_minors_index(rows: list[list[int]]) -> int:

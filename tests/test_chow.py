@@ -10,6 +10,7 @@ from helpers import (
     macaulay_presentation,
     normal_form_orbit_sums,
     oracle_normal_form,
+    oracle_substitution,
     relabel,
     suite_fans,
 )
@@ -31,6 +32,7 @@ from toriccsm import (
     stanley_reisner_nonfaces,
     weighted_projective,
 )
+from toriccsm import chow
 from toriccsm.chow import _check_graded_dimensions, multiplication_tables
 from toriccsm.errors import InternalError, ValidationError
 
@@ -233,26 +235,69 @@ def test_p1_power_7_presentation_envelope(k, limit):
     assert elapsed < limit, f"(P1)^{k} presentation took {elapsed:.2f}s"
 
 
-def test_table_entries_are_int_exactly_when_integral():
+def test_table_entries_are_int_exactly_when_integral(monkeypatch):
     # == cannot tell 1 from Fraction(1); the class walks rely on int
-    # entries to stay in int arithmetic.
+    # entries to stay in int arithmetic.  The Groebner basis stays over
+    # Fraction: an int leading coefficient must not turn into a float.
+    groebner = []
+    truncated_groebner = chow._truncated_groebner
+
+    def spy(gens, top):
+        basis = truncated_groebner(gens, top)
+        groebner.extend(basis)
+        return basis
+
+    monkeypatch.setattr(chow, "_truncated_groebner", spy)
     fans = [
         ("hirzebruch=1", hirzebruch(1)),
         ("wps=1,2,3*wps=1,1,3", product(weighted_projective([1, 2, 3]), weighted_projective([1, 1, 3]))),
     ]
-    kinds = set()
+    kinds = {"tables": set(), "substitution": set()}
     for name, fan in fans:
         cones = sorted(c.ray_indices for c in fan.max_cones)
         for elim in (cones[0], cones[-1]):
-            entries = [
-                q
-                for table in multiplication_tables(build_presentation(fan, elim))
-                for rows in table
-                for row in rows
-                for _, q in row
-            ]
-            assert entries, (name, elim)
-            for q in entries:
-                assert type(q) is int or q.denominator != 1, (name, elim, q)
-                kinds.add(type(q))
-    assert kinds == {int, Fraction}
+            pres = build_presentation(fan, elim)
+            entries = {
+                "tables": [
+                    q
+                    for table in multiplication_tables(pres)
+                    for rows in table
+                    for row in rows
+                    for _, q in row
+                ],
+                "substitution": [q for form in pres._subst_dense.values() for q in form.values()],
+            }
+            for kind, values in entries.items():
+                assert values, (name, elim, kind)
+                for q in values:
+                    assert type(q) is int or q.denominator != 1, (name, elim, kind, q)
+                    kinds[kind].add(type(q))
+    assert kinds == {"tables": {int, Fraction}, "substitution": {int, Fraction}}
+    assert groebner
+    for _, g in groebner:
+        assert all(type(c) is Fraction for c in g.values()), g
+
+
+def test_substitution_matches_rref_oracle():
+    fans = list(suite_fans())
+    fans += [
+        ("wps=1,2,3*pn=2", product(weighted_projective([1, 2, 3]), projective_space(2))),
+        ("wps=1,2,3,5*hirzebruch=3", product(weighted_projective([1, 2, 3, 5]), hirzebruch(3))),
+        (
+            "wps=1,1,3*pn=2*wps=1,1,2",
+            product(
+                product(weighted_projective([1, 1, 3]), projective_space(2)),
+                weighted_projective([1, 1, 2]),
+            ),
+        ),
+    ]
+    fractional = 0
+    for name, fan in fans:
+        cones = sorted(c.ray_indices for c in fan.max_cones)
+        for elim in (cones[0], cones[len(cones) // 2], cones[-1]):
+            subst = build_presentation(fan, elim).substitution
+            assert subst == oracle_substitution(fan, elim), (name, elim)
+            coeffs = [q for form in subst.values() for q in form.values()]
+            assert all(type(q) is Fraction for q in coeffs), (name, elim)
+            fractional += any(q.denominator != 1 for q in coeffs)
+    assert fractional

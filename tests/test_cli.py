@@ -355,3 +355,42 @@ def test_subcommands_reject_flags_they_do_not_read(capsys, argv):
     code, out, err = run(capsys, *argv)
     assert code == 1 and out == ""
     assert "error" in err
+
+
+@pytest.mark.parametrize(
+    "elim, eliminated, kept, substitution",
+    [
+        ("0,2", [0, 2], [1], {"x0": "2/3*x1", "x2": "1/3*x1"}),
+        ("1,2", [1, 2], [0], {"x1": "3/2*x0", "x2": "1/2*x0"}),
+    ],
+)
+def test_chow_fractional_substitution_golden(capsys, elim, eliminated, kept, substitution):
+    # elimination cones of multiplicity 3 and 2: the substitution has
+    # fractional coefficients
+    code, out, _ = run(capsys, "chow", "--builder", "wps=1,2,3", "--elim-cone", elim)
+    assert code == 0
+    assert re.sub(r"\d+\.\d{3}s", "T", out) == (
+        "fan: wps=1,2,3 (dim 2, 3 rays, 3 maximal cones, singular)\n"
+        "stanley-reisner non-faces: x0*x1*x2\n"
+        "linear relations: x0 - 2*x2, x1 - 3*x2\n"
+        f"eliminated: x{eliminated[0]}, x{eliminated[1]}; kept: x{kept[0]}\n"
+        f"substitution: {', '.join(f'{v} = {c}' for v, c in substitution.items())}\n"
+        "graded dimensions: 1 1 1\n"
+        "timing: chow ring T\n"
+    )
+    code, out, _ = run(capsys, "chow", "--builder", "wps=1,2,3", "--elim-cone", elim, "--json")
+    assert code == 0
+    data = json.loads(out)
+    assert list(data.pop("timings")) == ["chow_seconds"]
+    assert data == {
+        "source": "wps=1,2,3",
+        "fan": {"dim": 2, "rays": 3, "max_cones": 3, "smooth": False},
+        "presentation": {
+            "nonfaces": ["x0*x1*x2"],
+            "linear_relations": ["x0 - 2*x2", "x1 - 3*x2"],
+            "eliminated": eliminated,
+            "kept": kept,
+            "substitution": substitution,
+            "graded_dimensions": [1, 1, 1],
+        },
+    }

@@ -1,7 +1,7 @@
 import random
 
 import pytest
-from helpers import cofactor_det, fraction_det, gcd_minors_index, is_column_hnf
+from helpers import cofactor_det, fraction_det, fraction_solve, gcd_minors_index, is_column_hnf
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
@@ -11,6 +11,7 @@ from toriccsm.exact_linalg import (
     RationalMatrix,
     column_lattice_index,
     determinant,
+    fraction_free_solve,
     hermite_normal_form,
     rational_rref,
     strip_zero_rows,
@@ -114,6 +115,48 @@ def square_matrices(draw):
 @example(rows=[[0, -1, 0], [-3, 0, 1], [0, 0, 2]])
 def test_determinant_matches_fraction_elimination(rows):
     assert determinant(IntegerMatrix.from_rows(rows)) == fraction_det(rows)
+
+
+@st.composite
+def linear_systems(draw):
+    """A square ``a`` as for the determinant test and a ``b`` with up to
+    twice as many columns plus two."""
+    a = draw(square_matrices())
+    width = draw(st.integers(0, 2 * len(a) + 2))
+    b = draw(st.lists(st.lists(st.integers(-9, 9), min_size=width, max_size=width),
+                      min_size=len(a), max_size=len(a)))
+    return a, b
+
+
+@settings(max_examples=400, deadline=None, database=None)
+@given(system=linear_systems())
+# zero leading pivot (a row swap)
+@example(system=([[0, 1, 0], [1, 0, 0], [0, 0, 1]], [[1], [2], [3]]))
+# negative and non-unit pivots; step 0 rescales rows whose first entry is 0
+@example(system=([[-2, 0, 1], [0, 1, 0], [1, 0, -3]], [[1, 0, 0], [0, 1, 0], [0, 0, 1]]))
+# wide b
+@example(system=([[2, 1], [1, 1]], [[1, 0, 3, -1, 2, 7], [0, 1, 1, 4, -2, -5]]))
+# singular a
+@example(system=([[1, 2], [2, 4]], [[1], [1]]))
+def test_fraction_free_solve_matches_fraction_elimination(system):
+    a, b = system
+    d, x = fraction_free_solve(IntegerMatrix.from_rows(a), IntegerMatrix.from_rows(b))
+    solution = fraction_solve(a, b)
+    if solution is None:
+        assert fraction_det(a) == 0
+        assert (d, x) == (0, None)
+        return
+    assert d == abs(fraction_det(a))
+    assert (x.rows, x.cols) == (len(a), len(b[0]))
+    assert all(type(v) is int for v in x.entries)
+    assert x.row_lists() == [[d * q for q in row] for row in solution]
+
+
+def test_fraction_free_solve_rejects_mismatched_shapes():
+    with pytest.raises(ValueError, match="dimension mismatch"):
+        fraction_free_solve(IntegerMatrix.from_rows([[1, 2]]), IntegerMatrix.from_rows([[1]]))
+    with pytest.raises(ValueError, match="dimension mismatch"):
+        fraction_free_solve(IntegerMatrix.identity(2), IntegerMatrix.from_rows([[1]]))
 
 
 def test_rational_rref_examples():
