@@ -13,9 +13,11 @@ Buchberger run in graded-lex order (an earlier kept variable is more
 significant), truncated at degree ``n``, gives that ideal's leading terms.
 The monomials they do not divide are the basis of each graded piece, an
 order ideal grown degree by degree from its border; the normal forms of
-the border monomials are the kept variables' multiplication tables, the
-presentation's only reduction data.  Every normal form, class assembly
-and the degree calibration walk them.
+the border monomials are the kept variables' multiplication tables, and
+each eliminated variable's table is its substitution's combination of
+them.  All of them are built with the presentation, its only reduction
+data, and one row-product kernel walks them: the normal forms, class
+assembly and the degree calibration.
 
 Classes are sparse:
 
@@ -94,22 +96,18 @@ def stanley_reisner_nonfaces(fan: Fan) -> tuple[tuple[int, ...], ...]:
     full = (1 << r) - 1
     edges = sorted({full ^ _mask(c.ray_indices) for c in fan.max_cones})
 
-    def minimalize(masks: list[int]) -> list[int]:
-        masks = sorted(set(masks), key=lambda m: (bin(m).count("1"), m))
-        kept: list[int] = []
-        for m in masks:
-            if not any(k & m == k for k in kept):
-                kept.append(m)
-        return kept
-
     trans = [0]
     for e in edges:
+        # A transversal that meets e stays minimal: a new t | {v} inside it
+        # would make t, a transversal of the earlier edges, a proper subset
+        # of it.  So only the new candidates are filtered, smallest first.
         nxt = [t for t in trans if t & e]
-        bits = [v for v in range(r) if e >> v & 1]
-        for t in trans:
-            if not t & e:
-                nxt.extend(t | (1 << v) for v in bits)
-        trans = minimalize(nxt)
+        bits = [1 << v for v in range(r) if e >> v & 1]
+        new = {t | b for t in trans if not t & e for b in bits}
+        for m in sorted(new, key=lambda m: (m.bit_count(), m)):
+            if not any(k & m == k for k in nxt):
+                nxt.append(m)
+        trans = nxt
     return tuple(sorted(tuple(v for v in range(r) if t >> v & 1) for t in trans))
 
 
@@ -164,10 +162,9 @@ class ChowPresentation:
                         squarefree monomial of the reference maximal cone
         point_mult:     multiplicity of the reference maximal cone
 
-    The private ``_mul_tables`` holds, per ray, the multiplication tables
-    that ``multiplication_tables`` documents: the kept variables' from the
-    build, the eliminated variables' ``None`` until class assembly first
-    asks for them.
+    The private ``_mul_tables`` holds, per ray, the multiplication table
+    that ``multiplication_tables`` documents; every ray's is built with the
+    presentation.
 
     The degree map sends the top basis monomial to 1/(point_coeff * point_mult),
     which makes every maximal cone's orbit-closure class integrate to 1.
@@ -183,7 +180,6 @@ class ChowPresentation:
         "degree_bases",
         "point_coeff",
         "point_mult",
-        "_kept_pos",
         "_subst_dense",
         "_mul_tables",
     )
@@ -222,7 +218,7 @@ def build_presentation(fan: Fan, elim_cone: Cone | Iterable[int] | None = None) 
     p.elim_cone = elim
     kept = tuple(j for j in range(r) if j not in set(elim.ray_indices))
     p.kept = kept
-    p._kept_pos = {ray: i for i, ray in enumerate(kept)}
+    kept_pos = {ray: i for i, ray in enumerate(kept)}
 
     # Solve the linear relations for the eliminated variables: the columns
     # of the elimination cone form an invertible matrix A, so the relations
@@ -261,8 +257,8 @@ def build_presentation(fan: Fan, elim_cone: Cone | Iterable[int] | None = None) 
         poly: _Dense = {zero_exp: _F1}
         base = [0] * nk
         for j in s:
-            if j in p._kept_pos:
-                base[p._kept_pos[j]] += 1
+            if j in kept_pos:
+                base[kept_pos[j]] += 1
             else:
                 poly = _poly_mul(poly, subst_dense[j])
         if any(base):
@@ -277,13 +273,25 @@ def build_presentation(fan: Fan, elim_cone: Cone | Iterable[int] | None = None) 
     # table between them.
     bases, kept_tables = _border_tables(_truncated_groebner(gens, n), nk, n)
     p.degree_bases = tuple(tuple(_dense_to_sparse(m, kept) for m in b) for b in bases)
-    p._mul_tables = [None] * r
-    for ray, table in zip(kept, kept_tables):
-        p._mul_tables[ray] = table
     if len(p.degree_bases[n]) != 1:
         raise ValidationError(
             f"fan not complete: top graded piece has dimension {len(p.degree_bases[n])}"
         )
+
+    # An eliminated variable is its substitution, a combination of kept
+    # variables, so its table row is that combination of their rows:
+    # ``columns[d][b]`` lists row b of every kept table in degree d.
+    tables = [None] * r
+    for ray, table in zip(kept, kept_tables):
+        tables[ray] = table
+    columns = [tuple(zip(*(table[d] for table in kept_tables))) for d in range(n)]
+    for ray, form in subst_dense.items():
+        coeffs = [(exp.index(1), c) for exp, c in form.items()]
+        tables[ray] = tuple(
+            tuple(_row(_add_rows({}, coeffs, column)) for column in columns[d])
+            for d in range(n)
+        )
+    p._mul_tables = tables
 
     # Degree-map calibration against the lexicographically smallest maximal
     # cone: its multiplicity times its squarefree monomial is a point class,
@@ -406,11 +414,7 @@ def _border_tables(
         index = {m: i for i, m in enumerate(basis)}
         nf = _normal_forms({w: hit for w, hit in hits.items() if hit}, index, groebner)
         for p, per_degree in enumerate(tables):
-            rows = []
-            for b in bases[d]:
-                w = b[:p] + (b[p] + 1,) + b[p + 1 :]
-                rows.append(((index[w], 1),) if w in index else nf[w])
-            per_degree.append(tuple(rows))
+            per_degree.append(tuple(nf[b[:p] + (b[p] + 1,) + b[p + 1 :]] for b in bases[d]))
         bases.append(basis)
     return bases, [tuple(t) for t in tables]
 
@@ -420,9 +424,10 @@ def _normal_forms(
     index: dict[tuple[int, ...], int],
     groebner: list[tuple[tuple[int, ...], _Dense]],
 ) -> dict[tuple[int, ...], tuple]:
-    """Normal forms of the given non-basis monomials of one degree, as
-    ``(index, coeff)`` rows over the basis monomials ``index``; ``hits``
-    maps each of them to its ``_leading_divisor``, already found.
+    """Normal forms, as ``(index, coeff)`` rows over the basis monomials
+    ``index``, of those basis monomials and of the given non-basis
+    monomials of the same degree; ``hits`` maps each of the latter to its
+    ``_leading_divisor``, already found.
 
     A monomial ``t * lead(g)`` reduces to minus the sum of ``c * nf(t * u)``
     over the tail terms ``c * u`` of the monic ``g``.  Each such ``t * u`` is
@@ -440,14 +445,32 @@ def _normal_forms(
         t = tuple(map(sub, m, lead))
         tails[m] = [(tuple(map(add, t, u)), cu) for u, cu in g.items() if u != lead]
         todo.extend(w for w, _ in tails[m])
-    nf: dict[tuple[int, ...], tuple] = {}
+    nf: dict[tuple[int, ...], tuple] = {w: ((i, 1),) for w, i in index.items()}
     for m in sorted(tails):
-        acc: dict[int, Fraction] = {}
-        for w, cu in tails[m]:
-            for i, q in ((index[w], 1),) if w in index else nf[w]:
-                acc[i] = acc.get(i, _F0) - cu * q
-        nf[m] = tuple((i, _int_if_integral(q)) for i, q in sorted(acc.items()) if q)
+        nf[m] = _row(_add_rows({}, tails[m], nf, -1))
     return nf
+
+
+def _add_rows(acc: dict, vec: Iterable[tuple], rows, scale: int | Fraction = 1) -> dict:
+    """Add ``scale`` times the sparse vector ``vec``, as ``(key, coeff)``
+    pairs, times ``rows`` into ``acc``, and return ``acc``.
+
+    ``rows[key]`` is a row of ``(index, coeff)`` pairs, the image of the
+    key's basis vector, so this is the vector-times-table step that every
+    normal form, table build and class walk takes.  New entries start from
+    ``int`` 0, so integral rows keep integral sums in int arithmetic.
+    """
+    for b, q in vec:
+        q *= scale
+        for i, e in rows[b]:
+            acc[i] = acc.get(i, 0) + q * e
+    return acc
+
+
+def _row(acc: dict) -> tuple:
+    """An accumulator as a table row: sorted, zeros dropped, integral
+    coefficients as ``int``."""
+    return tuple((i, q.numerator if q.denominator == 1 else q) for i, q in sorted(acc.items()) if q)
 
 
 def _check_graded_dimensions(dims: tuple[int, ...], num_max_cones: int) -> None:
@@ -471,11 +494,11 @@ def normal_form(c: GradedClass, pres: ChowPresentation) -> GradedClass:
 
     Each monomial is walked through the multiplication tables: starting
     from 1, one table row per variable occurrence, so no product is ever
-    expanded.  An eliminated variable is applied as its linear
-    substitution, the same combination of kept-variable rows that
-    ``multiplication_tables`` would store, which is never built here.
+    expanded.  Kept and eliminated variables alike have their table.
 
     Linear in the input and idempotent on classes already in basis form.
+    Raises ``ValidationError`` on a monomial of degree above ``n`` or with
+    a ray index outside ``0..r-1``.
     """
     n = pres.fan.ambient_dim
     tables = pres._mul_tables
@@ -488,22 +511,10 @@ def normal_form(c: GradedClass, pres: ChowPresentation) -> GradedClass:
         vec: dict[int, int | Fraction] = {0: 1}
         d = 0
         for ray, e in mono:
-            if ray in pres._kept_pos:
-                terms = [(tables[ray], 1)]
-            elif ray in pres._subst_dense:
-                form = pres._subst_dense[ray]
-                terms = [(tables[pres.kept[exp.index(1)]], q) for exp, q in form.items()]
-            else:
+            if not 0 <= ray < len(tables):
                 raise ValidationError(f"monomial references unknown ray index {ray}")
             for _ in range(e):
-                nxt: dict[int, int | Fraction] = {}
-                for table, q in terms:
-                    rows = table[d]
-                    for b, v in vec.items():
-                        qv = q * v
-                        for i, w in rows[b]:
-                            nxt[i] = nxt.get(i, 0) + qv * w
-                vec = nxt
+                vec = _add_rows({}, vec.items(), tables[ray][d])
                 d += 1
         acc = out[d]
         for i, v in vec.items():
@@ -522,34 +533,11 @@ def multiplication_tables(pres: ChowPresentation) -> list[tuple[tuple, ...]]:
     integral tables stay in int arithmetic; mixed with ``Fraction`` they
     remain exact.
 
-    The kept variables' tables are the presentation's reduction data,
-    built with it.  An eliminated variable is its linear substitution, so
-    its table is that combination of the kept variables' tables; those are
-    built on first use and kept on the presentation, since only class
-    assembly needs them.
+    All of them are built with the presentation: the kept variables' as
+    its reduction data, and each eliminated variable's as its linear
+    substitution's combination of those.
     """
-    n = pres.fan.ambient_dim
-    tables = pres._mul_tables
-    for ray, form in pres._subst_dense.items():
-        if tables[ray] is not None:
-            continue
-        terms = [(tables[pres.kept[exp.index(1)]], c) for exp, c in form.items()]
-        per_degree = []
-        for d in range(n):
-            rows = []
-            for b in range(len(pres.degree_bases[d])):
-                acc: dict[int, int | Fraction] = {}
-                for table, c in terms:
-                    for i, q in table[d][b]:
-                        acc[i] = acc.get(i, 0) + c * q
-                rows.append(tuple((i, _int_if_integral(q)) for i, q in sorted(acc.items()) if q))
-            per_degree.append(tuple(rows))
-        tables[ray] = tuple(per_degree)
-    return tables
-
-
-def _int_if_integral(q: int | Fraction) -> int | Fraction:
-    return q.numerator if q.denominator == 1 else q
+    return pres._mul_tables
 
 
 def graded_dimensions(pres: ChowPresentation) -> tuple[int, ...]:

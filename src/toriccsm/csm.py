@@ -35,6 +35,7 @@ from typing import Iterable
 from .chow import (
     ChowPresentation,
     GradedClass,
+    _add_rows,
     build_presentation,
     class_add,
     degree,
@@ -103,10 +104,7 @@ def _ray_product(pres: ChowPresentation) -> _Sums:
     v: _Sums = [{0: 1}] + [{} for _ in range(n)]
     for table in multiplication_tables(pres):
         for d in range(n - 1, -1, -1):
-            rows, up = table[d], v[d + 1]
-            for b, q in v[d].items():
-                for i, e in rows[b]:
-                    up[i] = up.get(i, 0) + q * e
+            _add_rows(v[d + 1], v[d].items(), table[d])
     return v
 
 
@@ -138,12 +136,7 @@ def _orbit_sum(pres: ChowPresentation, cones: Iterable[tuple[Cone, int]], sums: 
         del stack[shared + 1 :]
         for t in range(shared, len(rays)):
             # in range: build_fan checks every maximal cone's ray indices
-            table = tables[rays[t]][t]
-            vec: dict[int, int | Fraction] = {}
-            for b, q in stack[t].items():
-                for i, e in table[b]:
-                    vec[i] = vec.get(i, 0) + q * e
-            stack.append(vec)
+            stack.append(_add_rows({}, stack[t].items(), tables[rays[t]][t]))
         path = rays
         acc = sums[len(rays)]
         for b, q in stack[-1].items():
@@ -189,9 +182,11 @@ def csm_result(
     batch; output is deterministic regardless.  The cones of multiplicity
     other than 1 then go through one walk of ``_orbit_sum`` in
     lexicographic order.
+
+    ``pres`` defaults to ``build_presentation(fan)``; one built from any
+    other fan object raises ``ValidationError``.
     """
-    if pres is None:
-        pres = build_presentation(fan)
+    pres = _presentation_of(fan, pres)
     sums = _ray_product(pres)
     if force_hnf or not is_smooth(fan):
         table = enumerate_cones(fan)
@@ -235,10 +230,10 @@ def euler_characteristic(
 
     With ``euler_only`` set, only the maximal cones are processed (lower
     dimensions cannot contribute to the top graded piece); otherwise the
-    full class is assembled first and its top part integrated.
+    full class is assembled first and its top part integrated.  ``pres``
+    is checked as in ``csm_result``.
     """
-    if pres is None:
-        pres = build_presentation(fan)
+    pres = _presentation_of(fan, pres)
     if not euler_only:
         return csm_result(fan, pres, force_hnf=force_hnf, threads=threads).euler
     n = fan.ambient_dim
@@ -246,6 +241,16 @@ def euler_characteristic(
     mults = _multiplicities(fan, cones, force_hnf, threads)
     sums = _orbit_sum(pres, zip(cones, mults), [{} for _ in range(n + 1)])
     return _integer_degree(_graded_classes(pres, sums)[n], pres)
+
+
+def _presentation_of(fan: Fan, pres: ChowPresentation | None) -> ChowPresentation:
+    """``pres``, built for ``fan`` when ``None``; ``ValidationError`` when
+    it was built for another fan."""
+    if pres is None:
+        return build_presentation(fan)
+    if pres.fan is not fan:
+        raise ValidationError("presentation was built for a different fan")
+    return pres
 
 
 def _integer_degree(c: GradedClass, pres: ChowPresentation) -> int:

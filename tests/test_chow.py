@@ -1,5 +1,6 @@
 import random
 import time
+from itertools import combinations
 from fractions import Fraction
 from math import comb
 
@@ -53,11 +54,25 @@ def test_nonfaces_p1xp1():
 def test_nonfaces_are_not_faces_and_minimal():
     for name, fan in suite_fans():
         maxsets = [set(c.ray_indices) for c in fan.max_cones]
-        for s in stanley_reisner_nonfaces(fan):
+        nonfaces = stanley_reisner_nonfaces(fan)
+        for s in nonfaces:
             assert not any(set(s) <= m for m in maxsets), name
             for i in range(len(s)):
                 sub = set(s) - {s[i]}
                 assert any(sub <= m for m in maxsets), name
+        r = len(fan.rays)
+        if r <= 10:
+
+            def is_face(s):
+                return any(set(s) <= m for m in maxsets)
+
+            brute = {
+                s
+                for k in range(1, r + 1)
+                for s in combinations(range(r), k)
+                if not is_face(s) and all(is_face(s[:i] + s[i + 1 :]) for i in range(k))
+            }
+            assert set(nonfaces) == brute, name
 
 
 def test_linear_relations():
@@ -116,6 +131,16 @@ def test_normal_form_idempotent_and_linear():
     lhs = normal_form(class_add(a, b), p)
     rhs = class_add(normal_form(a, p), normal_form(b, p))
     assert lhs == rhs
+
+
+def test_normal_form_rejects_unknown_rays_and_high_degree():
+    f = hirzebruch(5)
+    p = build_presentation(f, (0, 3))
+    for ray in (-1, len(f.rays)):
+        with pytest.raises(ValidationError, match="unknown ray index"):
+            normal_form({((ray, 1),): Fraction(1)}, p)
+    with pytest.raises(ValidationError, match="degree exceeds"):
+        normal_form({((1, 2), (2, 1)): Fraction(1)}, p)
 
 
 def test_normal_form_kills_ideal_generators():
@@ -199,16 +224,30 @@ def _oracle_cases():
 
 def test_groebner_tables_match_macaulay_oracle():
     for name, fan in _oracle_cases():
-        for elim in sorted(c.ray_indices for c in fan.max_cones)[:3]:
+        for t, elim in enumerate(sorted(c.ray_indices for c in fan.max_cones)[:3]):
             p = build_presentation(fan, elim)
             q = macaulay_presentation(p)
             case = (name, elim)
             assert p.degree_bases == q.degree_bases, case
             assert p.point_coeff == q.point_coeff, case
-            for d in range(fan.ambient_dim + 1):
-                for e in exponent_tuples(len(p.kept), d):
-                    mono = {tuple((p.kept[i], k) for i, k in enumerate(e) if k): Fraction(1)}
-                    assert normal_form(mono, p) == oracle_normal_form(mono, q), (case, mono)
+            assert all(table is not None for table in multiplication_tables(p)), case
+            monos = [
+                tuple((p.kept[i], k) for i, k in enumerate(e) if k)
+                for d in range(fan.ambient_dim + 1)
+                for e in exponent_tuples(len(p.kept), d)
+            ]
+            if t == 0:
+                # Squarefree monomials in all rays walk the eliminated
+                # variables' tables too.
+                monos += [
+                    squarefree_monomial(s)
+                    for d in range(2, fan.ambient_dim + 1)
+                    for s in combinations(range(len(fan.rays)), d)
+                ]
+                monos += [((j, 1),) for j in p.elim_cone.ray_indices]
+            for mono in monos:
+                c = {mono: Fraction(1)}
+                assert normal_form(c, p) == oracle_normal_form(c, q), (case, mono)
             oracle_class = {}
             for part in normal_form_orbit_sums(fan, p, q).values():
                 oracle_class = class_add(oracle_class, part)

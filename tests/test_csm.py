@@ -25,6 +25,7 @@ from toriccsm import (
     squarefree_monomial,
     weighted_projective,
 )
+from toriccsm.errors import ValidationError
 
 
 def test_csm_h5_golden():
@@ -294,3 +295,17 @@ def test_csm_run_takes_one_determinant_per_maximal_cone(spec, monkeypatch, tmp_p
     report = json.loads(capsys.readouterr().out)
     assert calls == {"determinant": report["fan"]["max_cones"], "hermite_normal_form": 0}
     assert report["fan"]["smooth"] == (spec == "pn=4*pn=4*pn=4")
+
+
+def test_presentation_of_another_fan_is_rejected():
+    fan = hirzebruch(1)
+    other = build_presentation(hirzebruch(5))
+    with pytest.raises(ValidationError, match="different fan"):
+        csm_result(fan, other)
+    with pytest.raises(ValidationError, match="different fan"):
+        csm_class(fan, other)
+    for euler_only in (True, False):
+        with pytest.raises(ValidationError, match="different fan"):
+            euler_characteristic(fan, euler_only, other)
+    assert csm_result(fan, build_presentation(fan)).euler == 4
+
