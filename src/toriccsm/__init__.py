@@ -47,7 +47,6 @@ from .chow import (
 )
 from .csm import (
     CsmResult,
-    csm_class,
     csm_result,
     euler_by_cone_count,
     euler_characteristic,
@@ -92,7 +91,6 @@ __all__ = [
     "graded_dimensions",
     "degree",
     "CsmResult",
-    "csm_class",
     "csm_result",
     "euler_characteristic",
     "euler_by_cone_count",

@@ -497,8 +497,8 @@ def normal_form(c: GradedClass, pres: ChowPresentation) -> GradedClass:
     expanded.  Kept and eliminated variables alike have their table.
 
     Linear in the input and idempotent on classes already in basis form.
-    Raises ``ValidationError`` on a monomial of degree above ``n`` or with
-    a ray index outside ``0..r-1``.
+    Raises ``ValidationError`` on a monomial with an exponent below 1, of
+    degree above ``n``, or with a ray index outside ``0..r-1``.
     """
     n = pres.fan.ambient_dim
     tables = pres._mul_tables
@@ -506,6 +506,8 @@ def normal_form(c: GradedClass, pres: ChowPresentation) -> GradedClass:
     for mono, coeff in c.items():
         if coeff == 0:
             continue
+        if any(e < 1 for _, e in mono):
+            raise ValidationError("monomial has an exponent below 1")
         if monomial_degree(mono) > n:
             raise ValidationError("monomial degree exceeds the fan dimension")
         vec: dict[int, int | Fraction] = {0: 1}

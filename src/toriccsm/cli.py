@@ -1,11 +1,10 @@
-"""Command-line interface and benchmark harness.
+"""Command-line interface.
 
 Subcommands:
     csm       full class, Euler characteristic, and presentation report
     euler     Euler characteristic only
     chow      Chow presentation summary (relations, graded dimensions)
     validate  run fan validation and report the outcome
-    bench     timing table over a suite of builder fans
 
 A fan comes from exactly one of ``--fan FILE`` or ``--builder SPEC``
 (``pn=N``, ``hirzebruch=R``, ``wps=q0,q1,...``; ``*`` joins product
@@ -27,7 +26,7 @@ from fractions import Fraction
 
 from .chow import build_presentation, graded_dimensions
 from .csm import csm_result, euler_characteristic
-from .errors import InternalError, ValidationError
+from .errors import ValidationError
 from .fan import Fan, hirzebruch, is_smooth, multiplicity, product, projective_space, weighted_projective
 from .formats import parse_fan_file, render_class
 
@@ -124,9 +123,7 @@ def _run_report(args) -> tuple[dict, str]:
     t1 = time.perf_counter()
     csm_str = None
     if args.euler_only:
-        euler = euler_characteristic(
-            fan, True, pres, force_hnf=args.force_hnf, threads=args.threads
-        )
+        euler = euler_characteristic(fan, pres, force_hnf=args.force_hnf, threads=args.threads)
     else:
         result = csm_result(fan, pres, force_hnf=args.force_hnf, threads=args.threads)
         csm_str = render_class(result.csm_class)
@@ -176,7 +173,7 @@ def _cmd_euler(args) -> int:
     fan, _ = _resolve_fan(args)
     elim = _parse_elim(args.elim_cone)
     pres = build_presentation(fan, elim)
-    chi = euler_characteristic(fan, True, pres, force_hnf=args.force_hnf, threads=args.threads)
+    chi = euler_characteristic(fan, pres, force_hnf=args.force_hnf, threads=args.threads)
     print(json.dumps({"euler": chi}) if args.json else chi)
     return 0
 
@@ -232,86 +229,6 @@ def _cmd_validate(args) -> int:
     return 0
 
 
-_BENCH_DEFAULTS = [
-    "pn=6",
-    "pn=5*pn=6",
-    "pn=5*pn=8",
-    "pn=6*pn=7",
-    "pn=4*pn=4*pn=4",
-    "hirzebruch=1",
-    "hirzebruch=5",
-    "hirzebruch=10",
-    "wps=1,1,2",
-    "wps=1,1,3",
-    "pn=1*pn=1*pn=1*pn=1*pn=1*pn=1*pn=1",
-    "pn=1*pn=1*pn=1*pn=1*pn=1*pn=1*pn=1*pn=1",
-]
-
-
-def _cmd_bench(args) -> int:
-    specs = args.only or _BENCH_DEFAULTS
-    rows = []
-    for spec in specs:
-        row = {"input": spec}
-        fan = _builder_fan(spec)
-        t0 = time.perf_counter()
-        build_presentation(fan)
-        row["chow_seconds"] = time.perf_counter() - t0
-        if args.euler_only:
-            fresh = _builder_fan(spec)
-            fp = build_presentation(fresh)
-            t0 = time.perf_counter()
-            chi = euler_characteristic(fresh, True, fp, threads=args.threads)
-            row["euler_only_seconds"] = time.perf_counter() - t0
-            row["chi"] = chi
-        else:
-            # Fresh fans per path so cached multiplicities cannot leak
-            # between the timed runs.
-            fresh = _builder_fan(spec)
-            fp = build_presentation(fresh)
-            t0 = time.perf_counter()
-            res_fast = csm_result(fresh, fp, threads=args.threads)
-            row["csm_fast_seconds"] = time.perf_counter() - t0
-
-            fresh = _builder_fan(spec)
-            fp = build_presentation(fresh)
-            t0 = time.perf_counter()
-            res_forced = csm_result(fresh, fp, force_hnf=True, threads=args.threads)
-            row["csm_forced_seconds"] = time.perf_counter() - t0
-            if res_fast.csm_class != res_forced.csm_class:
-                raise InternalError(f"fast/forced path mismatch for {spec}")
-
-            fresh = _builder_fan(spec)
-            fp = build_presentation(fresh)
-            t0 = time.perf_counter()
-            chi = euler_characteristic(fresh, True, fp, threads=args.threads)
-            row["euler_only_seconds"] = time.perf_counter() - t0
-            row["chi"] = chi
-        rows.append(row)
-
-    if args.json:
-        print(json.dumps(rows, indent=2))
-        return 0
-    cols = ["input", "chow_seconds", "csm_fast_seconds", "csm_forced_seconds", "euler_only_seconds", "chi"]
-    if args.euler_only:
-        cols = ["input", "chow_seconds", "euler_only_seconds", "chi"]
-    header = {"input": "input", "chow_seconds": "chow(s)", "csm_fast_seconds": "csm fast(s)",
-              "csm_forced_seconds": "csm forced(s)", "euler_only_seconds": "euler-only(s)", "chi": "chi"}
-    widths = {c: max(len(header[c]), *(len(_cell(r.get(c))) for r in rows)) for c in cols}
-    print("  ".join(header[c].ljust(widths[c]) for c in cols))
-    for r in rows:
-        print("  ".join(_cell(r.get(c)).ljust(widths[c]) for c in cols))
-    return 0
-
-
-def _cell(v) -> str:
-    if v is None:
-        return "-"
-    if isinstance(v, float):
-        return f"{v:.3f}"
-    return str(v)
-
-
 def _flag(*names, **kwargs) -> argparse.ArgumentParser:
     """A parent parser holding one flag, to share it between subcommands."""
     parser = argparse.ArgumentParser(add_help=False)
@@ -356,11 +273,6 @@ def build_parser() -> argparse.ArgumentParser:
     sub.add_parser("chow", parents=[fansrc, elim_cone, json_flag],
                    help="show the Chow presentation")
     sub.add_parser("validate", parents=[fansrc, json_flag], help="validate a fan")
-    bench = sub.add_parser("bench", parents=[json_flag, threads], help="run the timing suite")
-    bench.add_argument("--only", action="append", metavar="SPEC",
-                       help="restrict the suite to these builder specs (repeatable)")
-    bench.add_argument("--euler-only", action="store_true",
-                       help="time only the Euler-characteristic path")
     return parser
 
 
@@ -369,7 +281,6 @@ _COMMANDS = {
     "euler": _cmd_euler,
     "chow": _cmd_chow,
     "validate": _cmd_validate,
-    "bench": _cmd_bench,
 }
 
 

@@ -47,7 +47,6 @@ from .fan import Cone, Fan, enumerate_cones, is_smooth, multiplicity
 
 __all__ = [
     "CsmResult",
-    "csm_class",
     "csm_result",
     "euler_characteristic",
     "euler_by_cone_count",
@@ -177,11 +176,12 @@ def csm_result(
     enumerated.  Otherwise, or with ``force_hnf``, every cone's
     multiplicity is computed: maximal cones from that cache (one
     determinant each on trusted input), lower-dimensional ones through
-    ``column_lattice_index`` (``force_hnf`` is for benchmarking; the
-    results are identical).  ``threads`` bounds the worker count for that
-    batch; output is deterministic regardless.  The cones of multiplicity
-    other than 1 then go through one walk of ``_orbit_sum`` in
-    lexicographic order.
+    ``column_lattice_index``.  ``force_hnf`` is the product's own check of
+    the smooth-fan shortcut: it computes every multiplicity that a smooth
+    fan takes to be 1, and the results are identical.  ``threads`` bounds
+    the worker count for that batch; output is deterministic regardless.
+    The cones of multiplicity other than 1 then go through one walk of
+    ``_orbit_sum`` in lexicographic order.
 
     ``pres`` defaults to ``build_presentation(fan)``; one built from any
     other fan object raises ``ValidationError``.
@@ -206,21 +206,8 @@ def csm_result(
     return CsmResult(csm_class=total, euler=chi, per_dim_contributions=per_dim)
 
 
-def csm_class(
-    fan: Fan,
-    pres: ChowPresentation | None = None,
-    *,
-    force_hnf: bool = False,
-    threads: int = 1,
-) -> GradedClass:
-    """The reduced class: 1 plus the sum over all cones of multiplicity
-    times the cone's squarefree ray monomial."""
-    return csm_result(fan, pres, force_hnf=force_hnf, threads=threads).csm_class
-
-
 def euler_characteristic(
     fan: Fan,
-    euler_only: bool = True,
     pres: ChowPresentation | None = None,
     *,
     force_hnf: bool = False,
@@ -228,14 +215,12 @@ def euler_characteristic(
 ) -> int:
     """Euler characteristic via the degree of the top part of the class.
 
-    With ``euler_only`` set, only the maximal cones are processed (lower
-    dimensions cannot contribute to the top graded piece); otherwise the
-    full class is assembled first and its top part integrated.  ``pres``
-    is checked as in ``csm_result``.
+    Only the maximal cones are processed: lower-dimensional cones cannot
+    contribute to the top graded piece.  ``csm_result(...).euler`` gives
+    the same value from the full class.  ``pres``, ``force_hnf`` and
+    ``threads`` are as in ``csm_result``.
     """
     pres = _presentation_of(fan, pres)
-    if not euler_only:
-        return csm_result(fan, pres, force_hnf=force_hnf, threads=threads).euler
     n = fan.ambient_dim
     cones = sorted(fan.max_cones, key=lambda c: c.ray_indices)
     mults = _multiplicities(fan, cones, force_hnf, threads)

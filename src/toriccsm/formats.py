@@ -100,7 +100,10 @@ def parse_fan_text(text: str, source: str = "<string>", validate: bool = True) -
 def parse_fan_file(path: str, validate: bool = True) -> tuple[Fan, str | None]:
     """Read and parse a fan file; returns the validated fan and its name."""
     with open(path, "r", encoding="utf-8") as fh:
-        text = fh.read()
+        try:
+            text = fh.read()
+        except UnicodeDecodeError as exc:
+            raise ValidationError(f"{path}: not UTF-8 text ({exc})") from None
     return parse_fan_text(text, source=path, validate=validate)
 
 
@@ -176,13 +179,17 @@ def parse_class(s: str) -> GradedClass:
         exps: dict[int, int] = {}
         for factor in tok.split("*"):
             if _NUM.match(factor):
-                coeff *= Fraction(factor)
+                try:
+                    coeff *= Fraction(factor)
+                except ZeroDivisionError:
+                    raise ValidationError(f"zero denominator in term factor {factor!r}") from None
                 continue
             vm = _VAR.match(factor)
             if not vm:
                 raise ValidationError(f"cannot parse term factor {factor!r}")
-            ray = int(vm.group(1))
-            exps[ray] = exps.get(ray, 0) + int(vm.group(2) or 1)
+            ray, e = int(vm.group(1)), int(vm.group(2) or 1)
+            if e:  # x^0 is 1: a monomial holds only positive exponents
+                exps[ray] = exps.get(ray, 0) + e
         mono = tuple(sorted((ray, e) for ray, e in exps.items()))
         total = out.get(mono, Fraction(0)) + coeff
         if total:

@@ -25,7 +25,6 @@ from helpers import (
 from toriccsm import (
     IntegerMatrix,
     build_presentation,
-    csm_class,
     csm_result,
     degree,
     determinant,
@@ -74,12 +73,12 @@ def test_criterion_02_projective_space_binomials(capsys):
     for n in range(1, 9):
         fan = projective_space(n)
         pres = build_presentation(fan)
-        cls = csm_class(fan, pres)
+        res = csm_result(fan, pres)
         kept = pres.kept[0]
         for d in range(n + 1):
             mono = () if d == 0 else ((kept, d),)
-            assert cls.get(mono, Fraction(0)) == comb(n + 1, d), (n, d)
-        assert euler_characteristic(fan, False, pres) == n + 1
+            assert res.csm_class.get(mono, Fraction(0)) == comb(n + 1, d), (n, d)
+        assert res.euler == n + 1
     elapsed = time.perf_counter() - t0
     assert elapsed < 10.0
     with capsys.disabled():
@@ -91,10 +90,9 @@ def test_criterion_03_euler_consistency_suite(capsys):
     for name, fan in fans:
         expected = euler_by_cone_count(fan)
         pres = build_presentation(fan)
-        for euler_only in (True, False):
-            for force in (False, True):
-                chi = euler_characteristic(fan, euler_only, pres, force_hnf=force)
-                assert chi == expected, (name, euler_only, force)
+        for force in (False, True):
+            assert euler_characteristic(fan, pres, force_hnf=force) == expected, (name, force)
+            assert csm_result(fan, pres, force_hnf=force).euler == expected, (name, force)
     with capsys.disabled():
         _report(3, f"euler fast/full/top-only/cone-count agree on {len(fans)} suite fans")
 
@@ -102,10 +100,10 @@ def test_criterion_03_euler_consistency_suite(capsys):
 def test_criterion_04_singular_paths(capsys):
     w2 = weighted_projective([1, 1, 2])
     assert sorted(multiplicity(w2, c) for c in w2.max_cones) == [1, 1, 2]
-    assert euler_characteristic(w2, False, force_hnf=True) == 3
+    assert csm_result(w2, force_hnf=True).euler == 3
     w3 = weighted_projective([1, 1, 3])
     assert sorted(multiplicity(w3, c) for c in w3.max_cones) == [1, 1, 3]
-    assert euler_characteristic(w3, False, force_hnf=True) == 3
+    assert csm_result(w3, force_hnf=True).euler == 3
     for w in (w2, w3):
         for c in w.max_cones:
             assert multiplicity(w, c) == gcd_minors_index(w.ray_matrix(c).row_lists())
@@ -166,7 +164,7 @@ def test_criterion_08_basis_independence(capsys):
         for e in elims:
             pres = build_presentation(fan, e)
             seen_dims.add(graded_dimensions(pres))
-            seen_chi.add(euler_characteristic(fan, True, pres))
+            seen_chi.add(euler_characteristic(fan, pres))
             for c in fan.max_cones:
                 cls = {squarefree_monomial(c.ray_indices): Fraction(multiplicity(fan, c))}
                 assert degree(normal_form(cls, pres), pres) == 1, (name, e, c)

@@ -141,6 +141,10 @@ def test_normal_form_rejects_unknown_rays_and_high_degree():
             normal_form({((ray, 1),): Fraction(1)}, p)
     with pytest.raises(ValidationError, match="degree exceeds"):
         normal_form({((1, 2), (2, 1)): Fraction(1)}, p)
+    p2 = build_presentation(projective_space(2))
+    for mono in (((0, -1),), ((0, 0),), ((1, 3), (2, -2))):
+        with pytest.raises(ValidationError, match="exponent below 1"):
+            normal_form({mono: Fraction(1)}, p2)
 
 
 def test_normal_form_kills_ideal_generators():

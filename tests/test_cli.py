@@ -104,11 +104,17 @@ def test_usage_errors_exit_one(capsys):
     assert code == 1
 
 
-def test_validation_errors_exit_two(capsys):
+def test_validation_errors_exit_two(capsys, tmp_path):
     code, _, err = run(capsys, "euler", "--builder", "wps=2,3,5")
     assert code == 2 and "unsupported weights" in err
     code, _, err = run(capsys, "euler", "--fan", "/nonexistent/path.fan")
     assert code == 2
+    latin1 = tmp_path / "latin1.fan"
+    latin1.write_bytes(b"name: caf\xe9\ndim: 1\nrays:\n  1\n  -1\nmax_cones:\n  0\n  1\n\xff\n")
+    for command in ("validate", "csm"):
+        code, out, err = run(capsys, command, "--fan", str(latin1))
+        assert (code, out) == (2, ""), command
+        assert err.startswith(f"toric-csm: validation error: {latin1}: not UTF-8 text"), command
 
 
 def test_elim_cone_must_be_maximal(capsys):
@@ -206,37 +212,6 @@ def test_cached_parser_matches_a_fresh_one(capsys, monkeypatch):
     monkeypatch.setattr(cli, "build_parser", cli.build_parser.__wrapped__)
     assert cached == runs()
     assert [code for code, _, _ in cached[: len(argvs)]] == [0, 1, 0, 1, 0, 1, 0, 0, 1, 0]
-
-
-def test_bench_smoke(capsys):
-    code, out, _ = run(capsys, "bench", "--only", "pn=2", "--only", "hirzebruch=1")
-    assert code == 0
-    lines = out.strip().splitlines()
-    assert "chi" in lines[0]
-    assert len(lines) == 3
-
-
-def test_bench_json_and_euler_only(capsys):
-    code, out, _ = run(capsys, "bench", "--only", "pn=6", "--euler-only", "--json")
-    assert code == 0
-    rows = json.loads(out)
-    assert rows[0]["input"] == "pn=6" and rows[0]["chi"] == 7
-    assert "csm_forced_seconds" not in rows[0]
-
-
-def test_bench_p16_euler_only(capsys):
-    code, out, _ = run(capsys, "bench", "--only", "pn=16", "--euler-only")
-    assert code == 0
-    assert out.strip().splitlines()[-1].split()[-1] == "17"
-
-
-def test_bench_defaults_used_when_no_only(capsys, monkeypatch):
-    import toriccsm.cli as cli
-
-    monkeypatch.setattr(cli, "_BENCH_DEFAULTS", ["pn=2"])
-    code, out, _ = run(capsys, "bench")
-    assert code == 0
-    assert "pn=2" in out
 
 
 def test_threads_flag(capsys):
@@ -349,6 +324,7 @@ def test_csm_human_report_golden(capsys):
         ["euler", "--builder", "pn=2", "--euler-only"],
         ["csm", "--builder", "pn=2", "--seed", "1"],
         ["csm", "--product", "pn=1", "pn=1"],
+        ["bench", "--only", "pn=1"],
     ],
 )
 def test_subcommands_reject_flags_they_do_not_read(capsys, argv):

@@ -11,7 +11,6 @@ from toriccsm import (
     build_fan,
     build_presentation,
     class_add,
-    csm_class,
     csm_result,
     degree,
     euler_by_cone_count,
@@ -31,7 +30,7 @@ from toriccsm.errors import ValidationError
 def test_csm_h5_golden():
     f = hirzebruch(5)
     p = build_presentation(f, (0, 3))
-    assert csm_class(f, p) == {
+    assert csm_result(f, p).csm_class == {
         (): Fraction(1),
         ((1, 1),): Fraction(2),
         ((2, 1),): Fraction(7),
@@ -41,7 +40,7 @@ def test_csm_h5_golden():
 
 def test_csm_p2():
     f = projective_space(2)
-    assert csm_class(f) == {
+    assert csm_result(f).csm_class == {
         (): Fraction(1),
         ((2, 1),): Fraction(3),
         ((2, 2),): Fraction(3),
@@ -49,7 +48,7 @@ def test_csm_p2():
 
 
 def test_csm_p1():
-    assert csm_class(projective_space(1)) == {(): Fraction(1), ((1, 1),): Fraction(2)}
+    assert csm_result(projective_space(1)).csm_class == {(): Fraction(1), ((1, 1),): Fraction(2)}
 
 
 def test_per_dim_contributions_h5():
@@ -88,10 +87,9 @@ def test_euler_consistency_all_paths():
             continue
         expected = euler_by_cone_count(fan)
         pres = build_presentation(fan)
-        for euler_only in (True, False):
-            for force in (False, True):
-                chi = euler_characteristic(fan, euler_only, pres, force_hnf=force)
-                assert chi == expected, (name, euler_only, force)
+        for force in (False, True):
+            assert euler_characteristic(fan, pres, force_hnf=force) == expected, (name, force)
+            assert csm_result(fan, pres, force_hnf=force).euler == expected, (name, force)
 
 
 def test_smooth_fast_path_flag():
@@ -104,8 +102,8 @@ def test_p16_fast_and_forced_euler_agree():
     fan = projective_space(16)
     assert is_smooth(fan)
     pres = build_presentation(fan)
-    assert euler_characteristic(fan, True, pres) == 17
-    assert euler_characteristic(fan, True, pres, force_hnf=True) == 17
+    assert euler_characteristic(fan, pres) == 17
+    assert euler_characteristic(fan, pres, force_hnf=True) == 17
 
 
 def test_forced_path_matches_fast_path():
@@ -140,7 +138,7 @@ def test_projective_space_coefficients_are_binomials():
     for n in range(1, 7):
         fan = projective_space(n)
         pres = build_presentation(fan)
-        cls = csm_class(fan, pres)
+        cls = csm_result(fan, pres).csm_class
         kept = pres.kept[0]
         for d in range(n + 1):
             mono = () if d == 0 else ((kept, d),)
@@ -153,7 +151,7 @@ def test_product_class_coefficients_are_kunneth_products():
     from toriccsm import monomial_degree
 
     f = product(projective_space(1), projective_space(2))
-    cls = csm_class(f)
+    cls = csm_result(f).csm_class
     by_deg = {}
     for m, c in cls.items():
         by_deg.setdefault(monomial_degree(m), []).append(c)
@@ -170,7 +168,7 @@ def test_hirzebruch_family_pattern():
     for r in (0, 1, 3, 7, 10):
         fan = hirzebruch(r)
         pres = build_presentation(fan, (0, 3))
-        assert csm_class(fan, pres) == {
+        assert csm_result(fan, pres).csm_class == {
             (): Fraction(1),
             ((1, 1),): Fraction(2),
             ((2, 1),): Fraction(r + 2),
@@ -230,7 +228,7 @@ def test_trie_orbit_sum_matches_normal_form_oracle():
             assert res.per_dim_contributions == expected, case
             assert res.csm_class == total, case
             assert all(type(q) is Fraction for q in res.csm_class.values()), case
-            assert euler_characteristic(fan, True, pres, force_hnf=force) == chi, case
+            assert euler_characteristic(fan, pres, force_hnf=force) == chi, case
 
 
 def test_pn5_pn8_class_envelope():
@@ -303,9 +301,6 @@ def test_presentation_of_another_fan_is_rejected():
     with pytest.raises(ValidationError, match="different fan"):
         csm_result(fan, other)
     with pytest.raises(ValidationError, match="different fan"):
-        csm_class(fan, other)
-    for euler_only in (True, False):
-        with pytest.raises(ValidationError, match="different fan"):
-            euler_characteristic(fan, euler_only, other)
+        euler_characteristic(fan, other)
     assert csm_result(fan, build_presentation(fan)).euler == 4
 

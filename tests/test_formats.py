@@ -85,6 +85,9 @@ def test_render_class_signs_fractions_exponents():
     c = {((0, 3),): Fraction(-1, 2), ((1, 1),): Fraction(1), (): Fraction(-3)}
     assert render_class(c) == "-3 + x1 - 1/2*x0^3"
     assert render_class({}) == "0"
+    assert parse_class("x1^0 + 1") == {(): Fraction(2)}
+    assert render_class(parse_class("x1^0 + 1")) == "2"
+    assert parse_class("3*x0^0*x2^2") == {((2, 2),): Fraction(3)}
 
 
 def test_class_round_trip_random():
@@ -105,5 +108,8 @@ def test_class_round_trip_random():
 def test_parse_class_rejects_garbage():
     with pytest.raises(ValidationError):
         parse_class("2*y1")
+    for s in ("2/0", "1/0*x1", "x1 - 3/0"):
+        with pytest.raises(ValidationError, match="zero denominator"):
+            parse_class(s)
     with pytest.raises(ValidationError):
         parse_class("")
