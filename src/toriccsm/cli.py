@@ -229,6 +229,16 @@ def _cmd_validate(args) -> int:
     return 0
 
 
+def _thread_count(arg: str) -> int:
+    try:
+        count = int(arg)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"invalid int value: {arg!r}") from None
+    if count < 1:
+        raise argparse.ArgumentTypeError(f"must be at least 1, got {count}")
+    return count
+
+
 def _flag(*names, **kwargs) -> argparse.ArgumentParser:
     """A parent parser holding one flag, to share it between subcommands."""
     parser = argparse.ArgumentParser(add_help=False)
@@ -241,7 +251,7 @@ def build_parser() -> argparse.ArgumentParser:
     """The argument parser, built once per process: parsing leaves it
     unchanged, and building it takes about 20 times as long as a parse."""
     json_flag = _flag("--json", action="store_true", help="machine-readable output")
-    threads = _flag("--threads", type=int, default=os.cpu_count() or 1,
+    threads = _flag("--threads", type=_thread_count, default=os.cpu_count() or 1,
                     help="worker threads for per-cone work (results are identical for any value)")
     elim_cone = _flag("--elim-cone", metavar="I1,..,IN", default=None,
                       help="maximal cone whose variables are eliminated "

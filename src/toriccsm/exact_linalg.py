@@ -10,11 +10,13 @@ implementations favour clarity and exactness over asymptotics:
   tests use as an independent route to the maximal cones' multiplicities.
 * ``determinant``          -- fraction-free Bareiss elimination; its
   absolute value is the multiplicity of a full-dimensional simplicial
-  cone, so each maximal cone needs exactly one.
+  cone (validation derives the maximal cones' determinants without it).
 * ``fraction_free_solve``  -- fraction-free Gauss-Jordan elimination,
   ``d . a^-1 . b`` in integers with ``d = |det a|``: the elimination
   solve (the eliminated variables as combinations of the kept ones, with
-  integer coefficients when the elimination cone is unimodular).
+  integer coefficients when the elimination cone is unimodular), and,
+  with the sign of ``det a`` kept, fan validation's one solve per
+  wall-connected piece.
 * ``rational_rref``        -- reduced row echelon form over the rationals;
   no longer called by the library, kept as public API and as the tests'
   oracle for the elimination solve and the Macaulay presentation.
@@ -266,7 +268,9 @@ def determinant(m: IntegerMatrix) -> int:
     return sign * a[n - 1][n - 1]
 
 
-def fraction_free_solve(a: IntegerMatrix, b: IntegerMatrix) -> tuple[int, IntegerMatrix | None]:
+def fraction_free_solve(
+    a: IntegerMatrix, b: IntegerMatrix, *, signed: bool = False
+) -> tuple[int, IntegerMatrix | None]:
     """Solve ``a . Y = b`` in integers: ``(d, X)`` with ``X = d . a^-1 . b``.
 
     Fraction-free Gauss-Jordan elimination on ``[a | b]``: step k replaces
@@ -278,6 +282,8 @@ def fraction_free_solve(a: IntegerMatrix, b: IntegerMatrix) -> tuple[int, Intege
     ``akk == prev`` only rows with a nonzero pivot-column entry and only
     the pivot row's nonzero columns change.  With ``b`` the identity,
     ``X`` is the adjugate up to sign.  A singular ``a`` gives ``(0, None)``.
+    With ``signed=True`` the first value is ``det a`` itself, its sign
+    tracked through the row swaps and negations; ``X`` is unchanged.
     """
     n = a.rows
     if a.cols != n or b.rows != n:
@@ -285,12 +291,14 @@ def fraction_free_solve(a: IntegerMatrix, b: IntegerMatrix) -> tuple[int, Intege
     width = n + b.cols
     rows_a, rows_b = a.row_lists(), b.row_lists()
     m = [rows_a[i] + rows_b[i] for i in range(n)]
+    sign = 1
     prev = 1
     for k in range(n):
         if m[k][k] == 0:
             for i in range(k + 1, n):
                 if m[i][k]:
                     m[k], m[i] = m[i], m[k]
+                    sign = -sign
                     break
             else:
                 return 0, None
@@ -299,6 +307,7 @@ def fraction_free_solve(a: IntegerMatrix, b: IntegerMatrix) -> tuple[int, Intege
         if akk < 0:
             pivot = m[k] = [-x for x in pivot]
             akk = -akk
+            sign = -sign
         if akk == prev:
             cols = [j for j in range(width) if pivot[j]]
             for i in range(n):
@@ -313,7 +322,8 @@ def fraction_free_solve(a: IntegerMatrix, b: IntegerMatrix) -> tuple[int, Intege
                     aik = m[i][k]
                     m[i] = [(x * akk - aik * y) // prev for x, y in zip(m[i], pivot)]
         prev = akk
-    return prev, IntegerMatrix(n, b.cols, tuple(x for row in m for x in row[n:]))
+    d = sign * prev if signed else prev
+    return d, IntegerMatrix(n, b.cols, tuple(x for row in m for x in row[n:]))
 
 
 def rational_rref(m: RationalMatrix) -> tuple[RationalMatrix, tuple[int, ...]]:

@@ -2,11 +2,14 @@
 
 A fan is given by its ambient dimension, a list of primitive ray
 generators in ``Z^n``, and the maximal cones as sets of ray indices
-(0-based).  Only complete simplicial fans are supported; completeness is
-checked through the wall condition (every wall, i.e. every
-``(n-1)``-dimensional face, must lie in exactly two maximal cones, and on
-opposite sides of the wall's span).  That is necessary but not
-sufficient: cones that wrap around the origin more than once pass it.
+(0-based).  Only complete simplicial fans are supported, and validation
+checks completeness exactly.  Every wall, i.e. every ``(n-1)``-dimensional
+face, must lie in exactly two maximal cones, on opposite sides of the
+wall's span; then the cones cover space a whole number of times, at
+least once per wall-connected piece.  So they cover it exactly once iff
+they form one piece and the sum of one cone's rays lies in no other cone
+(Ewald, GTM 168, Ch. III).  One walk across the walls decides this and
+gives every maximal cone's determinant, each from a neighbour's.
 """
 
 from __future__ import annotations
@@ -20,6 +23,7 @@ from .exact_linalg import (
     IntegerMatrix,
     column_lattice_index,
     determinant,
+    fraction_free_solve,
     # not called here; perfbench/tracer.py wraps fan.hermite_normal_form and
     # fan.strip_zero_rows, and the tests use them as the multiplicity oracle
     hermite_normal_form,  # noqa: F401
@@ -48,7 +52,7 @@ class Cone:
 
     ``_mult`` caches the multiplicity.  ``build_fan`` fills it for every
     maximal cone of validated input, from the determinant that validation
-    takes anyway; other cones fill it on the first ``multiplicity`` call.
+    finds anyway; other cones fill it on the first ``multiplicity`` call.
     Everything else is immutable, so cones are safe to share across
     threads (the cache write is idempotent).
     """
@@ -148,9 +152,15 @@ def build_fan(
     Checks, in order: ray shape and primitivity, no duplicate rays, maximal
     cones of dimension exactly ``ambient_dim`` with in-range indices, each
     listed once, simpliciality of every maximal cone, every ray used, the
-    wall condition, and that the two maximal cones of each wall lie on
-    opposite sides of it.  The determinant that decides simpliciality is kept: its
-    absolute value is the cone's multiplicity, cached on the cone.
+    wall condition, that the two maximal cones of each wall lie on
+    opposite sides of it, and that the cones cover space once: they form
+    one wall-connected piece, and no cone but the first contains the sum
+    of the first cone's rays.  The determinants come from one walk across
+    the walls (``_pivot_walk``): one signed solve per piece, then each
+    cone's determinant from a neighbour's.  A cone whose shape is wrong
+    is reported after any non-simplicial cone listed before it.  Each
+    determinant's absolute value is the cone's multiplicity, cached on
+    the cone.
     ``validate=False`` (trusted input) skips all of them except the shapes:
     each ray must have ``ambient_dim`` coordinates, and each maximal cone
     ``ambient_dim`` in-range ray indices, no cone listed twice.
@@ -182,27 +192,47 @@ def build_fan(
     if not cones:
         raise ValidationError("maximal cone wrong dimension: no maximal cones given")
 
-    used: set[int] = set()
-    positive: list[bool] = []
-    for c in cones:
-        _check_cone_shape(c, n, len(ray_tuples), seen)
-        used.update(c.ray_indices)
-        det = determinant(fan.ray_matrix(c))
+    try:
+        for c in cones:
+            _check_cone_shape(c, n, len(ray_tuples), seen)
+    except ValidationError:
+        # A non-simplicial cone listed before the first malformed one is
+        # named first: each cone's shape and determinant are checked in turn.
+        for c in cones[: len(seen)]:
+            if determinant(fan.ray_matrix(c)) == 0:
+                raise ValidationError(f"not simplicial: maximal cone {c.ray_indices}") from None
+        raise
+    walls, slots = _wall_table(cones, n)
+    dets, roots, overlap = _pivot_walk(fan, slots)
+    for c, det in zip(cones, dets):
         if det == 0:
             raise ValidationError(f"not simplicial: maximal cone {c.ray_indices}")
-        positive.append(det > 0)
         c._mult = abs(det)
+    used = set().union(*(c.ray_indices for c in cones))
     missing = sorted(set(range(len(ray_tuples))) - used)
     if missing:
         raise ValidationError(f"unused ray: ray {missing[0]} appears in no maximal cone")
-    if not wall_check(fan):
+    if any(len(pairs) != 2 for pairs in walls.values()):
         raise ValidationError("fan fails completeness check")
-    fold = _same_side_wall(fan, positive)
+    fold = _same_side_wall(cones, slots, dets)
     if fold:
         wall, a, b = fold
         raise ValidationError(
             f"fan fails completeness check: maximal cones {a} and {b} "
             f"lie on the same side of wall {wall}"
+        )
+    if overlap:
+        a, b = (cones[k].ray_indices for k in overlap)
+        point = tuple(sum(ray_tuples[j][t] for j in a) for t in range(n))
+        raise ValidationError(
+            f"fan fails completeness check: maximal cones {a} and {b} "
+            f"both contain the point {point}, so the cones cover it more than once"
+        )
+    if len(roots) > 1:
+        a, b = (cones[k].ray_indices for k in roots[:2])
+        raise ValidationError(
+            f"fan fails completeness check: maximal cones {a} and {b} are not "
+            f"connected through walls, so the cones cover space more than once"
         )
     return fan
 
@@ -226,34 +256,163 @@ def _check_cone_shape(c: Cone, n: int, num_rays: int, seen: set[Cone]) -> None:
 def wall_check(fan: Fan) -> bool:
     """True iff every (n-1)-face of a maximal cone lies in exactly two of
     them (a necessary condition for completeness)."""
-    counts: dict[tuple[int, ...], int] = {}
-    n = fan.ambient_dim
-    for c in fan.max_cones:
-        for wall in combinations(c.ray_indices, n - 1):
-            counts[wall] = counts.get(wall, 0) + 1
-    return all(v == 2 for v in counts.values())
+    walls, _ = _wall_table(fan.max_cones, fan.ambient_dim)
+    return all(len(pairs) == 2 for pairs in walls.values())
 
 
-def _same_side_wall(fan: Fan, positive: Sequence[bool]) -> tuple[tuple[int, ...], ...] | None:
-    """A wall whose two maximal cones lie on the same side of its span, as
-    ``(wall, cone, cone)``, or None.  Call only after ``wall_check`` passed.
+# The (cone, slot) pairs of one wall: cone k without the ray at its slot s.
+_WallPairs = list[tuple[int, int]]
 
-    ``positive[i]`` is the sign of the determinant of maximal cone i, rays
-    in increasing order.  The cones wall+a and wall+b lie on opposite sides
-    exactly when det(wall, a) and det(wall, b) differ in sign.
+
+def _wall_table(
+    cones: Sequence[Cone], n: int
+) -> tuple[dict[tuple[int, ...], _WallPairs], list[list[_WallPairs]]]:
+    """Each wall's ``(cone, slot)`` pairs, in cone order, and for each cone
+    the pair list of the wall opposite each of its slots (the wall drops
+    the ray at that slot).  A complete fan has two pairs per wall."""
+    walls: dict[tuple[int, ...], _WallPairs] = {}
+    slots = []
+    for k, c in enumerate(cones):
+        idx = c.ray_indices
+        row = []
+        for s in range(n):
+            wall = idx[:s] + idx[s + 1 :]
+            pairs = walls.get(wall)
+            if pairs is None:
+                pairs = walls[wall] = []
+            pairs.append((k, s))
+            row.append(pairs)
+        slots.append(row)
+    return walls, slots
+
+
+def _pivot_walk(
+    fan: Fan, slots: list[list[_WallPairs]]
+) -> tuple[list[int], list[int], tuple[int, int] | None]:
+    """Signed determinant of every maximal cone, by one walk across walls.
+
+    Returns ``(dets, roots, overlap)``.  ``dets[k]`` is the determinant of
+    cone k, rays in increasing order.  Each cone not reached across a wall
+    from an earlier one (a wall not in exactly two cones, or a neighbour of
+    determinant 0, stops the walk) is a root in ``roots`` and takes one
+    signed ``fraction_free_solve``.  It gives ``det`` and the dual rows
+    ``u_r = |det| . sigma^-1``, so ``<u_r, v_s> = |det|`` if r == s, else 0.
+
+    Crossing the wall opposite slot i to the cone whose new ray ``v`` sits
+    at slot j costs ``c_r = <u_r, v>`` over the nonzeros of ``v``: the
+    neighbour's determinant is ``sign(det) . c_i . (-1)^(i - j)``, and its
+    dual rows follow by one exact integer (Bareiss) exchange, built only
+    if the walk goes on from it (``_exchange``).  The coordinates ``y =
+    |det| . sigma^-1 p`` of the root's ray sum p ride along by the same
+    exchange; ``overlap`` is the first ``(root, cone)`` whose other cone
+    contains p (all y >= 0), or None.  With every wall in two cones on
+    opposite sides, the cones cover space exactly once iff there is one
+    root and no overlap (Ewald, GTM 168, Ch. III).
     """
-    open_walls: dict[tuple[int, ...], tuple[tuple[int, ...], bool]] = {}
-    for c, side in zip(fan.max_cones, positive):
-        # combinations() drops the last ray first, then each earlier one in
-        # turn; moving the dropped ray one place further from the end flips
-        # the sign of det(wall, dropped ray).
-        for wall in combinations(c.ray_indices, fan.ambient_dim - 1):
-            other = open_walls.pop(wall, None)
-            if other is None:
-                open_walls[wall] = (c.ray_indices, side)
-            elif other[1] == side:
-                return wall, other[0], c.ray_indices
-            side = not side
+    n = fan.ambient_dim
+    cones = [c.ray_indices for c in fan.max_cones]
+    support = [[(t, x) for t, x in enumerate(v) if x] for v in fan.rays]
+    dets: list[int | None] = [None] * len(cones)
+    roots: list[int] = []
+    overlap = None
+    for root, cone in enumerate(fan.max_cones):
+        if dets[root] is not None:
+            continue
+        roots.append(root)
+        det, inv = fraction_free_solve(fan.ray_matrix(cone), IntegerMatrix.identity(n), signed=True)
+        dets[root] = det
+        if not det:
+            continue
+        # p has coordinates (1, ..., 1) in the root.  A stacked cone holds
+        # the rows of the cone it was reached from, and the exchange step
+        # that turns them into its own if the walk goes on from it.
+        stack = [(root, inv.row_lists(), [abs(det)] * n, None)]
+        while stack:
+            k, rows, y, step = stack.pop()
+            det = dets[k]
+            scale = abs(det)
+            for i, pairs in enumerate(slots[k]):
+                if len(pairs) != 2:
+                    continue
+                nb, j = pairs[1] if pairs[0][0] == k else pairs[0]
+                if dets[nb] is not None:
+                    continue
+                if step is not None:
+                    rows = _exchange(rows, *step)
+                    step = None
+                v = support[cones[nb][j]]
+                t, x = v[0]
+                c = [x * u[t] for u in rows]
+                for t, x in v[1:]:
+                    c = [a + x * u[t] for a, u in zip(c, rows)]
+                ci = c[i]
+                nb_det = ci if det > 0 else -ci
+                dets[nb] = -nb_det if (i - j) & 1 else nb_det
+                if not ci:
+                    continue
+                # y by the exchange of _exchange, one coordinate per row
+                yi = y[i]
+                if ci > 0:
+                    y_nb = [(ci * yr - cr * yi) // scale for yr, cr in zip(y, c)]
+                else:
+                    y_nb = [(cr * yi - ci * yr) // scale for yr, cr in zip(y, c)]
+                    yi = -yi
+                del y_nb[i]
+                y_nb.insert(j, yi)
+                if overlap is None and min(y_nb) >= 0:
+                    overlap = (root, nb)
+                stack.append((nb, rows, y_nb, (c, i, j, scale)))
+    return dets, roots, overlap
+
+
+def _exchange(rows: list[list[int]], c: Sequence[int], i: int, j: int, scale: int) -> list[list[int]]:
+    """Dual rows of the cone that swaps slot i's ray of a cone with dual
+    rows ``rows`` (``scale = |det|``) for the ray ``v`` with ``c_r = <u_r,
+    v>``, at slot j of the new cone.  Its ``|det|`` is ``|c_i|``, and
+    ``u'_r = sgn(c_i) (c_i u_r - c_r u_i) / scale`` exactly (fraction-free
+    elimination, Bareiss 1968), ``u'_v = sgn(c_i) u_i``; a row with ``c_r
+    = 0`` is shared when ``|c_i| = scale``."""
+    ci = c[i]
+    new_scale = abs(ci)
+    ui = rows[i]
+    out = []
+    for r, (u, cr) in enumerate(zip(rows, c)):
+        if r == i:
+            continue
+        if not cr:
+            out.append(u if new_scale == scale else [x * new_scale // scale for x in u])
+        elif ci > 0:
+            out.append([(ci * x - cr * w) // scale for x, w in zip(u, ui)])
+        else:
+            out.append([(cr * w - ci * x) // scale for x, w in zip(u, ui)])
+    out.insert(j, ui if ci > 0 else [-w for w in ui])
+    return out
+
+
+def _same_side_wall(
+    cones: Sequence[Cone], slots: list[list[_WallPairs]], dets: list[int]
+) -> tuple[tuple[int, ...], ...] | None:
+    """A wall whose two maximal cones lie on the same side of its span, as
+    ``(wall, cone, cone)``, or None.  Call only after every wall was found
+    in exactly two cones.
+
+    ``dets[k]`` is the determinant of maximal cone k, rays in increasing
+    order.  The cones wall+a and wall+b lie on opposite sides exactly when
+    det(wall, a) and det(wall, b) differ in sign; moving the ray at slot s
+    to the end takes n-1-s transpositions.  Cones are visited in order,
+    each from its last slot to its first, and a wall is reported at its
+    second cone.
+    """
+    last = len(slots[0]) - 1
+    for k, row in enumerate(slots):
+        positive = dets[k] > 0
+        for s in range(last, -1, -1):
+            (a, sa), (b, _) = row[s]
+            if b != k:
+                continue
+            if (positive ^ ((last - s) & 1)) == ((dets[a] > 0) ^ ((last - sa) & 1)):
+                idx = cones[k].ray_indices
+                return idx[:s] + idx[s + 1 :], cones[a].ray_indices, idx
     return None
 
 

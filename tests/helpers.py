@@ -412,3 +412,30 @@ def suite_fans() -> list[tuple[str, Fan]]:
         for name2, b2 in small[i:]:
             fans.append((f"{name1}*{name2}", product(b1(), b2())))
     return fans
+
+
+def _double_winding() -> tuple[int, list[tuple[int, ...]], list[tuple[int, ...]]]:
+    # 8 rays, each cone between consecutive ones: the cycle winds twice
+    # around the origin
+    rays = [(1, 0), (0, 1), (-1, 0), (0, -1), (1, 1), (-1, 1), (-1, -1), (1, -1)]
+    return 2, rays, [(i, (i + 1) % 8) for i in range(8)]
+
+
+def _suspended_double_winding() -> tuple[int, list[tuple[int, ...]], list[tuple[int, ...]]]:
+    _, rays, cones = _double_winding()
+    rays = [r + (0,) for r in rays] + [(0, 0, 1), (0, 0, -1)]
+    return 3, rays, [c + (apex,) for c in cones for apex in (8, 9)]
+
+
+# Fans that pass the wall condition (every wall in two maximal cones, on
+# opposite sides of it) but cover space more than once; each value is
+# (dim, rays, maximal cones).
+MULTI_COVER_FANS = {
+    "double winding": _double_winding(),
+    "suspended double winding": _suspended_double_winding(),
+    "two P2 fans": (
+        2,
+        [(1, 0), (0, 1), (-1, -1), (-1, 0), (0, -1), (1, 1)],
+        [(0, 1), (1, 2), (0, 2), (3, 4), (4, 5), (3, 5)],
+    ),
+}

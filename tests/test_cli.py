@@ -3,9 +3,9 @@ import re
 from fractions import Fraction
 
 import pytest
-from helpers import suite_fans
+from helpers import MULTI_COVER_FANS, suite_fans
 
-from toriccsm import parse_class, render_fan
+from toriccsm import build_fan, parse_class, render_fan
 from toriccsm.cli import main
 
 
@@ -217,6 +217,27 @@ def test_cached_parser_matches_a_fresh_one(capsys, monkeypatch):
 def test_threads_flag(capsys):
     code, out, _ = run(capsys, "euler", "--builder", "wps=1,1,3", "--threads", "3", "--force-hnf")
     assert code == 0 and out.strip() == "3"
+
+
+@pytest.mark.parametrize("count", ["0", "-2"])
+def test_threads_below_one_is_a_usage_error(capsys, count):
+    for command in ("csm", "euler"):
+        argv = [command, "--builder", "wps=1,1,2", "--force-hnf", "--threads", count]
+        code, out, err = run(capsys, *argv)
+        assert (code, out) == (1, ""), command
+        assert f"argument --threads: must be at least 1, got {count}" in err, command
+
+
+@pytest.mark.parametrize("name", sorted(MULTI_COVER_FANS))
+def test_multi_cover_fans_exit_two(capsys, tmp_path, name):
+    dim, rays, cones = MULTI_COVER_FANS[name]
+    path = tmp_path / "multi.fan"
+    path.write_text(render_fan(build_fan(dim, rays, cones, validate=False)))
+    for command in ("validate", "csm"):
+        code, out, err = run(capsys, command, "--fan", str(path))
+        assert (code, out) == (2, ""), command
+        assert err.startswith("toric-csm: validation error: fan fails completeness check: "), command
+        assert "more than once" in err, command
 
 
 def test_broken_graded_dimensions_exit_3(capsys, monkeypatch):

@@ -3,11 +3,14 @@ and ``parse_fan_text`` raises nothing but ``ValidationError``.
 
 Fans are small (dimension at most 3, at most 6 rays, entries in -3..3) and
 often malformed: ragged rays, out-of-range or repeated indices, cones of the
-wrong size.  Command lines mix every subcommand with every flag, including
-flags a subcommand does not read and flags none accepts.  The only
+wrong size.  ``main`` also reads raw bytes and fan files with raw bytes
+spliced in, so file input that is not UTF-8 text is covered too.  Command
+lines mix every subcommand with every flag, including flags a subcommand
+does not read and flags none accepts, and thread counts below 1.  The only
 allowed exit codes are 0, 1 and 2, and a successful ``csm``/``euler`` run
-reports chi equal to the number of maximal cones.  ``--trust-input`` is
-left out: a trusted malformed file can still exit 3.
+on a drawn fan file or a builder reports chi equal to its number of
+maximal cones.  ``--trust-input`` is left out: a trusted malformed file
+can still exit 3.
 """
 
 import contextlib
@@ -74,6 +77,21 @@ def fan_files(draw):
     return "\n".join(lines) + "\n", len(cones)
 
 
+@st.composite
+def fan_file_bytes(draw):
+    """Bytes of a fan file and its number of maximal cones; raw bytes, or a
+    fan file with a run of raw bytes spliced in, with None for the count."""
+    kind = draw(st.sampled_from(["fan", "fan", "binary", "spliced"]))
+    if kind == "binary":
+        return draw(st.binary(max_size=200)), None
+    text, num_cones = draw(fan_files())
+    data = text.encode()
+    if kind == "fan":
+        return data, num_cones
+    at = draw(st.integers(0, len(data)))
+    return data[:at] + draw(st.binary(min_size=1, max_size=8)) + data[at:], None
+
+
 _FLAGS = st.sampled_from([
     ["--json"], ["--json"], ["--euler-only"], ["--force-hnf"], ["--elim-cone"],
     ["--threads"], ["--seed", "1"], ["--product", "pn=1", "pn=1"], ["--only", "pn=1"],
@@ -82,15 +100,15 @@ _FLAGS = st.sampled_from([
 
 @settings(max_examples=400, deadline=None, database=None)
 @given(
-    fan=fan_files(),
+    fan=fan_file_bytes(),
     command=st.sampled_from(["csm", "euler", "chow", "validate"]),
     builder=st.one_of(st.none(), st.sampled_from(sorted(_BUILDERS))),
     flags=st.lists(_FLAGS, max_size=4),
     elim=st.lists(st.integers(-1, 6), min_size=1, max_size=3),
-    threads=st.integers(1, 4),
+    threads=st.integers(-1, 4),
 )
 def test_main_never_crashes(fan, command, builder, flags, elim, threads):
-    text, num_cones = fan
+    data, num_cones = fan
     argv = [command]
     for flag in flags:
         if flag == ["--elim-cone"]:
@@ -101,14 +119,14 @@ def test_main_never_crashes(fan, command, builder, flags, elim, threads):
     out, err = io.StringIO(), io.StringIO()
     with tempfile.TemporaryDirectory() as tmp:
         path = Path(tmp) / "input.fan"
-        path.write_text(text)
+        path.write_bytes(data)
         argv += ["--builder", builder] if builder else ["--fan", str(path)]
         with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
             code = main(argv)
-    assert code in (0, 1, 2), (argv, text, err.getvalue())
-    if code == 0 and command in ("csm", "euler") and "--json" in argv:
-        expected = _BUILDERS[builder] if builder else num_cones
-        assert json.loads(out.getvalue())["euler"] == expected, (argv, text)
+    assert code in (0, 1, 2), (argv, data, err.getvalue())
+    expected = _BUILDERS[builder] if builder else num_cones
+    if code == 0 and command in ("csm", "euler") and "--json" in argv and expected is not None:
+        assert json.loads(out.getvalue())["euler"] == expected, (argv, data)
 
 
 @st.composite

@@ -275,23 +275,26 @@ def test_correction_walk_sees_only_singular_cones(monkeypatch):
 
 
 @pytest.mark.parametrize("spec", ["pn=4*pn=4*pn=4", "wps=1,1,3*pn=2*wps=1,1,2"])
-def test_csm_run_takes_one_determinant_per_maximal_cone(spec, monkeypatch, tmp_path, capsys):
+def test_csm_run_validates_with_one_root_elimination(spec, monkeypatch, tmp_path, capsys):
+    # Validation walks the walls from one root cone: one signed solve for
+    # the whole fan, then each cone's determinant from a neighbour's.  No
+    # per-cone determinant and no Hermite form anywhere in the run.
     import toriccsm.fan as fan_mod
     from toriccsm import render_fan
     from toriccsm.cli import _builder_fan, main
 
     path = tmp_path / "input.fan"
     path.write_text(render_fan(_builder_fan(spec)))
-    calls = {"determinant": 0, "hermite_normal_form": 0}
+    calls = {"fraction_free_solve": 0, "determinant": 0, "hermite_normal_form": 0}
     for name in calls:
-        def counted(*args, _name=name, _fn=getattr(fan_mod, name)):
+        def counted(*args, _name=name, _fn=getattr(fan_mod, name), **kwargs):
             calls[_name] += 1
-            return _fn(*args)
+            return _fn(*args, **kwargs)
 
         monkeypatch.setattr(fan_mod, name, counted)
     assert main(["csm", "--fan", str(path), "--json"]) == 0
     report = json.loads(capsys.readouterr().out)
-    assert calls == {"determinant": report["fan"]["max_cones"], "hermite_normal_form": 0}
+    assert calls == {"fraction_free_solve": 1, "determinant": 0, "hermite_normal_form": 0}
     assert report["fan"]["smooth"] == (spec == "pn=4*pn=4*pn=4")
 
 

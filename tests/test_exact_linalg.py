@@ -141,6 +141,9 @@ def linear_systems(draw):
 def test_fraction_free_solve_matches_fraction_elimination(system):
     a, b = system
     d, x = fraction_free_solve(IntegerMatrix.from_rows(a), IntegerMatrix.from_rows(b))
+    # signed=True changes only the sign of d, to that of det a
+    signed = fraction_free_solve(IntegerMatrix.from_rows(a), IntegerMatrix.from_rows(b), signed=True)
+    assert signed == (fraction_det(a), x)
     solution = fraction_solve(a, b)
     if solution is None:
         assert fraction_det(a) == 0

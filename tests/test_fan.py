@@ -1,8 +1,11 @@
 import random
 from itertools import combinations
+from math import gcd
 
 import pytest
-from helpers import oracle_multiplicity, relabel, suite_fans
+from helpers import MULTI_COVER_FANS, oracle_multiplicity, relabel, suite_fans
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from toriccsm import (
     Cone,
@@ -16,6 +19,7 @@ from toriccsm import (
     wall_check,
     weighted_projective,
 )
+from toriccsm import fan as fan_mod
 from toriccsm.errors import ValidationError
 from toriccsm.exact_linalg import column_lattice_index, determinant, hermite_normal_form, strip_zero_rows
 
@@ -71,6 +75,16 @@ def test_build_rejects_folded_fan():
     with pytest.raises(ValidationError, match="same side"):
         build_fan(3, [(1, 3, -3), (-3, 1, 1), (3, -1, 3), (3, 0, -1)],
                   [(0, 1, 2), (0, 1, 3), (0, 2, 3), (1, 2, 3)])
+
+
+@pytest.mark.parametrize("name", sorted(MULTI_COVER_FANS))
+def test_build_rejects_fans_that_cover_space_twice(name):
+    dim, rays, cones = MULTI_COVER_FANS[name]
+    # each passes the wall condition: every wall in two cones, on opposite sides
+    fan = build_fan(dim, rays, cones, validate=False)
+    assert wall_check(fan)
+    with pytest.raises(ValidationError, match="completeness check: .* more than once"):
+        build_fan(dim, rays, cones)
 
 
 def test_build_rejects_unused_ray():
@@ -229,3 +243,52 @@ def test_builders_pass_validation():
     for name, fan in suite_fans():
         rebuilt = build_fan(fan.ambient_dim, fan.rays, [c.ray_indices for c in fan.max_cones])
         assert rebuilt.rays == fan.rays, name
+
+
+_FACTORS = (
+    [lambda n=n: projective_space(n) for n in (1, 2, 3)]
+    + [lambda r=r: hirzebruch(r) for r in (0, 1, 3)]
+    + [lambda w=w: weighted_projective(w) for w in ([1, 1, 2], [1, 1, 3], [1, 2, 3])]
+)
+
+
+@st.composite
+def shuffled_products(draw):
+    """A product of 2-4 factors with relabelled rays and shuffled cones,
+    then up to 3 stellar subdivisions of a maximal cone at sum c_i v_i
+    with c_i in {1, 2} (made primitive), which leave the fan complete and
+    make it a non-product, often singular."""
+    factors = draw(st.lists(st.sampled_from(_FACTORS), min_size=2, max_size=4))
+    fan = factors[0]()
+    for f in factors[1:]:
+        fan = product(fan, f())
+    n = fan.ambient_dim
+    perm = draw(st.permutations(range(len(fan.rays))))
+    rays = [None] * len(perm)
+    for j, v in enumerate(fan.rays):
+        rays[perm[j]] = v
+    cones = [tuple(perm[j] for j in c.ray_indices) for c in fan.max_cones]
+    for _ in range(draw(st.integers(0, 3))):
+        cone = cones.pop(draw(st.integers(0, len(cones) - 1)))
+        coeffs = draw(st.lists(st.integers(1, 2), min_size=n, max_size=n))
+        w = [sum(c * rays[j][t] for c, j in zip(coeffs, cone)) for t in range(n)]
+        g = gcd(*w)
+        rays.append(tuple(x // g for x in w))
+        cones += [cone[:i] + (len(rays) - 1,) + cone[i + 1 :] for i in range(n)]
+    return n, rays, draw(st.permutations(cones))
+
+
+@settings(max_examples=60, deadline=None, database=None)
+@given(data=shuffled_products())
+def test_walk_determinants_match_bareiss(data):
+    # The walk derives each maximal cone's determinant from a neighbour's;
+    # Bareiss on the cone's own ray matrix is the slower oracle.
+    n, rays, cones = data
+    fan = build_fan(n, rays, cones)
+    _, slots = fan_mod._wall_table(fan.max_cones, n)
+    dets, roots, overlap = fan_mod._pivot_walk(fan, slots)
+    assert roots == [0] and overlap is None
+    for c, det in zip(fan.max_cones, dets):
+        exact = determinant(fan.ray_matrix(c))
+        assert det == exact, c
+        assert c._mult == abs(exact), c
