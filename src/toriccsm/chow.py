@@ -19,6 +19,23 @@ them.  All of them are built with the presentation, its only reduction
 data, and one row-product kernel walks them: the normal forms, class
 assembly and the degree calibration.
 
+Inside the presentation a monomial over the kept variables is one packed
+int (Bachmann-Schoenemann, ISSAC 1998).  Every monomial there has degree
+at most ``n``, so every exponent is at most ``n``, and each kept variable
+gets a field of ``w = n.bit_length() + 1`` bits: ``w - 1`` value bits
+hold any exponent up to ``n``, and the top bit is a guard, always 0.
+The first kept variable's field is the most significant, and the degree
+sits above all of them.  Comparing two packed ints therefore compares
+degrees first and then the exponents variable by variable, which is the
+graded-lex order.  A product is ``a + b``; no field overflows, since the
+exponents of a product of degree at most ``n`` are at most ``n``.  For
+the mask ``G`` of the guard bits, ``lead`` divides ``m`` iff ``((m | G)
+- lead) & G == G``, since a field borrows from its guard bit exactly when
+``lead``'s exponent is the larger; the cofactor is then ``m - lead``.
+Only the Buchberger leads are unpacked, for the lcm and the coprime
+test, and the basis monomials, where they become public monomials.  An
+exponent above ``n`` is an ``InternalError``.
+
 Classes are sparse:
 
   Monomial    = tuple of (ray_index, exponent) pairs, sorted, exponents > 0
@@ -30,8 +47,8 @@ The empty tuple is the constant monomial 1.
 from __future__ import annotations
 
 from fractions import Fraction
-from operator import add, ge, sub
-from typing import Dict, Iterable, Tuple
+from itertools import islice
+from typing import Callable, Dict, Iterable, Tuple
 
 from .errors import InternalError, ValidationError
 from .exact_linalg import (
@@ -128,17 +145,60 @@ def linear_relations(fan: Fan) -> tuple[tuple[int, ...], ...]:
     return tuple(tuple(v[k] for v in fan.rays) for k in range(n))
 
 
-# Dense polynomials over the kept variables: exponent tuple -> coefficient.
-# The Groebner input and basis are over Fraction; the substitution keeps
-# its integral coefficients as int.
-_Dense = Dict[Tuple[int, ...], int | Fraction]
+class _Packing:
+    """Packed monomials over ``nvars`` kept variables, exponents at most
+    ``top``: the layout the module docstring describes.
+
+    ``guards`` is the mask of the variable fields' guard bits, and
+    ``variables[p]`` the packed variable ``x_p``.
+    """
+
+    __slots__ = ("nvars", "top", "width", "shifts", "guards", "variables")
+
+    def __init__(self, nvars: int, top: int):
+        w = top.bit_length() + 1
+        self.nvars = nvars
+        self.top = top
+        self.width = w
+        self.shifts = tuple(w * (nvars - 1 - p) for p in range(nvars))
+        self.guards = sum(1 << s + w - 1 for s in self.shifts)
+        self.variables = tuple(1 << w * nvars | 1 << s for s in self.shifts)
+
+    def pack(self, exps: Iterable[int]) -> int:
+        """The packed monomial of an exponent tuple, one entry per kept
+        variable; ``InternalError`` on an exponent outside ``0..top``."""
+        w, top = self.width, self.top
+        m = deg = 0
+        for e in exps:
+            if not 0 <= e <= top:
+                raise InternalError(f"exponent {e} outside 0..{top} cannot be packed")
+            m = m << w | e
+            deg += e
+        return deg << w * self.nvars | m
+
+    def unpack(self, m: int) -> tuple[int, ...]:
+        """The exponent tuple of a packed monomial; ``InternalError`` on an
+        exponent above ``top``."""
+        field = (1 << self.width) - 1
+        exps = tuple(m >> s & field for s in self.shifts)
+        if max(exps, default=0) > self.top:
+            raise InternalError(f"packed monomial {m:#x} has an exponent above {self.top}")
+        return exps
 
 
-def _poly_mul(a: _Dense, b: _Dense) -> _Dense:
-    out: _Dense = {}
+# Polynomials over the kept variables: packed monomial -> coefficient.  The
+# Groebner input and basis are over Fraction; the substitution keeps its
+# integral coefficients as int.
+_Poly = Dict[int, int | Fraction]
+# A Groebner basis: (leading monomial, monic polynomial) pairs.
+_Basis = list[tuple[int, _Poly]]
+
+
+def _poly_mul(a: _Poly, b: _Poly) -> _Poly:
+    out: _Poly = {}
     for ma, ca in a.items():
         for mb, cb in b.items():
-            m = tuple(x + y for x, y in zip(ma, mb))
+            m = ma + mb
             s = out.get(m, _F0) + ca * cb
             if s:
                 out[m] = s
@@ -235,35 +295,37 @@ def build_presentation(fan: Fan, elim_cone: Cone | Iterable[int] | None = None) 
     d, x = fraction_free_solve(fan.ray_matrix(elim), rhs)
     if not d:
         raise InternalError("elimination system is singular; contradicts simpliciality")
-    subst_dense: dict[int, _Dense] = {}
+    packing = _Packing(nk, n)
+    variables = packing.variables
+    subst_dense: dict[int, _Poly] = {}
     for i, ray in enumerate(elim_idx):
-        form: _Dense = {}
+        form: _Poly = {}
         for m in range(nk):
             c = x.at(i, m)
             if c:
-                exp = tuple(1 if t == m else 0 for t in range(nk))
-                form[exp] = c // d if c % d == 0 else Fraction(c, d)
+                form[variables[m]] = c // d if c % d == 0 else Fraction(c, d)
         subst_dense[ray] = form
     p._subst_dense = subst_dense
     p.substitution = {
-        ray: {_dense_to_sparse(m, kept): Fraction(c) for m, c in form.items()}
+        ray: {_sparse(packing.unpack(m), kept): Fraction(c) for m, c in form.items()}
         for ray, form in subst_dense.items()
     }
 
     # Substituted Stanley-Reisner generators (homogeneous over kept vars).
-    gens: list[tuple[int, _Dense]] = []
-    zero_exp = (0,) * nk
+    # One of degree above n never enters the truncated basis.
+    gens: list[tuple[int, _Poly]] = []
     for s in p.nonfaces:
-        poly: _Dense = {zero_exp: _F1}
-        base = [0] * nk
+        if len(s) > n:
+            continue
+        poly: _Poly = {0: _F1}
+        base = 0
         for j in s:
             if j in kept_pos:
-                base[kept_pos[j]] += 1
+                base += variables[kept_pos[j]]
             else:
                 poly = _poly_mul(poly, subst_dense[j])
-        if any(base):
-            shift = tuple(base)
-            poly = {tuple(x + y for x, y in zip(m, shift)): c for m, c in poly.items()}
+        if base:
+            poly = {m + base: c for m, c in poly.items()}
         if poly:
             gens.append((len(s), poly))
 
@@ -271,8 +333,8 @@ def build_presentation(fan: Fan, elim_cone: Cone | Iterable[int] | None = None) 
     # substituted generators: the basis monomials of each graded piece, in
     # descending graded-lex order, and each kept variable's multiplication
     # table between them.
-    bases, kept_tables = _border_tables(_truncated_groebner(gens, n), nk, n)
-    p.degree_bases = tuple(tuple(_dense_to_sparse(m, kept) for m in b) for b in bases)
+    bases, kept_tables = _border_tables(_truncated_groebner(gens, packing), packing)
+    p.degree_bases = tuple(tuple(_sparse(packing.unpack(m), kept) for m in b) for b in bases)
     if len(p.degree_bases[n]) != 1:
         raise ValidationError(
             f"fan not complete: top graded piece has dimension {len(p.degree_bases[n])}"
@@ -285,8 +347,9 @@ def build_presentation(fan: Fan, elim_cone: Cone | Iterable[int] | None = None) 
     for ray, table in zip(kept, kept_tables):
         tables[ray] = table
     columns = [tuple(zip(*(table[d] for table in kept_tables))) for d in range(n)]
+    var_pos = {v: i for i, v in enumerate(variables)}
     for ray, form in subst_dense.items():
-        coeffs = [(exp.index(1), c) for exp, c in form.items()]
+        coeffs = [(var_pos[v], c) for v, c in form.items()]
         tables[ray] = tuple(
             tuple(_row(_add_rows({}, coeffs, column)) for column in columns[d])
             for d in range(n)
@@ -309,33 +372,40 @@ def build_presentation(fan: Fan, elim_cone: Cone | Iterable[int] | None = None) 
 
 
 def _leading_divisor(
-    m: tuple[int, ...], groebner: list[tuple[tuple[int, ...], _Dense]]
-) -> tuple[tuple[int, ...], _Dense] | None:
-    """The first basis element whose leading monomial divides ``m``."""
-    for lead, g in groebner:
-        if all(map(ge, m, lead)):
+    m: int, groebner: _Basis, guards: int, start: int = 0
+) -> tuple[int, _Poly] | None:
+    """The first basis element, from index ``start`` on, whose leading
+    monomial divides ``m``.
+
+    With every guard bit of ``m`` set, subtracting ``lead`` borrows from a
+    field's guard bit exactly when that exponent of ``lead`` is the larger.
+    """
+    mg = m | guards
+    for lead, g in islice(groebner, start, None):
+        if (mg - lead) & guards == guards:
             return lead, g
     return None
 
 
-def _reduce(f: _Dense, groebner: list[tuple[tuple[int, ...], _Dense]]) -> _Dense:
+def _reduce(f: _Poly, divisor: Callable[[int], tuple[int, _Poly] | None]) -> _Poly:
     """Full reduction of a homogeneous polynomial by monic basis elements:
-    the part of ``f`` left on monomials no leading monomial divides."""
+    the part of ``f`` left on monomials no leading monomial divides.
+    ``divisor(m)`` is ``m``'s ``_leading_divisor``."""
     f = dict(f)
-    out: _Dense = {}
+    out: _Poly = {}
     while f:
         m = max(f)
         c = f.pop(m)
-        hit = _leading_divisor(m, groebner)
+        hit = divisor(m)
         if hit is None:
             out[m] = c
             continue
         lead, g = hit
-        t = tuple(a - b for a, b in zip(m, lead))
+        t = m - lead
         for u, cu in g.items():
             if u == lead:
                 continue
-            w = tuple(x + y for x, y in zip(t, u))
+            w = t + u
             s = f.get(w, _F0) - c * cu
             if s:
                 f[w] = s
@@ -344,31 +414,43 @@ def _reduce(f: _Dense, groebner: list[tuple[tuple[int, ...], _Dense]]) -> _Dense
     return out
 
 
-def _truncated_groebner(
-    gens: list[tuple[int, _Dense]], top: int
-) -> list[tuple[tuple[int, ...], _Dense]]:
-    """Groebner basis, up to degree ``top``, of the ideal of homogeneous
-    generators, as (leading monomial, monic polynomial) pairs.
+def _truncated_groebner(gens: list[tuple[int, _Poly]], packing: _Packing) -> _Basis:
+    """Groebner basis, up to degree ``packing.top``, of the ideal of
+    homogeneous generators, as (leading monomial, monic polynomial) pairs.
 
     Buchberger's algorithm degree by degree: the degree-d work is the
     generators of degree d plus the S-polynomials whose leading-term lcm
-    has degree d.  Pairs with an lcm above ``top`` are never formed, and
-    pairs with coprime leading monomials are dropped (their S-polynomial
-    always reduces to zero).  Every new element is reduced by all earlier
-    ones, so no leading monomial divides another.
+    has degree d.  Pairs with an lcm above the top degree are never
+    formed, and pairs with coprime leading monomials are dropped (their
+    S-polynomial always reduces to zero).  Every new element is reduced by
+    all earlier ones, so no leading monomial divides another.  Only the
+    leading monomials are unpacked, for the lcm and the coprime test.
     """
-    basis: list[tuple[tuple[int, ...], _Dense]] = []
-    pairs: dict[int, list[tuple[int, int]]] = {}
+    top, guards = packing.top, packing.guards
+    basis: _Basis = []
+    lead_exps: list[tuple[int, ...]] = []
+    pairs: dict[int, list[tuple[int, int, int]]] = {}
+    # m -> (basis length searched, first divisor or None).  The basis only
+    # grows, so a divisor found stays the first one, and a miss is
+    # searched again only among the elements added since.
+    seen: dict[int, tuple[int, tuple[int, _Poly] | None]] = {}
+
+    def divisor(m: int) -> tuple[int, _Poly] | None:
+        start, hit = seen.get(m, (0, None))
+        if hit is None and start < len(basis):
+            hit = _leading_divisor(m, basis, guards, start)
+            seen[m] = (len(basis), hit)
+        return hit
+
     for d in range(1, top + 1):
         work = [g for deg_g, g in gens if deg_g == d]
-        for i, j in pairs.pop(d, ()):
+        for i, j, lcm in pairs.pop(d, ()):
             (li, gi), (lj, gj) = basis[i], basis[j]
-            lcm = tuple(map(max, li, lj))
-            spoly: _Dense = {}
+            spoly: _Poly = {}
             for lead, g, sign in ((li, gi, _F1), (lj, gj, -_F1)):
-                t = tuple(a - b for a, b in zip(lcm, lead))
+                t = lcm - lead
                 for u, cu in g.items():
-                    w = tuple(x + y for x, y in zip(t, u))
+                    w = t + u
                     s = spoly.get(w, _F0) + sign * cu
                     if s:
                         spoly[w] = s
@@ -376,24 +458,25 @@ def _truncated_groebner(
                         spoly.pop(w, None)
             work.append(spoly)
         for f in work:
-            h = _reduce(f, basis)
+            h = _reduce(f, divisor)
             if not h:
                 continue
             lead = max(h)
             inv = _F1 / h[lead]
+            exps = packing.unpack(lead)
             new = len(basis)
-            for i, (li, _) in enumerate(basis):
-                if any(a and b for a, b in zip(li, lead)):
-                    deg = sum(map(max, li, lead))
+            for i, ei in enumerate(lead_exps):
+                if any(a and b for a, b in zip(ei, exps)):
+                    lcm = tuple(map(max, ei, exps))
+                    deg = sum(lcm)
                     if deg <= top:
-                        pairs.setdefault(deg, []).append((i, new))
+                        pairs.setdefault(deg, []).append((i, new, packing.pack(lcm)))
             basis.append((lead, {m: c * inv for m, c in h.items()}))
+            lead_exps.append(exps)
     return basis
 
 
-def _border_tables(
-    groebner: list[tuple[tuple[int, ...], _Dense]], nvars: int, top: int
-) -> tuple[list[list[tuple[int, ...]]], list[tuple]]:
+def _border_tables(groebner: _Basis, packing: _Packing) -> tuple[list[list[int]], list[tuple]]:
     """Basis monomials of degrees 0..top and each kept variable's
     multiplication table between them.
 
@@ -402,28 +485,30 @@ def _border_tables(
     ``b * x_p`` of a degree-d basis monomial ``b`` and a variable.  Only
     the border products that are not basis monomials need a normal form
     (Mourrain, AAECC-13, 1999).  Tables and bases are laid out as
-    ``multiplication_tables`` documents, bases in descending graded-lex
-    order.
+    ``multiplication_tables`` documents, bases (packed) in descending
+    graded-lex order.
     """
-    bases = [[(0,) * nvars]]
-    tables: list[list[tuple]] = [[] for _ in range(nvars)]
-    for d in range(top):
-        border = {b[:p] + (b[p] + 1,) + b[p + 1 :] for b in bases[d] for p in range(nvars)}
-        hits = {w: _leading_divisor(w, groebner) for w in border}
+    guards, variables = packing.guards, packing.variables
+    bases: list[list[int]] = [[0]]
+    tables: list[list[tuple]] = [[] for _ in variables]
+    for d in range(packing.top):
+        border = {b + v for b in bases[d] for v in variables}
+        hits = {w: _leading_divisor(w, groebner, guards) for w in border}
         basis = sorted((w for w, hit in hits.items() if hit is None), reverse=True)
         index = {m: i for i, m in enumerate(basis)}
-        nf = _normal_forms({w: hit for w, hit in hits.items() if hit}, index, groebner)
-        for p, per_degree in enumerate(tables):
-            per_degree.append(tuple(nf[b[:p] + (b[p] + 1,) + b[p + 1 :]] for b in bases[d]))
+        nf = _normal_forms({w: hit for w, hit in hits.items() if hit}, index, groebner, guards)
+        for v, per_degree in zip(variables, tables):
+            per_degree.append(tuple(nf[b + v] for b in bases[d]))
         bases.append(basis)
     return bases, [tuple(t) for t in tables]
 
 
 def _normal_forms(
-    hits: dict[tuple[int, ...], tuple[tuple[int, ...], _Dense]],
-    index: dict[tuple[int, ...], int],
-    groebner: list[tuple[tuple[int, ...], _Dense]],
-) -> dict[tuple[int, ...], tuple]:
+    hits: dict[int, tuple[int, _Poly]],
+    index: dict[int, int],
+    groebner: _Basis,
+    guards: int,
+) -> dict[int, tuple]:
     """Normal forms, as ``(index, coeff)`` rows over the basis monomials
     ``index``, of those basis monomials and of the given non-basis
     monomials of the same degree; ``hits`` maps each of the latter to its
@@ -435,17 +520,17 @@ def _normal_forms(
     in ascending order, each from normal forms already known.  Integral
     coefficients are stored as ``int``.
     """
-    tails: dict[tuple[int, ...], list[tuple[tuple[int, ...], Fraction]]] = {}
+    tails: dict[int, list[tuple[int, Fraction]]] = {}
     todo = list(hits)
     while todo:
         m = todo.pop()
         if m in tails or m in index:
             continue
-        lead, g = hits[m] if m in hits else _leading_divisor(m, groebner)
-        t = tuple(map(sub, m, lead))
-        tails[m] = [(tuple(map(add, t, u)), cu) for u, cu in g.items() if u != lead]
+        lead, g = hits[m] if m in hits else _leading_divisor(m, groebner, guards)
+        t = m - lead
+        tails[m] = [(t + u, cu) for u, cu in g.items() if u != lead]
         todo.extend(w for w, _ in tails[m])
-    nf: dict[tuple[int, ...], tuple] = {w: ((i, 1),) for w, i in index.items()}
+    nf: dict[int, tuple] = {w: ((i, 1),) for w, i in index.items()}
     for m in sorted(tails):
         nf[m] = _row(_add_rows({}, tails[m], nf, -1))
     return nf
@@ -485,8 +570,9 @@ def _check_graded_dimensions(dims: tuple[int, ...], num_max_cones: int) -> None:
         )
 
 
-def _dense_to_sparse(m: tuple[int, ...], kept: tuple[int, ...]) -> Monomial:
-    return tuple((kept[i], e) for i, e in enumerate(m) if e)
+def _sparse(exps: tuple[int, ...], kept: tuple[int, ...]) -> Monomial:
+    """The public monomial of an exponent tuple over the kept variables."""
+    return tuple((kept[i], e) for i, e in enumerate(exps) if e)
 
 
 def normal_form(c: GradedClass, pres: ChowPresentation) -> GradedClass:

@@ -16,7 +16,8 @@ implementations favour clarity and exactness over asymptotics:
   solve (the eliminated variables as combinations of the kept ones, with
   integer coefficients when the elimination cone is unimodular), and,
   with the sign of ``det a`` kept, fan validation's one solve per
-  wall-connected piece.
+  wall-connected piece, which calls the row-list form
+  ``fraction_free_solve_rows`` directly.
 * ``rational_rref``        -- reduced row echelon form over the rationals;
   no longer called by the library, kept as public API and as the tests'
   oracle for the elimination solve and the Macaulay presentation.
@@ -37,6 +38,7 @@ __all__ = [
     "strip_zero_rows",
     "determinant",
     "fraction_free_solve",
+    "fraction_free_solve_rows",
     "rational_rref",
     "column_lattice_index",
 ]
@@ -273,24 +275,39 @@ def fraction_free_solve(
 ) -> tuple[int, IntegerMatrix | None]:
     """Solve ``a . Y = b`` in integers: ``(d, X)`` with ``X = d . a^-1 . b``.
 
-    Fraction-free Gauss-Jordan elimination on ``[a | b]``: step k replaces
-    every entry outside the pivot row by ``(a[i][j] * akk - a[i][k] *
-    a[k][j]) // prev``, an exact division that clears column k.  Then the
-    left block is ``d`` times the identity, with ``d = |det a|``, and the
-    right block is ``X``.  The sparse skips are those of ``determinant``:
-    a negative pivot row is negated, so unit pivots stay at 1, and when
-    ``akk == prev`` only rows with a nonzero pivot-column entry and only
-    the pivot row's nonzero columns change.  With ``b`` the identity,
-    ``X`` is the adjugate up to sign.  A singular ``a`` gives ``(0, None)``.
-    With ``signed=True`` the first value is ``det a`` itself, its sign
-    tracked through the row swaps and negations; ``X`` is unchanged.
+    ``fraction_free_solve_rows`` on the rows of ``[a | b]``, with ``X`` as a
+    matrix.  A singular ``a`` gives ``(0, None)``.
     """
     n = a.rows
     if a.cols != n or b.rows != n:
         raise ValueError("dimension mismatch in linear solve")
-    width = n + b.cols
     rows_a, rows_b = a.row_lists(), b.row_lists()
-    m = [rows_a[i] + rows_b[i] for i in range(n)]
+    d, x = fraction_free_solve_rows([rows_a[i] + rows_b[i] for i in range(n)], signed=signed)
+    if x is None:
+        return 0, None
+    return d, IntegerMatrix(n, b.cols, tuple(v for row in x for v in row))
+
+
+def fraction_free_solve_rows(
+    m: list[list[int]], *, signed: bool = False
+) -> tuple[int, list[list[int]] | None]:
+    """Solve ``a . Y = b`` in integers, given the n rows of ``[a | b]`` as
+    lists (overwritten): ``(d, X)`` with ``X = d . a^-1 . b`` as row lists.
+
+    Fraction-free Gauss-Jordan elimination: step k replaces every entry
+    outside the pivot row by ``(a[i][j] * akk - a[i][k] * a[k][j]) //
+    prev``, an exact division that clears column k.  Then the left block
+    is ``d`` times the identity, with ``d = |det a|``, and the right block
+    is ``X``.  The sparse skips are those of ``determinant``: a negative
+    pivot row is negated, so unit pivots stay at 1, and when ``akk ==
+    prev`` only rows with a nonzero pivot-column entry and only the pivot
+    row's nonzero columns change.  With ``b`` the identity, ``X`` is the
+    adjugate up to sign.  A singular ``a`` gives ``(0, None)``.  With
+    ``signed=True`` the first value is ``det a`` itself, its sign tracked
+    through the row swaps and negations; ``X`` is unchanged.
+    """
+    n = len(m)
+    width = len(m[0]) if m else 0
     sign = 1
     prev = 1
     for k in range(n):
@@ -322,8 +339,7 @@ def fraction_free_solve(
                     aik = m[i][k]
                     m[i] = [(x * akk - aik * y) // prev for x, y in zip(m[i], pivot)]
         prev = akk
-    d = sign * prev if signed else prev
-    return d, IntegerMatrix(n, b.cols, tuple(x for row in m for x in row[n:]))
+    return (sign * prev if signed else prev), [row[n:] for row in m]
 
 
 def rational_rref(m: RationalMatrix) -> tuple[RationalMatrix, tuple[int, ...]]:

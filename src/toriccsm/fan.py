@@ -23,7 +23,7 @@ from .exact_linalg import (
     IntegerMatrix,
     column_lattice_index,
     determinant,
-    fraction_free_solve,
+    fraction_free_solve_rows,
     # not called here; perfbench/tracer.py wraps fan.hermite_normal_form and
     # fan.strip_zero_rows, and the tests use them as the multiplicity oracle
     hermite_normal_form,  # noqa: F401
@@ -295,7 +295,7 @@ def _pivot_walk(
     cone k, rays in increasing order.  Each cone not reached across a wall
     from an earlier one (a wall not in exactly two cones, or a neighbour of
     determinant 0, stops the walk) is a root in ``roots`` and takes one
-    signed ``fraction_free_solve``.  It gives ``det`` and the dual rows
+    signed ``fraction_free_solve_rows``.  It gives ``det`` and the dual rows
     ``u_r = |det| . sigma^-1``, so ``<u_r, v_s> = |det|`` if r == s, else 0.
 
     Crossing the wall opposite slot i to the cone whose new ray ``v`` sits
@@ -319,14 +319,16 @@ def _pivot_walk(
         if dets[root] is not None:
             continue
         roots.append(root)
-        det, inv = fraction_free_solve(fan.ray_matrix(cone), IntegerMatrix.identity(n), signed=True)
+        rays = [fan.rays[j] for j in cone.ray_indices]
+        system = [[v[t] for v in rays] + [int(t == s) for s in range(n)] for t in range(n)]
+        det, inv = fraction_free_solve_rows(system, signed=True)
         dets[root] = det
         if not det:
             continue
         # p has coordinates (1, ..., 1) in the root.  A stacked cone holds
         # the rows of the cone it was reached from, and the exchange step
         # that turns them into its own if the walk goes on from it.
-        stack = [(root, inv.row_lists(), [abs(det)] * n, None)]
+        stack = [(root, inv, [abs(det)] * n, None)]
         while stack:
             k, rows, y, step = stack.pop()
             det = dets[k]

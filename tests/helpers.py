@@ -13,15 +13,23 @@ which substitutes the eliminated variables, expands every product and
 looks each monomial up, so it shares no table with the library's
 ``normal_form`` or class assembly; the per-dimension orbit sums are that
 normal form of the whole sum of each dimension, not the product and
-face-trie walk.
+face-trie walk.  The h-vector is counted from the faces of the maximal
+cones, not from the presentation.
+
+The fan generators are shared too: ``stellar_fan`` builds the P^n + k
+fans, and ``shuffled_products`` draws relabelled, shuffled and
+subdivided products for hypothesis.
 """
 
 from __future__ import annotations
 
+import random
 from fractions import Fraction
 from itertools import combinations
-from math import gcd
+from math import comb, gcd
 from types import SimpleNamespace
+
+from hypothesis import strategies as st
 
 from toriccsm import (
     ChowPresentation,
@@ -412,6 +420,77 @@ def suite_fans() -> list[tuple[str, Fan]]:
         for name2, b2 in small[i:]:
             fans.append((f"{name1}*{name2}", product(b1(), b2())))
     return fans
+
+
+def _subdivide(rays: list, cones: list, cone: tuple[int, ...], coeffs: list[int]) -> None:
+    """Stellar subdivision, in place, of the maximal cone ``cone`` (taken
+    out of ``cones``) at the primitive vector of sum c_i v_i: the n cones
+    that swap one of its rays for the new one go to the end of ``cones``.
+    The fan stays complete and simplicial (Cox-Little-Schenck, *Toric
+    Varieties*, 11.1)."""
+    n = len(cone)
+    cones.remove(cone)
+    w = [sum(c * rays[j][t] for c, j in zip(coeffs, cone)) for t in range(n)]
+    g = gcd(*w)
+    rays.append(tuple(x // g for x in w))
+    cones += [cone[:i] + (len(rays) - 1,) + cone[i + 1 :] for i in range(n)]
+
+
+def stellar_fan(n: int, k: int, seed: int) -> Fan:
+    """P^n + k: ``projective_space(n)`` subdivided k times, each time at the
+    sum of the rays of a maximal cone drawn by one ``random.Random(seed)``'s
+    ``choice`` over the current maximal cones.  Smooth, complete and not a
+    product; with seed 1 these are the P^n + k fans of ROADMAP's Baseline."""
+    rng = random.Random(seed)
+    fan = projective_space(n)
+    rays = list(fan.rays)
+    cones = [c.ray_indices for c in fan.max_cones]
+    for _ in range(k):
+        _subdivide(rays, cones, rng.choice(cones), [1] * n)
+    return build_fan(n, rays, cones)
+
+
+_FACTORS = (
+    [lambda n=n: projective_space(n) for n in (1, 2, 3)]
+    + [lambda r=r: hirzebruch(r) for r in (0, 1, 3)]
+    + [lambda w=w: weighted_projective(w) for w in ([1, 1, 2], [1, 1, 3], [1, 2, 3])]
+)
+
+
+@st.composite
+def shuffled_products(draw, min_subdivisions: int = 0):
+    """A product of 2-4 factors with relabelled rays and shuffled cones,
+    then ``min_subdivisions`` to 3 stellar subdivisions of a maximal cone
+    at sum c_i v_i with c_i in {1, 2} (made primitive), which leave the fan
+    complete and make it a non-product, often singular.  Drawn as ``(dim,
+    rays, maximal cones)``."""
+    factors = draw(st.lists(st.sampled_from(_FACTORS), min_size=2, max_size=4))
+    fan = factors[0]()
+    for f in factors[1:]:
+        fan = product(fan, f())
+    n = fan.ambient_dim
+    perm = draw(st.permutations(range(len(fan.rays))))
+    rays = [None] * len(perm)
+    for j, v in enumerate(fan.rays):
+        rays[perm[j]] = v
+    cones = [tuple(perm[j] for j in c.ray_indices) for c in fan.max_cones]
+    for _ in range(draw(st.integers(min_subdivisions, 3))):
+        cone = cones[draw(st.integers(0, len(cones) - 1))]
+        _subdivide(rays, cones, cone, draw(st.lists(st.integers(1, 2), min_size=n, max_size=n)))
+    return n, rays, draw(st.permutations(cones))
+
+
+def h_vector(fan: Fan) -> tuple[int, ...]:
+    """h_k = sum_{i >= k} (-1)^(i-k) C(i, k) d_i over the numbers d_i of
+    cones of codimension i, the faces listed from the maximal cones; for
+    a complete simplicial fan it is the graded dimensions of the Chow ring
+    (Fulton, *Introduction to Toric Varieties*, 5.2)."""
+    n = fan.ambient_dim
+    faces = {sub for c in fan.max_cones for k in range(n + 1) for sub in combinations(c.ray_indices, k)}
+    d = [0] * (n + 1)
+    for face in faces:
+        d[n - len(face)] += 1
+    return tuple(sum((-1) ** (i - k) * comb(i, k) * d[i] for i in range(k, n + 1)) for k in range(n + 1))
 
 
 def _double_winding() -> tuple[int, list[tuple[int, ...]], list[tuple[int, ...]]]:

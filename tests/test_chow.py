@@ -8,15 +8,21 @@ import pytest
 from helpers import (
     brute_quotient_dims,
     exponent_tuples,
+    h_vector,
     macaulay_presentation,
     normal_form_orbit_sums,
     oracle_normal_form,
     oracle_substitution,
     relabel,
+    shuffled_products,
+    stellar_fan,
     suite_fans,
 )
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from toriccsm import (
+    build_fan,
     build_presentation,
     class_add,
     csm_result,
@@ -285,8 +291,8 @@ def test_table_entries_are_int_exactly_when_integral(monkeypatch):
     groebner = []
     truncated_groebner = chow._truncated_groebner
 
-    def spy(gens, top):
-        basis = truncated_groebner(gens, top)
+    def spy(gens, packing):
+        basis = truncated_groebner(gens, packing)
         groebner.extend(basis)
         return basis
 
@@ -344,3 +350,74 @@ def test_substitution_matches_rref_oracle():
             assert all(type(q) is Fraction for q in coeffs), (name, elim)
             fractional += any(q.denominator != 1 for q in coeffs)
     assert fractional
+
+
+@st.composite
+def packed_exponents(draw):
+    # n + 1 a power of two: the exponent n fills every value bit of its
+    # field, right below the guard bit
+    n = draw(st.sampled_from((3, 7, 15)))
+    nvars = draw(st.integers(1, 6))
+    a = draw(st.lists(st.integers(0, n), min_size=nvars, max_size=nvars))
+    b = tuple(draw(st.integers(0, n - e)) for e in a)
+    c = tuple(draw(st.integers(0, n)) for _ in a)
+    return chow._Packing(nvars, n), tuple(a), b, c
+
+
+@settings(max_examples=300, deadline=None, database=None)
+@given(packed_exponents(), st.randoms(use_true_random=False))
+def test_packed_monomials(data, rng):
+    packing, a, b, c = data
+    pack, unpack = packing.pack, packing.unpack
+    assert packing.width == packing.top.bit_length() + 1
+    for e in (a, b, c):
+        assert unpack(pack(e)) == e
+    # integer order is tuple order within a degree, and graded-lex across
+    perm = list(a)
+    rng.shuffle(perm)
+    perm = tuple(perm)
+    assert (pack(a) < pack(perm)) == (a < perm)
+    assert (pack(a) < pack(c)) == ((sum(a), a) < (sum(c), c))
+    # a product is a sum, and the cofactor a difference
+    ab = tuple(x + y for x, y in zip(a, b))
+    assert pack(a) + pack(b) == pack(ab)
+    assert pack(ab) - pack(a) == pack(b)
+    # the guard-bit divisibility test is componentwise >=
+    for m, lead in ((a, c), (c, a), (ab, a), (a, b)):
+        hit = chow._leading_divisor(pack(m), [(pack(lead), {})], packing.guards)
+        assert (hit is not None) == all(x >= y for x, y in zip(m, lead)), (m, lead)
+    too_big = list(a)
+    too_big[0] = packing.top + 1
+    with pytest.raises(InternalError, match="exponent"):
+        pack(too_big)
+    with pytest.raises(InternalError, match="above"):
+        unpack(pack(a) + (packing.top + 1 - a[0] << packing.shifts[0]))
+
+
+@st.composite
+def non_product_fans(draw):
+    """P^n + k fans, smooth, and subdivided products, often singular."""
+    if draw(st.booleans()):
+        n = draw(st.integers(2, 4))
+        return stellar_fan(n, draw(st.integers(1, 8 if n < 4 else 5)), draw(st.integers(0, 10**6)))
+    return build_fan(*draw(shuffled_products(min_subdivisions=1)))
+
+
+@settings(max_examples=25, deadline=None, database=None)
+@given(non_product_fans())
+def test_non_product_fans(fan):
+    # The graded dimensions are the h-vector of the f-vector, and chi and
+    # the class do not depend on the elimination cone: the class from one
+    # presentation reduces, in the other, to the class from that one.
+    cones = sorted(c.ray_indices for c in fan.max_cones)
+    results = []
+    for elim in (cones[0], cones[-1]):
+        pres = build_presentation(fan, elim)
+        assert graded_dimensions(pres) == h_vector(fan), elim
+        results.append((pres, csm_result(fan, pres)))
+    (pres_a, res_a), (pres_b, res_b) = results
+    assert res_a.euler == res_b.euler == len(fan.max_cones)
+    assert normal_form(res_a.csm_class, pres_b) == res_b.csm_class
+    assert normal_form(res_b.csm_class, pres_a) == res_a.csm_class
+    for d, part in res_a.per_dim_contributions.items():
+        assert normal_form(part, pres_b) == res_b.per_dim_contributions[d], d

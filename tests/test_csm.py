@@ -285,7 +285,7 @@ def test_csm_run_validates_with_one_root_elimination(spec, monkeypatch, tmp_path
 
     path = tmp_path / "input.fan"
     path.write_text(render_fan(_builder_fan(spec)))
-    calls = {"fraction_free_solve": 0, "determinant": 0, "hermite_normal_form": 0}
+    calls = {"fraction_free_solve_rows": 0, "determinant": 0, "hermite_normal_form": 0}
     for name in calls:
         def counted(*args, _name=name, _fn=getattr(fan_mod, name), **kwargs):
             calls[_name] += 1
@@ -294,7 +294,7 @@ def test_csm_run_validates_with_one_root_elimination(spec, monkeypatch, tmp_path
         monkeypatch.setattr(fan_mod, name, counted)
     assert main(["csm", "--fan", str(path), "--json"]) == 0
     report = json.loads(capsys.readouterr().out)
-    assert calls == {"fraction_free_solve": 1, "determinant": 0, "hermite_normal_form": 0}
+    assert calls == {"fraction_free_solve_rows": 1, "determinant": 0, "hermite_normal_form": 0}
     assert report["fan"]["smooth"] == (spec == "pn=4*pn=4*pn=4")
 
 

@@ -1,11 +1,9 @@
 import random
 from itertools import combinations
-from math import gcd
 
 import pytest
-from helpers import MULTI_COVER_FANS, oracle_multiplicity, relabel, suite_fans
+from helpers import MULTI_COVER_FANS, oracle_multiplicity, relabel, shuffled_products, suite_fans
 from hypothesis import given, settings
-from hypothesis import strategies as st
 
 from toriccsm import (
     Cone,
@@ -243,39 +241,6 @@ def test_builders_pass_validation():
     for name, fan in suite_fans():
         rebuilt = build_fan(fan.ambient_dim, fan.rays, [c.ray_indices for c in fan.max_cones])
         assert rebuilt.rays == fan.rays, name
-
-
-_FACTORS = (
-    [lambda n=n: projective_space(n) for n in (1, 2, 3)]
-    + [lambda r=r: hirzebruch(r) for r in (0, 1, 3)]
-    + [lambda w=w: weighted_projective(w) for w in ([1, 1, 2], [1, 1, 3], [1, 2, 3])]
-)
-
-
-@st.composite
-def shuffled_products(draw):
-    """A product of 2-4 factors with relabelled rays and shuffled cones,
-    then up to 3 stellar subdivisions of a maximal cone at sum c_i v_i
-    with c_i in {1, 2} (made primitive), which leave the fan complete and
-    make it a non-product, often singular."""
-    factors = draw(st.lists(st.sampled_from(_FACTORS), min_size=2, max_size=4))
-    fan = factors[0]()
-    for f in factors[1:]:
-        fan = product(fan, f())
-    n = fan.ambient_dim
-    perm = draw(st.permutations(range(len(fan.rays))))
-    rays = [None] * len(perm)
-    for j, v in enumerate(fan.rays):
-        rays[perm[j]] = v
-    cones = [tuple(perm[j] for j in c.ray_indices) for c in fan.max_cones]
-    for _ in range(draw(st.integers(0, 3))):
-        cone = cones.pop(draw(st.integers(0, len(cones) - 1)))
-        coeffs = draw(st.lists(st.integers(1, 2), min_size=n, max_size=n))
-        w = [sum(c * rays[j][t] for c, j in zip(coeffs, cone)) for t in range(n)]
-        g = gcd(*w)
-        rays.append(tuple(x // g for x in w))
-        cones += [cone[:i] + (len(rays) - 1,) + cone[i + 1 :] for i in range(n)]
-    return n, rays, draw(st.permutations(cones))
 
 
 @settings(max_examples=60, deadline=None, database=None)
