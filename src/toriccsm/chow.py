@@ -33,8 +33,8 @@ the mask ``G`` of the guard bits, ``lead`` divides ``m`` iff ``((m | G)
 - lead) & G == G``, since a field borrows from its guard bit exactly when
 ``lead``'s exponent is the larger; the cofactor is then ``m - lead``.
 Only the Buchberger leads are unpacked, for the lcm and the coprime
-test, and the basis monomials, where they become public monomials.  An
-exponent above ``n`` is an ``InternalError``.
+test, and the basis monomials and substitution forms, where they become
+public monomials.  An exponent above ``n`` is an ``InternalError``.
 
 Classes are sparse:
 
