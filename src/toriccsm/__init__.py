@@ -28,7 +28,6 @@ from .fan import (
     multiplicity,
     product,
     projective_space,
-    wall_check,
     weighted_projective,
 )
 from .chow import (
@@ -48,7 +47,6 @@ from .chow import (
 from .csm import (
     CsmResult,
     csm_result,
-    euler_by_cone_count,
     euler_characteristic,
 )
 from .formats import parse_class, parse_fan_file, parse_fan_text, render_class, render_fan
@@ -73,7 +71,6 @@ __all__ = [
     "enumerate_cones",
     "multiplicity",
     "is_smooth",
-    "wall_check",
     "projective_space",
     "hirzebruch",
     "weighted_projective",
@@ -93,7 +90,6 @@ __all__ = [
     "CsmResult",
     "csm_result",
     "euler_characteristic",
-    "euler_by_cone_count",
     "parse_fan_file",
     "parse_fan_text",
     "render_fan",

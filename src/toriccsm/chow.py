@@ -256,8 +256,8 @@ def build_presentation(fan: Fan, elim_cone: Cone | Iterable[int] | None = None) 
 
     ``elim_cone`` may name any maximal cone; by default the one with the
     lexicographically smallest ray-index tuple is used.  Raises
-    ``ValidationError`` ("fan not complete") when the top graded piece is
-    not one-dimensional.
+    ``InternalError`` when the top graded piece is not one-dimensional,
+    which no fan from ``build_fan`` (complete and simplicial) can bring.
     """
     n = fan.ambient_dim
     r = len(fan.rays)
@@ -286,9 +286,7 @@ def build_presentation(fan: Fan, elim_cone: Cone | Iterable[int] | None = None) 
     # in integers and returns d times that matrix, d = |det A|; an entry
     # that d divides is stored as an ``int`` (always, when the cone is
     # unimodular), so the eliminated variables' tables are built in int
-    # arithmetic.  ``multiplicity`` rejects a degenerate elimination cone,
-    # which only trusted input can bring, as a validation error first.
-    multiplicity(fan, elim)
+    # arithmetic.
     elim_idx = elim.ray_indices
     nk = len(kept)
     rhs = IntegerMatrix(n, nk, tuple(-fan.rays[j][k] for k in range(n) for j in kept))
@@ -336,7 +334,7 @@ def build_presentation(fan: Fan, elim_cone: Cone | Iterable[int] | None = None) 
     bases, kept_tables = _border_tables(_truncated_groebner(gens, packing), packing)
     p.degree_bases = tuple(tuple(_sparse(packing.unpack(m), kept) for m in b) for b in bases)
     if len(p.degree_bases[n]) != 1:
-        raise ValidationError(
+        raise InternalError(
             f"fan not complete: top graded piece has dimension {len(p.degree_bases[n])}"
         )
 
@@ -364,7 +362,7 @@ def build_presentation(fan: Fan, elim_cone: Cone | Iterable[int] | None = None) 
     top = p.degree_bases[n][0]
     c0 = reduced.get(top, _F0)
     if c0 == 0:
-        raise ValidationError("degenerate presentation: fan not complete or reduction bug")
+        raise InternalError("degenerate presentation: fan not complete or reduction bug")
     p.point_coeff = c0
     p.point_mult = multiplicity(fan, ref)
     _check_graded_dimensions(graded_dimensions(p), len(fan.max_cones))

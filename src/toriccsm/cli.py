@@ -74,7 +74,7 @@ def _builder_fan(spec: str) -> Fan:
 
 def _resolve_fan(args) -> tuple[Fan, str]:
     if args.fan:
-        fan, name = parse_fan_file(args.fan, validate=not args.trust_input)
+        fan, name = parse_fan_file(args.fan)
         return fan, name or args.fan
     return _builder_fan(args.builder), args.builder
 
@@ -220,12 +220,11 @@ def _cmd_chow(args) -> int:
 
 def _cmd_validate(args) -> int:
     fan, source = _resolve_fan(args)
-    verdict = "skipped (trusted input)" if args.trust_input else "passed"
     summary = _fan_summary(fan)
     if args.json:
-        print(json.dumps({"source": source, "validation": verdict, **summary}))
+        print(json.dumps({"source": source, "validation": "passed", **summary}))
     else:
-        print(f"validation {verdict}: {_describe(source, summary)}")
+        print(f"validation passed: {_describe(source, summary)}")
     return 0
 
 
@@ -265,8 +264,6 @@ def build_parser() -> argparse.ArgumentParser:
     group.add_argument("--fan", metavar="FILE", help="fan file to read")
     group.add_argument("--builder", metavar="SPEC",
                        help="builder spec: pn=N | hirzebruch=R | wps=q0,q1,... ('*' joins factors)")
-    fansrc.add_argument("--trust-input", action="store_true",
-                        help="skip fan validation (completeness is then unchecked)")
 
     parser = _Parser(
         prog="toric-csm",

@@ -49,7 +49,6 @@ __all__ = [
     "CsmResult",
     "csm_result",
     "euler_characteristic",
-    "euler_by_cone_count",
 ]
 
 
@@ -65,11 +64,6 @@ class CsmResult:
     csm_class: GradedClass
     euler: int
     per_dim_contributions: dict[int, GradedClass]
-
-
-def euler_by_cone_count(fan: Fan) -> int:
-    """Euler characteristic as the number of top-dimensional cones."""
-    return len(fan.max_cones)
 
 
 def _multiplicities(
@@ -174,10 +168,10 @@ def csm_result(
     maximal cones' multiplicities, which validation caches as the |det| it
     takes), so the product is the class and the faces are never
     enumerated.  Otherwise, or with ``force_hnf``, every cone's
-    multiplicity is computed: maximal cones from that cache (one
-    determinant each on trusted input), lower-dimensional ones through
-    ``column_lattice_index``.  ``force_hnf`` is the product's own check of
-    the smooth-fan shortcut: it computes every multiplicity that a smooth
+    multiplicity is computed: maximal cones from that cache,
+    lower-dimensional ones through ``column_lattice_index``.
+    ``force_hnf`` is the product's own check of the smooth-fan
+    shortcut: it computes every multiplicity that a smooth
     fan takes to be 1, and the results are identical.  ``threads`` bounds
     the worker count for that batch; output is deterministic regardless.
     The cones of multiplicity other than 1 then go through one walk of
@@ -241,7 +235,7 @@ def _presentation_of(fan: Fan, pres: ChowPresentation | None) -> ChowPresentatio
 def _integer_degree(c: GradedClass, pres: ChowPresentation) -> int:
     chi = degree(c, pres)
     if chi.denominator != 1:
-        raise ValidationError(f"inconsistent fan data: non-integer degree {chi}")
+        raise InternalError(f"inconsistent fan data: non-integer degree {chi}")
     if chi != len(pres.fan.max_cones):
         raise InternalError(
             f"Euler characteristic {chi} differs from the number of maximal cones "

@@ -8,16 +8,19 @@ implementations favour clarity and exactness over asymptotics:
 * ``hermite_normal_form``  -- column-style HNF with the unimodular column
   transform: a canonical form of a cone's generator matrix, which the
   tests use as an independent route to the maximal cones' multiplicities.
-* ``determinant``          -- fraction-free Bareiss elimination; its
+* ``fraction_free_solve``  -- fraction-free Gauss-Jordan (Bareiss)
+  elimination, ``d . a^-1 . b`` in integers with ``d = |det a|``: the
+  elimination solve (the eliminated variables as combinations of the kept
+  ones, with integer coefficients when the elimination cone is
+  unimodular), and, with the sign of ``det a`` kept, fan validation's one
+  solve per wall-connected piece, which calls the row-list form
+  ``fraction_free_solve_rows`` directly.  That form holds the module's
+  one elimination loop.
+* ``determinant``          -- that loop with an empty right-hand side; its
   absolute value is the multiplicity of a full-dimensional simplicial
-  cone (validation derives the maximal cones' determinants without it).
-* ``fraction_free_solve``  -- fraction-free Gauss-Jordan elimination,
-  ``d . a^-1 . b`` in integers with ``d = |det a|``: the elimination
-  solve (the eliminated variables as combinations of the kept ones, with
-  integer coefficients when the elimination cone is unimodular), and,
-  with the sign of ``det a`` kept, fan validation's one solve per
-  wall-connected piece, which calls the row-list form
-  ``fraction_free_solve_rows`` directly.
+  cone.  Validation derives the maximal cones' determinants without it,
+  so it serves only ``build_fan``'s report of a malformed cone and
+  ``multiplicity`` on a cone object the caller built.
 * ``rational_rref``        -- reduced row echelon form over the rationals;
   no longer called by the library, kept as public API and as the tests'
   oracle for the elimination solve and the Macaulay presentation.
@@ -218,56 +221,11 @@ def strip_zero_rows(h: IntegerMatrix) -> IntegerMatrix:
 
 
 def determinant(m: IntegerMatrix) -> int:
-    """Exact determinant by fraction-free (Bareiss) elimination.
-
-    Step k replaces each entry below and right of the pivot ``akk`` by
-    ``(a[i][j] * akk - a[i][k] * a[k][j]) // prev``, ``prev`` being the
-    previous pivot; the division is exact (Bareiss 1968).  Cone ray
-    matrices are sparse with entries mostly 0 and +-1, so two kinds of
-    no-op work are skipped.  A negative pivot row is negated first (the
-    sign is tracked), so unit pivots stay at 1.  Then, when ``akk ==
-    prev``, a row whose pivot-column entry is 0 is unchanged, and in the
-    other rows only the columns where the pivot row is nonzero change.
-    """
+    """Exact determinant: the signed ``fraction_free_solve_rows`` of the
+    rows of ``m`` with an empty right-hand side."""
     if m.rows != m.cols:
         raise ValueError("determinant of a non-square matrix")
-    n = m.rows
-    if n == 0:
-        return 1
-    a = m.row_lists()
-    sign = 1
-    prev = 1
-    for k in range(n - 1):
-        if a[k][k] == 0:
-            for i in range(k + 1, n):
-                if a[i][k]:
-                    a[k], a[i] = a[i], a[k]
-                    sign = -sign
-                    break
-            else:
-                return 0
-        pivot = a[k]
-        akk = pivot[k]
-        if akk < 0:
-            pivot = a[k] = [-x for x in pivot]
-            akk = -akk
-            sign = -sign
-        if akk == prev:
-            cols = [j for j in range(k + 1, n) if pivot[j]]
-            for i in range(k + 1, n):
-                row = a[i]
-                aik = row[k]
-                if aik:
-                    for j in cols:
-                        row[j] = (row[j] * akk - aik * pivot[j]) // prev
-        else:
-            for i in range(k + 1, n):
-                row = a[i]
-                aik = row[k]
-                for j in range(k + 1, n):
-                    row[j] = (row[j] * akk - aik * pivot[j]) // prev
-        prev = akk
-    return sign * a[n - 1][n - 1]
+    return fraction_free_solve_rows(m.row_lists(), signed=True)[0]
 
 
 def fraction_free_solve(
@@ -298,11 +256,12 @@ def fraction_free_solve_rows(
     outside the pivot row by ``(a[i][j] * akk - a[i][k] * a[k][j]) //
     prev``, an exact division that clears column k.  Then the left block
     is ``d`` times the identity, with ``d = |det a|``, and the right block
-    is ``X``.  The sparse skips are those of ``determinant``: a negative
-    pivot row is negated, so unit pivots stay at 1, and when ``akk ==
-    prev`` only rows with a nonzero pivot-column entry and only the pivot
-    row's nonzero columns change.  With ``b`` the identity, ``X`` is the
-    adjugate up to sign.  A singular ``a`` gives ``(0, None)``.  With
+    is ``X``.  Cone ray matrices are sparse with entries mostly 0 and +-1,
+    so two kinds of no-op work are skipped: a negative pivot row is
+    negated, so unit pivots stay at 1, and when ``akk == prev`` only rows
+    with a nonzero pivot-column entry and only the pivot row's nonzero
+    columns change.  With ``b`` the identity, ``X`` is the adjugate up to
+    sign.  A singular ``a`` gives ``(0, None)``.  With
     ``signed=True`` the first value is ``det a`` itself, its sign tracked
     through the row swaps and negations; ``X`` is unchanged.
     """

@@ -37,7 +37,6 @@ __all__ = [
     "enumerate_cones",
     "multiplicity",
     "is_smooth",
-    "wall_check",
     "projective_space",
     "hirzebruch",
     "weighted_projective",
@@ -51,8 +50,8 @@ class Cone:
     """A simplicial cone, identified by its sorted ray indices.
 
     ``_mult`` caches the multiplicity.  ``build_fan`` fills it for every
-    maximal cone of validated input, from the determinant that validation
-    finds anyway; other cones fill it on the first ``multiplicity`` call.
+    maximal cone, from the determinant that validation finds anyway; other
+    cones fill it on the first ``multiplicity`` call.
     Everything else is immutable, so cones are safe to share across
     threads (the cache write is idempotent).
     """
@@ -145,7 +144,6 @@ def build_fan(
     ambient_dim: int,
     rays: Sequence[Sequence[int]],
     max_cones: Sequence[Iterable[int]],
-    validate: bool = True,
 ) -> Fan:
     """Build and validate a fan from raw data.
 
@@ -161,15 +159,10 @@ def build_fan(
     is reported after any non-simplicial cone listed before it.  Each
     determinant's absolute value is the cone's multiplicity, cached on
     the cone.
-    ``validate=False`` (trusted input) skips all of them except the shapes:
-    each ray must have ``ambient_dim`` coordinates, and each maximal cone
-    ``ambient_dim`` in-range ray indices, no cone listed twice.
     """
     if ambient_dim < 1:
         raise ValidationError("ambient dimension must be at least 1")
     ray_tuples = [tuple(int(x) for x in r) for r in rays]
-    # The shape check runs even on trusted input: every later step indexes
-    # ray coordinates 0..n-1.
     for i, v in enumerate(ray_tuples):
         if len(v) != ambient_dim:
             raise ValidationError(f"ray {i} has {len(v)} coordinates, expected {ambient_dim}")
@@ -177,12 +170,6 @@ def build_fan(
     # cached against some other fan's rays.
     cones = [Cone(c.ray_indices if isinstance(c, Cone) else c) for c in max_cones]
     fan = Fan(ambient_dim, ray_tuples, cones)
-    seen: set[Cone] = set()
-    if not validate:
-        for c in cones:
-            _check_cone_shape(c, ambient_dim, len(ray_tuples), seen)
-        return fan
-
     n = ambient_dim
     for i, v in enumerate(ray_tuples):
         if all(x == 0 for x in v) or not _is_primitive(v):
@@ -192,6 +179,7 @@ def build_fan(
     if not cones:
         raise ValidationError("maximal cone wrong dimension: no maximal cones given")
 
+    seen: set[Cone] = set()
     try:
         for c in cones:
             _check_cone_shape(c, n, len(ray_tuples), seen)
@@ -251,13 +239,6 @@ def _check_cone_shape(c: Cone, n: int, num_rays: int, seen: set[Cone]) -> None:
     if c in seen:
         raise ValidationError(f"maximal cone {c.ray_indices} is listed twice")
     seen.add(c)
-
-
-def wall_check(fan: Fan) -> bool:
-    """True iff every (n-1)-face of a maximal cone lies in exactly two of
-    them (a necessary condition for completeness)."""
-    walls, _ = _wall_table(fan.max_cones, fan.ambient_dim)
-    return all(len(pairs) == 2 for pairs in walls.values())
 
 
 # The (cone, slot) pairs of one wall: cone k without the ray at its slot s.
@@ -431,8 +412,8 @@ def multiplicity(fan: Fan, cone: Cone) -> int:
     """Multiplicity of a cone: the index of the sublattice spanned by its
     ray generators inside the lattice points of its linear span.
 
-    A maximal cone of validated input reads the ``|det|`` that
-    ``build_fan`` cached.  Otherwise a full-dimensional cone takes ``|det|``
+    A maximal cone of a fan from ``build_fan`` reads the ``|det|`` cached
+    there.  A full-dimensional cone object the caller built takes ``|det|``
     of its square ray matrix, and raises ``ValidationError`` ("not
     simplicial: maximal cone ...") when it is 0; lower-dimensional cones
     use the ambient-basis echelon form of ``column_lattice_index``, which
@@ -456,9 +437,8 @@ def is_smooth(fan: Fan) -> bool:
     """True iff every maximal cone is unimodular (multiplicity 1).
 
     Faces of unimodular simplicial cones are unimodular, so checking the
-    maximal cones suffices.  On validated input their multiplicities are
-    already cached by ``build_fan``, so this computes nothing; on trusted
-    input it takes one determinant per maximal cone.
+    maximal cones suffices.  ``build_fan`` has already cached their
+    multiplicities, so this computes nothing.
     """
     if fan._smooth is None:
         fan._smooth = all(multiplicity(fan, c) == 1 for c in fan.max_cones)

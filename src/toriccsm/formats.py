@@ -41,7 +41,7 @@ __all__ = [
 _SECTION = re.compile(r"^(name|dim|rays|max_cones)\s*:\s*(.*)$")
 
 
-def parse_fan_text(text: str, source: str = "<string>", validate: bool = True) -> tuple[Fan, str | None]:
+def parse_fan_text(text: str, source: str = "<string>") -> tuple[Fan, str | None]:
     """Parse a fan document; returns the fan and its optional name."""
     name: str | None = None
     dim: int | None = None
@@ -94,17 +94,17 @@ def parse_fan_text(text: str, source: str = "<string>", validate: bool = True) -
         # a dim below 1 is left to build_fan, which rejects it
         if len(ray) != dim and dim >= 1:
             fail(lineno, f"ray {i} has {len(ray)} coordinates, expected {dim}")
-    return build_fan(dim, rays, cones, validate=validate), name
+    return build_fan(dim, rays, cones), name
 
 
-def parse_fan_file(path: str, validate: bool = True) -> tuple[Fan, str | None]:
+def parse_fan_file(path: str) -> tuple[Fan, str | None]:
     """Read and parse a fan file; returns the validated fan and its name."""
     with open(path, "r", encoding="utf-8") as fh:
         try:
             text = fh.read()
         except UnicodeDecodeError as exc:
             raise ValidationError(f"{path}: not UTF-8 text ({exc})") from None
-    return parse_fan_text(text, source=path, validate=validate)
+    return parse_fan_text(text, source=path)
 
 
 def render_fan(fan: Fan, name: str | None = None) -> str:

@@ -14,11 +14,13 @@ looks each monomial up, so it shares no table with the library's
 ``normal_form`` or class assembly; the per-dimension orbit sums are that
 normal form of the whole sum of each dimension, not the product and
 face-trie walk.  The h-vector is counted from the faces of the maximal
-cones, not from the presentation.
+cones, not from the presentation.  The class of a product fan comes from
+its factors' classes by the product formula, which never walks the
+product's faces or its product of (1 + x_rho).
 
 The fan generators are shared too: ``stellar_fan`` builds the P^n + k
-fans, and ``shuffled_products`` draws relabelled, shuffled and
-subdivided products for hypothesis.
+fans, ``relabelled_products`` draws products with relabelled rays and
+shuffled cones for hypothesis, and ``shuffled_products`` subdivides them.
 """
 
 from __future__ import annotations
@@ -36,8 +38,10 @@ from toriccsm import (
     Fan,
     GradedClass,
     build_fan,
+    csm_result,
     hirzebruch,
     multiplicity,
+    normal_form,
     product,
     projective_space,
     squarefree_monomial,
@@ -458,26 +462,67 @@ _FACTORS = (
 
 
 @st.composite
-def shuffled_products(draw, min_subdivisions: int = 0):
+def relabelled_products(draw):
     """A product of 2-4 factors with relabelled rays and shuffled cones,
-    then ``min_subdivisions`` to 3 stellar subdivisions of a maximal cone
-    at sum c_i v_i with c_i in {1, 2} (made primitive), which leave the fan
-    complete and make it a non-product, often singular.  Drawn as ``(dim,
-    rays, maximal cones)``."""
-    factors = draw(st.lists(st.sampled_from(_FACTORS), min_size=2, max_size=4))
-    fan = factors[0]()
+    drawn as ``(factors, product fan)``."""
+    factors = [f() for f in draw(st.lists(st.sampled_from(_FACTORS), min_size=2, max_size=4))]
+    fan = factors[0]
     for f in factors[1:]:
-        fan = product(fan, f())
-    n = fan.ambient_dim
+        fan = product(fan, f)
     perm = draw(st.permutations(range(len(fan.rays))))
     rays = [None] * len(perm)
     for j, v in enumerate(fan.rays):
         rays[perm[j]] = v
     cones = [tuple(perm[j] for j in c.ray_indices) for c in fan.max_cones]
+    return factors, build_fan(fan.ambient_dim, rays, draw(st.permutations(cones)))
+
+
+@st.composite
+def shuffled_products(draw, min_subdivisions: int = 0):
+    """A product as in ``relabelled_products``, then ``min_subdivisions``
+    to 3 stellar subdivisions of a maximal cone at sum c_i v_i with c_i in
+    {1, 2} (made primitive), which leave the fan complete and make it a
+    non-product, often singular.  Drawn as ``(dim, rays, maximal
+    cones)``."""
+    _, fan = draw(relabelled_products())
+    n = fan.ambient_dim
+    rays = list(fan.rays)
+    cones = [c.ray_indices for c in fan.max_cones]
     for _ in range(draw(st.integers(min_subdivisions, 3))):
         cone = cones[draw(st.integers(0, len(cones) - 1))]
         _subdivide(rays, cones, cone, draw(st.lists(st.integers(1, 2), min_size=n, max_size=n)))
     return n, rays, draw(st.permutations(cones))
+
+
+def product_formula_class(factors: list[Fan], pres: ChowPresentation) -> GradedClass:
+    """The class of the product of ``factors`` by the product formula
+    c_SM(X x Y) = pr_1^* c_SM(X) . pr_2^* c_SM(Y) (Kwiecinski, C. R. Acad.
+    Sci. Paris 314, 1992), reduced in ``pres``.
+
+    ``pres.fan`` is ``product`` of the factors in order, its rays relabelled
+    in any way.  Each factor's ``csm_result`` class has its rays moved to
+    their indices in ``pres.fan``, found by the zero-padded ray vectors;
+    the classes are multiplied as polynomials, and ``normal_form`` reduces
+    the product.
+    """
+    fan = pres.fan
+    n = fan.ambient_dim
+    index = {v: j for j, v in enumerate(fan.rays)}
+    total: GradedClass = {(): Fraction(1)}
+    before = 0
+    for factor in factors:
+        k = factor.ambient_dim
+        pad = (0,) * before, (0,) * (n - before - k)
+        where = [index[pad[0] + v + pad[1]] for v in factor.rays]
+        out: GradedClass = {}
+        for mono, coeff in csm_result(factor).csm_class.items():
+            shifted = tuple((where[j], e) for j, e in mono)
+            for base, q in total.items():
+                m = tuple(sorted(base + shifted))
+                out[m] = out.get(m, 0) + q * coeff
+        total = out
+        before += k
+    return normal_form(total, pres)
 
 
 def h_vector(fan: Fan) -> tuple[int, ...]:

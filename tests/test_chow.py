@@ -6,6 +6,7 @@ from math import comb
 
 import pytest
 from helpers import (
+    MULTI_COVER_FANS,
     brute_quotient_dims,
     exponent_tuples,
     h_vector,
@@ -22,12 +23,13 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from toriccsm import (
+    Cone,
+    Fan,
     build_fan,
     build_presentation,
     class_add,
     csm_result,
     degree,
-    euler_by_cone_count,
     graded_dimensions,
     hirzebruch,
     linear_relations,
@@ -197,7 +199,7 @@ def test_degree_of_every_fixed_point_class_is_one():
 def test_h_vector_sums_to_max_cone_count():
     for name, fan in suite_fans():
         dims = graded_dimensions(build_presentation(fan))
-        assert sum(dims) == euler_by_cone_count(fan), name
+        assert sum(dims) == len(fan.max_cones), name
 
 
 def test_elimination_matches_bruteforce_quotient():
@@ -406,18 +408,33 @@ def non_product_fans(draw):
 @settings(max_examples=25, deadline=None, database=None)
 @given(non_product_fans())
 def test_non_product_fans(fan):
-    # The graded dimensions are the h-vector of the f-vector, and chi and
-    # the class do not depend on the elimination cone: the class from one
-    # presentation reduces, in the other, to the class from that one.
+    # The graded dimensions are the h-vector of the f-vector, every
+    # multiplicity computed gives the same result, and chi and the class do
+    # not depend on the elimination cone: the class from one presentation
+    # reduces, in the other, to the class from that one.
     cones = sorted(c.ray_indices for c in fan.max_cones)
     results = []
     for elim in (cones[0], cones[-1]):
         pres = build_presentation(fan, elim)
         assert graded_dimensions(pres) == h_vector(fan), elim
-        results.append((pres, csm_result(fan, pres)))
+        res = csm_result(fan, pres)
+        forced = csm_result(fan, pres, force_hnf=True)
+        assert forced.csm_class == res.csm_class, elim
+        assert forced.per_dim_contributions == res.per_dim_contributions, elim
+        assert forced.euler == res.euler, elim
+        results.append((pres, res))
     (pres_a, res_a), (pres_b, res_b) = results
     assert res_a.euler == res_b.euler == len(fan.max_cones)
     assert normal_form(res_a.csm_class, pres_b) == res_b.csm_class
     assert normal_form(res_b.csm_class, pres_a) == res_a.csm_class
     for d, part in res_a.per_dim_contributions.items():
         assert normal_form(part, pres_b) == res_b.per_dim_contributions[d], d
+
+
+def test_presentation_of_unvalidated_multi_cover_fan_is_internal_error():
+    # build_fan rejects these data; a fan built without it breaks the
+    # presentation's own invariant, which is an internal error (exit 3)
+    dim, rays, cones = MULTI_COVER_FANS["two P2 fans"]
+    fan = Fan(dim, rays, [Cone(c) for c in cones])
+    with pytest.raises(InternalError, match="top graded piece has dimension 2"):
+        build_presentation(fan)

@@ -5,7 +5,7 @@ from fractions import Fraction
 import pytest
 from helpers import MULTI_COVER_FANS, suite_fans
 
-from toriccsm import build_fan, parse_class, render_fan
+from toriccsm import Cone, Fan, parse_class, render_fan
 from toriccsm.cli import main
 
 
@@ -130,12 +130,16 @@ def test_euler_only_flag_on_csm(capsys):
 
 
 def test_trust_input_skips_wall_check(capsys, tmp_path):
+    # No flag skips validation: an open fan fails the completeness check,
+    # and the retired --trust-input is a usage error on every subcommand.
     path = tmp_path / "open.fan"
     path.write_text("dim: 2\nrays:\n  1 0\n  0 1\n  -1 -1\nmax_cones:\n  0 1\n  1 2\n")
     code, _, err = run(capsys, "validate", "--fan", str(path))
     assert code == 2 and "completeness" in err
-    code, out, _ = run(capsys, "validate", "--fan", str(path), "--trust-input")
-    assert code == 0 and "validation skipped" in out
+    for command in ("csm", "euler", "chow", "validate"):
+        code, out, err = run(capsys, command, "--fan", str(path), "--trust-input")
+        assert (code, out) == (1, ""), command
+        assert "unrecognized arguments: --trust-input" in err, command
 
 
 @pytest.mark.parametrize("ray, length", [("0", 1), ("0 1 2", 3)])
@@ -143,7 +147,7 @@ def test_trust_input_still_checks_ray_length(capsys, tmp_path, ray, length):
     path = tmp_path / "ragged.fan"
     path.write_text(f"dim: 2\nrays:\n  1 0\n  {ray}\n  -1 -1\nmax_cones:\n  0 1\n  1 2\n  2 0\n")
     for command in ("csm", "euler", "chow", "validate"):
-        code, out, err = run(capsys, command, "--fan", str(path), "--trust-input")
+        code, out, err = run(capsys, command, "--fan", str(path))
         assert code == 2 and out == "", command
         assert f"line 4: ray 1 has {length} coordinates, expected 2" in err, command
 
@@ -161,29 +165,23 @@ def test_trust_input_still_checks_cone_shape(capsys, tmp_path, cone, message):
     path = tmp_path / "malformed.fan"
     path.write_text(f"dim: 2\nrays:\n  1 0\n  0 1\n  -1 -1\nmax_cones:\n  0 1\n  1 2\n  {cone}\n")
     for command in ("csm", "euler", "chow", "validate"):
-        for trust in (["--trust-input"], []):
-            code, out, err = run(capsys, command, "--fan", str(path), *trust)
-            assert code == 2 and out == "", (command, trust)
-            assert message in err, (command, trust)
+        code, out, err = run(capsys, command, "--fan", str(path))
+        assert code == 2 and out == "", command
+        assert message in err, command
 
 
 def test_trust_input_degenerate_cone(capsys, tmp_path):
-    # Cone (0, 3) spans a line.  Trusted, the presentation notices first;
-    # validate reaches only is_smooth, whose determinant is 0, and an
-    # elimination by that cone stops before the solve.
+    # Cone (0, 3) spans a line: validation names it, also when it is the
+    # elimination cone.
     path = tmp_path / "degenerate.fan"
     path.write_text("dim: 2\nrays:\n  1 0\n  0 1\n  -1 -1\n  -1 0\n"
                     "max_cones:\n  0 1\n  1 2\n  2 0\n  0 3\n")
-    for command in ("csm", "euler", "chow"):
-        code, out, err = run(capsys, command, "--fan", str(path), "--trust-input")
-        assert (code, out) == (2, ""), command
-        assert err == "toric-csm: validation error: fan not complete: top graded piece has dimension 2\n"
-    code, out, err = run(capsys, "validate", "--fan", str(path), "--trust-input")
     degenerate = "toric-csm: validation error: not simplicial: maximal cone (0, 3)\n"
-    assert (code, out, err) == (2, "", degenerate)
+    for command in ("csm", "euler", "chow", "validate"):
+        code, out, err = run(capsys, command, "--fan", str(path))
+        assert (code, out, err) == (2, "", degenerate), command
     for command in ("csm", "euler", "chow"):
-        argv = (command, "--fan", str(path), "--trust-input", "--elim-cone", "0,3")
-        code, out, err = run(capsys, *argv)
+        code, out, err = run(capsys, command, "--fan", str(path), "--elim-cone", "0,3")
         assert (code, out, err) == (2, "", degenerate), command
 
 
@@ -232,7 +230,7 @@ def test_threads_below_one_is_a_usage_error(capsys, count):
 def test_multi_cover_fans_exit_two(capsys, tmp_path, name):
     dim, rays, cones = MULTI_COVER_FANS[name]
     path = tmp_path / "multi.fan"
-    path.write_text(render_fan(build_fan(dim, rays, cones, validate=False)))
+    path.write_text(render_fan(Fan(dim, rays, [Cone(c) for c in cones])))
     for command in ("validate", "csm"):
         code, out, err = run(capsys, command, "--fan", str(path))
         assert (code, out) == (2, ""), command

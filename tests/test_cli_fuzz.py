@@ -6,11 +6,10 @@ often malformed: ragged rays, out-of-range or repeated indices, cones of the
 wrong size.  ``main`` also reads raw bytes and fan files with raw bytes
 spliced in, so file input that is not UTF-8 text is covered too.  Command
 lines mix every subcommand with every flag, including flags a subcommand
-does not read and flags none accepts, and thread counts below 1.  The only
-allowed exit codes are 0, 1 and 2, and a successful ``csm``/``euler`` run
-on a drawn fan file or a builder reports chi equal to its number of
-maximal cones.  ``--trust-input`` is left out: a trusted malformed file
-can still exit 3.
+does not read, flags none accepts (``--trust-input`` among them) and
+thread counts below 1.  The only allowed exit codes are 0, 1 and 2, and
+a successful ``csm``/``euler`` run on a drawn fan file or a builder
+reports chi equal to its number of maximal cones.
 """
 
 import contextlib
@@ -95,6 +94,7 @@ def fan_file_bytes(draw):
 _FLAGS = st.sampled_from([
     ["--json"], ["--json"], ["--euler-only"], ["--force-hnf"], ["--elim-cone"],
     ["--threads"], ["--seed", "1"], ["--product", "pn=1", "pn=1"], ["--only", "pn=1"],
+    ["--trust-input"],
 ])
 
 
@@ -124,6 +124,8 @@ def test_main_never_crashes(fan, command, builder, flags, elim, threads):
         with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
             code = main(argv)
     assert code in (0, 1, 2), (argv, data, err.getvalue())
+    if "--trust-input" in argv:
+        assert code == 1 and "Traceback" not in err.getvalue(), (argv, err.getvalue())
     expected = _BUILDERS[builder] if builder else num_cones
     if code == 0 and command in ("csm", "euler") and "--json" in argv and expected is not None:
         assert json.loads(out.getvalue())["euler"] == expected, (argv, data)
@@ -144,10 +146,10 @@ def fan_texts(draw):
 
 
 @settings(max_examples=300, deadline=None, database=None)
-@given(text=fan_texts(), validate=st.booleans())
-def test_parse_fan_text_raises_only_validation_errors(text, validate):
+@given(text=fan_texts())
+def test_parse_fan_text_raises_only_validation_errors(text):
     try:
-        fan, _ = parse_fan_text(text, validate=validate)
+        fan, _ = parse_fan_text(text)
     except ValidationError:
         return
     assert isinstance(fan, Fan)

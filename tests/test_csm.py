@@ -5,7 +5,14 @@ from fractions import Fraction
 from math import comb
 
 import pytest
-from helpers import normal_form_orbit_sums, relabel, suite_fans
+from helpers import (
+    normal_form_orbit_sums,
+    product_formula_class,
+    relabel,
+    relabelled_products,
+    suite_fans,
+)
+from hypothesis import given, settings
 
 from toriccsm import (
     build_fan,
@@ -13,7 +20,6 @@ from toriccsm import (
     class_add,
     csm_result,
     degree,
-    euler_by_cone_count,
     euler_characteristic,
     hirzebruch,
     is_smooth,
@@ -76,16 +82,19 @@ def test_euler_examples():
 
 
 def test_euler_by_cone_count():
-    assert euler_by_cone_count(hirzebruch(5)) == 4
-    assert euler_by_cone_count(product(projective_space(5), projective_space(6))) == 42
-    assert euler_by_cone_count(projective_space(1)) == 2
+    # chi is the number of maximal cones
+    fans = [(hirzebruch(5), 4), (product(projective_space(5), projective_space(6)), 42),
+            (projective_space(1), 2)]
+    for fan, count in fans:
+        assert len(fan.max_cones) == count
+        assert euler_characteristic(fan) == count
 
 
 def test_euler_consistency_all_paths():
     for name, fan in suite_fans():
         if len(fan.rays) > 10:
             continue
-        expected = euler_by_cone_count(fan)
+        expected = len(fan.max_cones)
         pres = build_presentation(fan)
         for force in (False, True):
             assert euler_characteristic(fan, pres, force_hnf=force) == expected, (name, force)
@@ -185,7 +194,17 @@ def test_product_euler_multiplicativity():
     for f1, f2 in pairs:
         p = product(f1, f2)
         assert euler_characteristic(p) == euler_characteristic(f1) * euler_characteristic(f2)
-        assert euler_by_cone_count(p) == euler_by_cone_count(f1) * euler_by_cone_count(f2)
+        assert len(p.max_cones) == len(f1.max_cones) * len(f2.max_cones)
+
+
+@settings(max_examples=25, deadline=None, database=None)
+@given(relabelled_products())
+def test_product_formula_gives_the_class(drawn):
+    # c_SM(X x Y) = pr_1^* c_SM(X) . pr_2^* c_SM(Y), term by term in the
+    # product's kept variables, whatever the labels of its rays
+    factors, fan = drawn
+    pres = build_presentation(fan)
+    assert product_formula_class(factors, pres) == csm_result(fan, pres).csm_class
 
 
 def _shuffled(fan, rng):

@@ -7,6 +7,7 @@ from hypothesis import given, settings
 
 from toriccsm import (
     Cone,
+    Fan,
     build_fan,
     enumerate_cones,
     hirzebruch,
@@ -14,7 +15,6 @@ from toriccsm import (
     multiplicity,
     product,
     projective_space,
-    wall_check,
     weighted_projective,
 )
 from toriccsm import fan as fan_mod
@@ -28,7 +28,8 @@ H5_CONES = [(0, 1), (1, 2), (2, 3), (3, 0)]
 def test_build_hirzebruch5():
     f = build_fan(2, H5_RAYS, H5_CONES)
     assert len(f.max_cones) == 4
-    assert wall_check(f)
+    walls, _ = fan_mod._wall_table(f.max_cones, 2)
+    assert all(len(pairs) == 2 for pairs in walls.values())
     assert f.rays == tuple(H5_RAYS)
 
 
@@ -79,8 +80,11 @@ def test_build_rejects_folded_fan():
 def test_build_rejects_fans_that_cover_space_twice(name):
     dim, rays, cones = MULTI_COVER_FANS[name]
     # each passes the wall condition: every wall in two cones, on opposite sides
-    fan = build_fan(dim, rays, cones, validate=False)
-    assert wall_check(fan)
+    fan = Fan(dim, rays, [Cone(c) for c in cones])
+    walls, slots = fan_mod._wall_table(fan.max_cones, dim)
+    assert all(len(pairs) == 2 for pairs in walls.values())
+    dets = [determinant(fan.ray_matrix(c)) for c in fan.max_cones]
+    assert fan_mod._same_side_wall(fan.max_cones, slots, dets) is None
     with pytest.raises(ValidationError, match="completeness check: .* more than once"):
         build_fan(dim, rays, cones)
 
@@ -88,16 +92,6 @@ def test_build_rejects_fans_that_cover_space_twice(name):
 def test_build_rejects_unused_ray():
     with pytest.raises(ValidationError, match="unused ray"):
         build_fan(2, [(1, 0), (0, 1), (-1, -1), (1, 1)], [(0, 1), (1, 2), (2, 0)])
-
-
-def test_trust_input_skips_validation():
-    f = build_fan(2, [(2, 0), (0, 1)], [(0, 1)], validate=False)
-    assert len(f.max_cones) == 1
-
-
-def test_wall_check_fails_with_missing_cone():
-    f = build_fan(2, [(1, 0), (0, 1), (-1, -1)], [(0, 1), (1, 2)], validate=False)
-    assert not wall_check(f)
 
 
 def test_enumerate_cones_h5():
