@@ -1,8 +1,9 @@
 """Exact Chern-Schwartz-MacPherson classes of complete simplicial toric
 varieties, computed purely from fan combinatorics.
 
-The public surface mirrors the pipeline: build a fan (``build_fan`` or one
-of the builders), build its rational Chow presentation
+The public surface mirrors the pipeline: build a fan (``Fan``, its alias
+``build_fan`` or one of the builders, each of which validates it), build
+its rational Chow presentation
 (``build_presentation``), then assemble the class and Euler characteristic
 (``csm_result``, ``euler_characteristic``).  All arithmetic is exact.
 """
@@ -13,7 +14,6 @@ from .exact_linalg import (
     RationalMatrix,
     column_lattice_index,
     determinant,
-    fraction_free_solve,
     hermite_normal_form,
     rational_rref,
     strip_zero_rows,
@@ -62,7 +62,6 @@ __all__ = [
     "hermite_normal_form",
     "strip_zero_rows",
     "determinant",
-    "fraction_free_solve",
     "rational_rref",
     "column_lattice_index",
     "Cone",

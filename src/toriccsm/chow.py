@@ -52,8 +52,7 @@ from typing import Callable, Dict, Iterable, Tuple
 
 from .errors import InternalError, ValidationError
 from .exact_linalg import (
-    IntegerMatrix,
-    fraction_free_solve,
+    fraction_free_solve_rows,
     rational_rref,  # noqa: F401 -- not called here; perfbench/tracer.py wraps chow.rational_rref
 )
 from .fan import Cone, Fan, multiplicity
@@ -257,7 +256,8 @@ def build_presentation(fan: Fan, elim_cone: Cone | Iterable[int] | None = None) 
     ``elim_cone`` may name any maximal cone; by default the one with the
     lexicographically smallest ray-index tuple is used.  Raises
     ``InternalError`` when the top graded piece is not one-dimensional,
-    which no fan from ``build_fan`` (complete and simplicial) can bring.
+    which no ``Fan`` (validated as complete and simplicial when it is
+    constructed) can bring.
     """
     n = fan.ambient_dim
     r = len(fan.rays)
@@ -283,14 +283,16 @@ def build_presentation(fan: Fan, elim_cone: Cone | Iterable[int] | None = None) 
     # Solve the linear relations for the eliminated variables: the columns
     # of the elimination cone form an invertible matrix A, so the relations
     # A x_elim + B x_kept = 0 give x_elim = -A^-1 B x_kept.  The solve runs
-    # in integers and returns d times that matrix, d = |det A|; an entry
-    # that d divides is stored as an ``int`` (always, when the cone is
-    # unimodular), so the eliminated variables' tables are built in int
-    # arithmetic.
+    # in integers on the rows of [A | -B] and returns d times that matrix,
+    # d = |det A|; an entry that d divides is stored as an ``int`` (always,
+    # when the cone is unimodular), so the eliminated variables' tables are
+    # built in int arithmetic.
     elim_idx = elim.ray_indices
     nk = len(kept)
-    rhs = IntegerMatrix(n, nk, tuple(-fan.rays[j][k] for k in range(n) for j in kept))
-    d, x = fraction_free_solve(fan.ray_matrix(elim), rhs)
+    system = [
+        [fan.rays[j][k] for j in elim_idx] + [-fan.rays[j][k] for j in kept] for k in range(n)
+    ]
+    d, x = fraction_free_solve_rows(system)
     if not d:
         raise InternalError("elimination system is singular; contradicts simpliciality")
     packing = _Packing(nk, n)
@@ -299,7 +301,7 @@ def build_presentation(fan: Fan, elim_cone: Cone | Iterable[int] | None = None) 
     for i, ray in enumerate(elim_idx):
         form: _Poly = {}
         for m in range(nk):
-            c = x.at(i, m)
+            c = x[i][m]
             if c:
                 form[variables[m]] = c // d if c % d == 0 else Fraction(c, d)
         subst_dense[ray] = form

@@ -121,13 +121,9 @@ def _run_report(args) -> tuple[dict, str]:
     t0 = time.perf_counter()
     pres = build_presentation(fan, elim)
     t1 = time.perf_counter()
-    csm_str = None
-    if args.euler_only:
-        euler = euler_characteristic(fan, pres, force_hnf=args.force_hnf, threads=args.threads)
-    else:
-        result = csm_result(fan, pres, force_hnf=args.force_hnf, threads=args.threads)
-        csm_str = render_class(result.csm_class)
-        euler = result.euler
+    result = csm_result(fan, pres, force_hnf=args.force_hnf, threads=args.threads)
+    csm_str = render_class(result.csm_class)
+    euler = result.euler
     t2 = time.perf_counter()
     summary = _fan_summary(fan)
     eliminated, kept = pres.elim_cone.ray_indices, pres.kept
@@ -156,8 +152,7 @@ def _run_report(args) -> tuple[dict, str]:
             "singular cones: "
             + ", ".join(f"({','.join(map(str, c))}) mult {m}" for c, m in singular)
         )
-    if csm_str is not None:
-        lines.append(f"c_SM = {csm_str}")
+    lines.append(f"c_SM = {csm_str}")
     lines.append(f"chi = {euler}")
     lines.append(f"timing: chow ring {t1 - t0:.3f}s, class {t2 - t1:.3f}s")
     return report, "\n".join(lines)
@@ -173,7 +168,7 @@ def _cmd_euler(args) -> int:
     fan, _ = _resolve_fan(args)
     elim = _parse_elim(args.elim_cone)
     pres = build_presentation(fan, elim)
-    chi = euler_characteristic(fan, pres, force_hnf=args.force_hnf, threads=args.threads)
+    chi = euler_characteristic(fan, pres)
     print(json.dumps({"euler": chi}) if args.json else chi)
     return 0
 
@@ -271,12 +266,9 @@ def build_parser() -> argparse.ArgumentParser:
                     "of complete simplicial toric varieties, from fan data.",
     )
     sub = parser.add_subparsers(dest="command", required=True, parser_class=_Parser)
-    csm = sub.add_parser("csm", parents=[fansrc, elim_cone, force_hnf, json_flag, threads],
-                         help="compute the class and chi")
-    csm.add_argument("--euler-only", action="store_true",
-                     help="skip the class; compute only the Euler characteristic")
-    sub.add_parser("euler", parents=[fansrc, elim_cone, force_hnf, json_flag, threads],
-                   help="compute only chi")
+    sub.add_parser("csm", parents=[fansrc, elim_cone, force_hnf, json_flag, threads],
+                   help="compute the class and chi")
+    sub.add_parser("euler", parents=[fansrc, elim_cone, json_flag], help="compute only chi")
     sub.add_parser("chow", parents=[fansrc, elim_cone, json_flag],
                    help="show the Chow presentation")
     sub.add_parser("validate", parents=[fansrc, json_flag], help="validate a fan")

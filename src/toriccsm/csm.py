@@ -16,10 +16,11 @@ smooth fan is the whole class (Barthel-Brasselet-Fieseler, C. R. Acad.
 Sci. Paris 315, 1992).  That product is r passes of the multiplication
 tables over one graded vector.  A singular fan adds (mult(sigma) - 1) *
 x_sigma for each cone of multiplicity other than 1.  Those cones, like the
-maximal cones of the Euler-only path, are walked in lexicographic order of
-their ray indices, which visits the face trie depth first: a cone sigma =
-tau + {j} follows its prefix tau, and nf(x_sigma) = nf(x_j * nf(x_tau)) is
-one sparse vector times the presentation's multiplication table of x_j.
+maximal cones in ``euler_characteristic``, are walked in lexicographic
+order of their ray indices, which visits the face trie depth first: a
+cone sigma = tau + {j} follows its prefix tau, and nf(x_sigma) =
+nf(x_j * nf(x_tau)) is one sparse vector times the presentation's
+multiplication table of x_j.
 A stack holds the normal forms along the current path, so memory is
 O(n * h) for dimension n and graded dimensions up to h, not one normal
 form per face.
@@ -66,12 +67,12 @@ class CsmResult:
     per_dim_contributions: dict[int, GradedClass]
 
 
-def _multiplicities(
-    fan: Fan, cones: list[Cone], force_hnf: bool, threads: int
-) -> list[int]:
-    """mult(sigma) for each cone, in order, from one thread pool at most."""
-    if not force_hnf and is_smooth(fan):
-        return [1] * len(cones)
+def _multiplicities(fan: Fan, cones: list[Cone], threads: int) -> list[int]:
+    """mult(sigma) for each cone, in order, from one thread pool at most.
+
+    Maximal cones read the value that validation cached; every other cone
+    takes one lattice index.
+    """
     if threads > 1 and len(cones) > 2 * threads:
         size = -(-len(cones) // threads)
         chunks = [cones[i : i + size] for i in range(0, len(cones), size)]
@@ -128,7 +129,7 @@ def _orbit_sum(pres: ChowPresentation, cones: Iterable[tuple[Cone, int]], sums: 
             shared += 1
         del stack[shared + 1 :]
         for t in range(shared, len(rays)):
-            # in range: build_fan checks every maximal cone's ray indices
+            # in range: Fan checks every maximal cone's ray indices
             stack.append(_add_rows({}, stack[t].items(), tables[rays[t]][t]))
         path = rays
         acc = sums[len(rays)]
@@ -185,7 +186,7 @@ def csm_result(
     if force_hnf or not is_smooth(fan):
         table = enumerate_cones(fan)
         cones = [c for d in range(1, fan.ambient_dim + 1) for c in table[d]]
-        mults = _multiplicities(fan, cones, force_hnf, threads)
+        mults = _multiplicities(fan, cones, threads)
         # Each table[d] is sorted already, so this merges n sorted runs.
         walk = sorted(
             ((c, m - 1) for c, m in zip(cones, mults) if m != 1),
@@ -200,25 +201,20 @@ def csm_result(
     return CsmResult(csm_class=total, euler=chi, per_dim_contributions=per_dim)
 
 
-def euler_characteristic(
-    fan: Fan,
-    pres: ChowPresentation | None = None,
-    *,
-    force_hnf: bool = False,
-    threads: int = 1,
-) -> int:
+def euler_characteristic(fan: Fan, pres: ChowPresentation | None = None) -> int:
     """Euler characteristic via the degree of the top part of the class.
 
-    Only the maximal cones are processed: lower-dimensional cones cannot
-    contribute to the top graded piece.  ``csm_result(...).euler`` gives
-    the same value from the full class.  ``pres``, ``force_hnf`` and
-    ``threads`` are as in ``csm_result``.
+    Only the maximal cones are processed, in lexicographic order, each with
+    the multiplicity that validation cached on it: lower-dimensional cones
+    cannot contribute to the top graded piece.  ``csm_result(...).euler``
+    gives the same value from the full class.  ``pres`` is as in
+    ``csm_result``.
     """
     pres = _presentation_of(fan, pres)
     n = fan.ambient_dim
     cones = sorted(fan.max_cones, key=lambda c: c.ray_indices)
-    mults = _multiplicities(fan, cones, force_hnf, threads)
-    sums = _orbit_sum(pres, zip(cones, mults), [{} for _ in range(n + 1)])
+    walk = ((c, multiplicity(fan, c)) for c in cones)
+    sums = _orbit_sum(pres, walk, [{} for _ in range(n + 1)])
     return _integer_degree(_graded_classes(pres, sums)[n], pres)
 
 

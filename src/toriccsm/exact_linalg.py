@@ -8,24 +8,23 @@ implementations favour clarity and exactness over asymptotics:
 * ``hermite_normal_form``  -- column-style HNF with the unimodular column
   transform: a canonical form of a cone's generator matrix, which the
   tests use as an independent route to the maximal cones' multiplicities.
-* ``fraction_free_solve``  -- fraction-free Gauss-Jordan (Bareiss)
-  elimination, ``d . a^-1 . b`` in integers with ``d = |det a|``: the
-  elimination solve (the eliminated variables as combinations of the kept
-  ones, with integer coefficients when the elimination cone is
-  unimodular), and, with the sign of ``det a`` kept, fan validation's one
-  solve per wall-connected piece, which calls the row-list form
-  ``fraction_free_solve_rows`` directly.  That form holds the module's
-  one elimination loop.
-* ``determinant``          -- that loop with an empty right-hand side; its
-  absolute value is the multiplicity of a full-dimensional simplicial
-  cone.  Validation derives the maximal cones' determinants without it,
-  so it serves only ``build_fan``'s report of a malformed cone and
-  ``multiplicity`` on a cone object the caller built.
+* ``fraction_free_solve_rows`` -- fraction-free Gauss-Jordan (Bareiss)
+  elimination on the rows of ``[a | b]``, ``d . a^-1 . b`` in integers
+  with ``d = |det a|``: the elimination solve (the eliminated variables as
+  combinations of the kept ones, with integer coefficients when the
+  elimination cone is unimodular), and, with the sign of ``det a`` kept,
+  fan validation's one solve per wall-connected piece.  It holds the
+  module's one elimination loop.
+* ``determinant``          -- that loop with an empty right-hand side.
+  Validation derives the maximal cones' determinants without it, so it
+  serves only the report of a malformed cone during validation.
 * ``rational_rref``        -- reduced row echelon form over the rationals;
   no longer called by the library, kept as public API and as the tests'
   oracle for the elimination solve and the Macaulay presentation.
 * ``column_lattice_index`` -- the index of an integer column span inside
-  the lattice points of its real span, via a left-unimodular echelon form.
+  the lattice points of its real span, via a left-unimodular echelon form:
+  the multiplicity of every cone that validation did not cache, ``|det|``
+  on a square matrix.
 """
 
 from __future__ import annotations
@@ -40,7 +39,6 @@ __all__ = [
     "hermite_normal_form",
     "strip_zero_rows",
     "determinant",
-    "fraction_free_solve",
     "fraction_free_solve_rows",
     "rational_rref",
     "column_lattice_index",
@@ -226,24 +224,6 @@ def determinant(m: IntegerMatrix) -> int:
     if m.rows != m.cols:
         raise ValueError("determinant of a non-square matrix")
     return fraction_free_solve_rows(m.row_lists(), signed=True)[0]
-
-
-def fraction_free_solve(
-    a: IntegerMatrix, b: IntegerMatrix, *, signed: bool = False
-) -> tuple[int, IntegerMatrix | None]:
-    """Solve ``a . Y = b`` in integers: ``(d, X)`` with ``X = d . a^-1 . b``.
-
-    ``fraction_free_solve_rows`` on the rows of ``[a | b]``, with ``X`` as a
-    matrix.  A singular ``a`` gives ``(0, None)``.
-    """
-    n = a.rows
-    if a.cols != n or b.rows != n:
-        raise ValueError("dimension mismatch in linear solve")
-    rows_a, rows_b = a.row_lists(), b.row_lists()
-    d, x = fraction_free_solve_rows([rows_a[i] + rows_b[i] for i in range(n)], signed=signed)
-    if x is None:
-        return 0, None
-    return d, IntegerMatrix(n, b.cols, tuple(v for row in x for v in row))
 
 
 def fraction_free_solve_rows(

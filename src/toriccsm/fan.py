@@ -2,14 +2,15 @@
 
 A fan is given by its ambient dimension, a list of primitive ray
 generators in ``Z^n``, and the maximal cones as sets of ray indices
-(0-based).  Only complete simplicial fans are supported, and validation
-checks completeness exactly.  Every wall, i.e. every ``(n-1)``-dimensional
-face, must lie in exactly two maximal cones, on opposite sides of the
-wall's span; then the cones cover space a whole number of times, at
-least once per wall-connected piece.  So they cover it exactly once iff
-they form one piece and the sum of one cone's rays lies in no other cone
-(Ewald, GTM 168, Ch. III).  One walk across the walls decides this and
-gives every maximal cone's determinant, each from a neighbour's.
+(0-based).  Only complete simplicial fans are supported: constructing a
+``Fan`` validates it, and checks completeness exactly.  Every wall, i.e.
+every ``(n-1)``-dimensional face, must lie in exactly two maximal cones,
+on opposite sides of the wall's span; then the cones cover space a whole
+number of times, at least once per wall-connected piece.  So they cover
+it exactly once iff they form one piece and the sum of one cone's rays
+lies in no other cone (Ewald, GTM 168, Ch. III).  One walk across the
+walls decides this and gives every maximal cone's determinant, each from
+a neighbour's.
 """
 
 from __future__ import annotations
@@ -43,15 +44,13 @@ __all__ = [
     "product",
 ]
 
-LatticeVector = tuple[int, ...]
-
 
 class Cone:
     """A simplicial cone, identified by its sorted ray indices.
 
-    ``_mult`` caches the multiplicity.  ``build_fan`` fills it for every
-    maximal cone, from the determinant that validation finds anyway; other
-    cones fill it on the first ``multiplicity`` call.
+    ``_mult`` caches the multiplicity.  Constructing a ``Fan`` fills it for
+    every maximal cone, from the determinant that validation finds anyway;
+    other cones fill it on the first ``multiplicity`` call.
     Everything else is immutable, so cones are safe to share across
     threads (the cache write is idempotent).
     """
@@ -80,16 +79,42 @@ class Cone:
 
 
 class Fan:
-    """A validated complete simplicial fan.  Construct via ``build_fan``."""
+    """A complete simplicial fan, validated when it is constructed.
+
+    ``Fan(ambient_dim, rays, max_cones)`` takes the maximal cones as
+    ray-index iterables or ``Cone`` objects, and raises ``ValidationError``
+    on the first check that fails.  The checks, in order: ray shape and
+    primitivity, no duplicate rays, maximal cones of dimension exactly
+    ``ambient_dim`` with in-range indices, each listed once, simpliciality
+    of every maximal cone, every ray used, the wall condition, that the two
+    maximal cones of each wall lie on opposite sides of it, and that the
+    cones cover space once: they form one wall-connected piece, and no cone
+    but the first contains the sum of the first cone's rays.  The
+    determinants come from one walk across the walls (``_pivot_walk``): one
+    signed solve per piece, then each cone's determinant from a
+    neighbour's.  A cone whose shape is wrong is reported after any
+    non-simplicial cone listed before it.  Each determinant's absolute value
+    is the cone's multiplicity, cached on the cone, so every ``Fan`` carries
+    the multiplicity of each maximal cone.
+    """
 
     __slots__ = ("ambient_dim", "rays", "max_cones", "_faces", "_smooth")
 
-    def __init__(self, ambient_dim: int, rays: Sequence[LatticeVector], max_cones: Sequence[Cone]):
+    def __init__(self, ambient_dim: int, rays: Sequence[Sequence[int]],
+                 max_cones: Sequence[Cone | Iterable[int]]):
+        if ambient_dim < 1:
+            raise ValidationError("ambient dimension must be at least 1")
         self.ambient_dim = ambient_dim
         self.rays = tuple(tuple(int(x) for x in r) for r in rays)
-        self.max_cones = tuple(max_cones)
+        for i, v in enumerate(self.rays):
+            if len(v) != ambient_dim:
+                raise ValidationError(f"ray {i} has {len(v)} coordinates, expected {ambient_dim}")
+        # Fresh cone objects: a caller-supplied Cone may carry a multiplicity
+        # cached against some other fan's rays.
+        self.max_cones = tuple(Cone(c.ray_indices if isinstance(c, Cone) else c) for c in max_cones)
         self._faces: dict[int, tuple[Cone, ...]] | None = None
         self._smooth: bool | None = None
+        _validate(self)
 
     @property
     def faces(self) -> dict[int, tuple[Cone, ...]]:
@@ -140,41 +165,22 @@ def _is_primitive(v: Sequence[int]) -> bool:
     return g == 1
 
 
-def build_fan(
-    ambient_dim: int,
-    rays: Sequence[Sequence[int]],
-    max_cones: Sequence[Iterable[int]],
-) -> Fan:
-    """Build and validate a fan from raw data.
+def build_fan(ambient_dim: int, rays: Sequence[Sequence[int]],
+              max_cones: Sequence[Cone | Iterable[int]]) -> Fan:
+    """Build and validate a fan from raw data: ``Fan(ambient_dim, rays,
+    max_cones)``, under the name the file parser and the builders call."""
+    return Fan(ambient_dim, rays, max_cones)
 
-    Checks, in order: ray shape and primitivity, no duplicate rays, maximal
-    cones of dimension exactly ``ambient_dim`` with in-range indices, each
-    listed once, simpliciality of every maximal cone, every ray used, the
-    wall condition, that the two maximal cones of each wall lie on
-    opposite sides of it, and that the cones cover space once: they form
-    one wall-connected piece, and no cone but the first contains the sum
-    of the first cone's rays.  The determinants come from one walk across
-    the walls (``_pivot_walk``): one signed solve per piece, then each
-    cone's determinant from a neighbour's.  A cone whose shape is wrong
-    is reported after any non-simplicial cone listed before it.  Each
-    determinant's absolute value is the cone's multiplicity, cached on
-    the cone.
-    """
-    if ambient_dim < 1:
-        raise ValidationError("ambient dimension must be at least 1")
-    ray_tuples = [tuple(int(x) for x in r) for r in rays]
-    for i, v in enumerate(ray_tuples):
-        if len(v) != ambient_dim:
-            raise ValidationError(f"ray {i} has {len(v)} coordinates, expected {ambient_dim}")
-    # Fresh cone objects: a caller-supplied Cone may carry a multiplicity
-    # cached against some other fan's rays.
-    cones = [Cone(c.ray_indices if isinstance(c, Cone) else c) for c in max_cones]
-    fan = Fan(ambient_dim, ray_tuples, cones)
-    n = ambient_dim
-    for i, v in enumerate(ray_tuples):
+
+def _validate(fan: Fan) -> None:
+    """The checks of ``Fan`` after ray shape, in the order it lists them;
+    caches each maximal cone's multiplicity."""
+    n = fan.ambient_dim
+    rays, cones = fan.rays, fan.max_cones
+    for i, v in enumerate(rays):
         if all(x == 0 for x in v) or not _is_primitive(v):
             raise ValidationError(f"ray not primitive: ray {i} = {v}")
-    if len(set(ray_tuples)) != len(ray_tuples):
+    if len(set(rays)) != len(rays):
         raise ValidationError("duplicate ray")
     if not cones:
         raise ValidationError("maximal cone wrong dimension: no maximal cones given")
@@ -182,7 +188,7 @@ def build_fan(
     seen: set[Cone] = set()
     try:
         for c in cones:
-            _check_cone_shape(c, n, len(ray_tuples), seen)
+            _check_cone_shape(c, n, len(rays), seen)
     except ValidationError:
         # A non-simplicial cone listed before the first malformed one is
         # named first: each cone's shape and determinant are checked in turn.
@@ -197,7 +203,7 @@ def build_fan(
             raise ValidationError(f"not simplicial: maximal cone {c.ray_indices}")
         c._mult = abs(det)
     used = set().union(*(c.ray_indices for c in cones))
-    missing = sorted(set(range(len(ray_tuples))) - used)
+    missing = sorted(set(range(len(rays))) - used)
     if missing:
         raise ValidationError(f"unused ray: ray {missing[0]} appears in no maximal cone")
     if any(len(pairs) != 2 for pairs in walls.values()):
@@ -211,7 +217,7 @@ def build_fan(
         )
     if overlap:
         a, b = (cones[k].ray_indices for k in overlap)
-        point = tuple(sum(ray_tuples[j][t] for j in a) for t in range(n))
+        point = tuple(sum(rays[j][t] for j in a) for t in range(n))
         raise ValidationError(
             f"fan fails completeness check: maximal cones {a} and {b} "
             f"both contain the point {point}, so the cones cover it more than once"
@@ -222,7 +228,6 @@ def build_fan(
             f"fan fails completeness check: maximal cones {a} and {b} are not "
             f"connected through walls, so the cones cover space more than once"
         )
-    return fan
 
 
 def _check_cone_shape(c: Cone, n: int, num_rays: int, seen: set[Cone]) -> None:
@@ -412,32 +417,23 @@ def multiplicity(fan: Fan, cone: Cone) -> int:
     """Multiplicity of a cone: the index of the sublattice spanned by its
     ray generators inside the lattice points of its linear span.
 
-    A maximal cone of a fan from ``build_fan`` reads the ``|det|`` cached
-    there.  A full-dimensional cone object the caller built takes ``|det|``
-    of its square ray matrix, and raises ``ValidationError`` ("not
-    simplicial: maximal cone ...") when it is 0; lower-dimensional cones
-    use the ambient-basis echelon form of ``column_lattice_index``, which
-    computes the index when the cone's span is a proper subspace.  Equals 1
-    exactly when the corresponding affine chart is smooth.
+    A maximal cone of ``fan`` reads the ``|det|`` that validation cached on
+    it.  Any other cone takes ``column_lattice_index`` of its ray matrix
+    once and caches it; that is ``|det|`` on a full-dimensional cone, and
+    it raises ``ValueError("not simplicial")`` when the rays are linearly
+    dependent, at any dimension.  Equals 1 exactly when the corresponding
+    affine chart is smooth.
     """
-    if cone._mult is not None:
-        return cone._mult
-    mat = fan.ray_matrix(cone)
-    if mat.rows == mat.cols:
-        m = abs(determinant(mat))
-        if m == 0:
-            raise ValidationError(f"not simplicial: maximal cone {cone.ray_indices}")
-    else:
-        m = column_lattice_index(mat)
-    cone._mult = m
-    return m
+    if cone._mult is None:
+        cone._mult = column_lattice_index(fan.ray_matrix(cone))
+    return cone._mult
 
 
 def is_smooth(fan: Fan) -> bool:
     """True iff every maximal cone is unimodular (multiplicity 1).
 
     Faces of unimodular simplicial cones are unimodular, so checking the
-    maximal cones suffices.  ``build_fan`` has already cached their
+    maximal cones suffices.  Validation has already cached their
     multiplicities, so this computes nothing.
     """
     if fan._smooth is None:

@@ -3,6 +3,7 @@ import time
 from itertools import combinations
 from fractions import Fraction
 from math import comb
+from types import SimpleNamespace
 
 import pytest
 from helpers import (
@@ -432,9 +433,12 @@ def test_non_product_fans(fan):
 
 
 def test_presentation_of_unvalidated_multi_cover_fan_is_internal_error():
-    # build_fan rejects these data; a fan built without it breaks the
-    # presentation's own invariant, which is an internal error (exit 3)
+    # Fan rejects these data, so no Fan reaches the presentation with them.
+    # An object with a fan's fields that skipped validation breaks the
+    # presentation's own invariant, which is an internal error (exit 3).
     dim, rays, cones = MULTI_COVER_FANS["two P2 fans"]
-    fan = Fan(dim, rays, [Cone(c) for c in cones])
+    with pytest.raises(ValidationError, match="more than once"):
+        Fan(dim, rays, cones)
+    unvalidated = SimpleNamespace(ambient_dim=dim, rays=tuple(rays), max_cones=tuple(map(Cone, cones)))
     with pytest.raises(InternalError, match="top graded piece has dimension 2"):
-        build_presentation(fan)
+        build_presentation(unvalidated)

@@ -5,7 +5,18 @@ from fractions import Fraction
 import pytest
 from helpers import MULTI_COVER_FANS, suite_fans
 
-from toriccsm import Cone, Fan, parse_class, render_fan
+from toriccsm import (
+    Cone,
+    Fan,
+    ValidationError,
+    build_fan,
+    build_presentation,
+    csm_result,
+    euler_characteristic,
+    parse_class,
+    parse_fan_text,
+    render_fan,
+)
 from toriccsm.cli import main
 
 
@@ -123,10 +134,11 @@ def test_elim_cone_must_be_maximal(capsys):
 
 
 def test_euler_only_flag_on_csm(capsys):
-    code, out, _ = run(capsys, "csm", "--builder", "pn=4", "--euler-only")
-    assert code == 0
-    assert "chi = 5" in out
-    assert "c_SM" not in out
+    # The retired --euler-only is a usage error; `euler` gives chi alone.
+    code, out, err = run(capsys, "csm", "--builder", "pn=4", "--euler-only")
+    assert (code, out) == (1, "")
+    assert "unrecognized arguments: --euler-only" in err
+    assert run(capsys, "euler", "--builder", "pn=4") == (0, "5\n", "")
 
 
 def test_trust_input_skips_wall_check(capsys, tmp_path):
@@ -195,6 +207,7 @@ def test_cached_parser_matches_a_fresh_one(capsys, monkeypatch):
         ["validate", "--builder", "wps=1,1,2", "--json"],
         ["euler", "--builder", "pn=2", "--only", "pn=1"],
         ["csm", "--builder", "hirzebruch=1", "--elim-cone", "0,1", "--euler-only"],
+        ["euler", "--builder", "hirzebruch=1", "--elim-cone", "0,1"],
         ["frob"],
         ["chow", "--builder", "pn=1*pn=1", "--json"],
         ["validate", "--help"],
@@ -209,33 +222,63 @@ def test_cached_parser_matches_a_fresh_one(capsys, monkeypatch):
     cached = runs()
     monkeypatch.setattr(cli, "build_parser", cli.build_parser.__wrapped__)
     assert cached == runs()
-    assert [code for code, _, _ in cached[: len(argvs)]] == [0, 1, 0, 1, 0, 1, 0, 0, 1, 0]
+    assert [code for code, _, _ in cached[: len(argvs)]] == [0, 1, 0, 1, 1, 0, 1, 0, 0, 1, 0]
 
 
 def test_threads_flag(capsys):
-    code, out, _ = run(capsys, "euler", "--builder", "wps=1,1,3", "--threads", "3", "--force-hnf")
-    assert code == 0 and out.strip() == "3"
+    code, out, _ = run(capsys, "csm", "--builder", "wps=1,1,3", "--threads", "3", "--force-hnf")
+    assert code == 0 and "chi = 3" in out
 
 
 @pytest.mark.parametrize("count", ["0", "-2"])
 def test_threads_below_one_is_a_usage_error(capsys, count):
-    for command in ("csm", "euler"):
-        argv = [command, "--builder", "wps=1,1,2", "--force-hnf", "--threads", count]
-        code, out, err = run(capsys, *argv)
-        assert (code, out) == (1, ""), command
-        assert f"argument --threads: must be at least 1, got {count}" in err, command
+    code, out, err = run(capsys, "csm", "--builder", "wps=1,1,2", "--force-hnf", "--threads", count)
+    assert (code, out) == (1, "")
+    assert f"argument --threads: must be at least 1, got {count}" in err
+
+
+def _fan_text(dim, rays, cones) -> str:
+    """A fan file for raw data, written without building a Fan."""
+    lines = [f"dim: {dim}", "rays:"]
+    lines += ["  " + " ".join(map(str, r)) for r in rays]
+    lines.append("max_cones:")
+    lines += ["  " + " ".join(map(str, c)) for c in cones]
+    return "\n".join(lines) + "\n"
 
 
 @pytest.mark.parametrize("name", sorted(MULTI_COVER_FANS))
 def test_multi_cover_fans_exit_two(capsys, tmp_path, name):
     dim, rays, cones = MULTI_COVER_FANS[name]
     path = tmp_path / "multi.fan"
-    path.write_text(render_fan(Fan(dim, rays, [Cone(c) for c in cones])))
-    for command in ("validate", "csm"):
+    path.write_text(_fan_text(dim, rays, cones))
+    for command in ("validate", "csm", "euler", "chow"):
         code, out, err = run(capsys, command, "--fan", str(path))
         assert (code, out) == (2, ""), command
         assert err.startswith("toric-csm: validation error: fan fails completeness check: "), command
         assert "more than once" in err, command
+
+
+@pytest.mark.parametrize("name", sorted(MULTI_COVER_FANS))
+def test_multi_cover_fans_reach_no_result(name):
+    # A fan that covers space twice passes the wall condition, but no public
+    # entry point returns a result for it: every route to a Fan validates.
+    dim, rays, cones = MULTI_COVER_FANS[name]
+    entry_points = {
+        "Fan": lambda: Fan(dim, rays, cones),
+        "Fan of Cones": lambda: Fan(dim, rays, [Cone(c) for c in cones]),
+        "build_fan": lambda: build_fan(dim, rays, cones),
+        "parse_fan_text": lambda: parse_fan_text(_fan_text(dim, rays, cones)),
+        "build_presentation": lambda: build_presentation(Fan(dim, rays, cones)),
+        "csm_result": lambda: csm_result(Fan(dim, rays, cones)),
+        "euler_characteristic": lambda: euler_characteristic(Fan(dim, rays, cones)),
+    }
+    for entry, call in entry_points.items():
+        try:
+            result = call()
+        except ValidationError as exc:
+            assert re.search("completeness check: .* more than once", str(exc)), entry
+        else:
+            raise AssertionError(f"{entry} returned {result!r}")
 
 
 def test_broken_graded_dimensions_exit_3(capsys, monkeypatch):
@@ -344,6 +387,9 @@ def test_csm_human_report_golden(capsys):
         ["csm", "--builder", "pn=2", "--seed", "1"],
         ["csm", "--product", "pn=1", "pn=1"],
         ["bench", "--only", "pn=1"],
+        ["csm", "--builder", "pn=2", "--euler-only"],
+        ["euler", "--builder", "pn=2", "--force-hnf"],
+        ["euler", "--builder", "pn=2", "--threads", "2"],
     ],
 )
 def test_subcommands_reject_flags_they_do_not_read(capsys, argv):
@@ -389,3 +435,32 @@ def test_chow_fractional_substitution_golden(capsys, elim, eliminated, kept, sub
             "graded_dimensions": [1, 1, 1],
         },
     }
+
+
+def test_readme_flags_table_matches_parser():
+    # The README's table of flags per subcommand lists exactly the options
+    # that build_parser() gives each subcommand, besides the fan source.
+    import argparse
+    from pathlib import Path
+
+    from toriccsm.cli import build_parser
+
+    lines = (Path(__file__).resolve().parents[1] / "README.md").read_text().splitlines()
+    start = lines.index("| subcommand | flags besides `--fan`/`--builder` |") + 2
+    table = {}
+    for line in lines[start:]:
+        m = re.fullmatch(r"\| `(\w+)` \| (.*) \|", line)
+        if not m:
+            break
+        table[m.group(1)] = sorted(re.findall(r"`(--[\w-]+)`", m.group(2)))
+    sub = next(a for a in build_parser()._actions if isinstance(a, argparse._SubParsersAction))
+    parsed = {
+        name: sorted(
+            opt
+            for action in parser._actions
+            for opt in action.option_strings
+            if opt not in ("-h", "--help", "--fan", "--builder")
+        )
+        for name, parser in sub.choices.items()
+    }
+    assert table == parsed

@@ -19,7 +19,13 @@ from toriccsm import (
 )
 from toriccsm import fan as fan_mod
 from toriccsm.errors import ValidationError
-from toriccsm.exact_linalg import column_lattice_index, determinant, hermite_normal_form, strip_zero_rows
+from toriccsm.exact_linalg import (
+    IntegerMatrix,
+    column_lattice_index,
+    determinant,
+    hermite_normal_form,
+    strip_zero_rows,
+)
 
 H5_RAYS = [(1, 0), (0, 1), (-1, 5), (0, -1)]
 H5_CONES = [(0, 1), (1, 2), (2, 3), (3, 0)]
@@ -79,14 +85,19 @@ def test_build_rejects_folded_fan():
 @pytest.mark.parametrize("name", sorted(MULTI_COVER_FANS))
 def test_build_rejects_fans_that_cover_space_twice(name):
     dim, rays, cones = MULTI_COVER_FANS[name]
-    # each passes the wall condition: every wall in two cones, on opposite sides
-    fan = Fan(dim, rays, [Cone(c) for c in cones])
-    walls, slots = fan_mod._wall_table(fan.max_cones, dim)
+    # each passes the wall condition: every wall in two cones, on opposite
+    # sides; the determinants come from the plain rows of each ray matrix
+    cone_objects = [Cone(c) for c in cones]
+    walls, slots = fan_mod._wall_table(cone_objects, dim)
     assert all(len(pairs) == 2 for pairs in walls.values())
-    dets = [determinant(fan.ray_matrix(c)) for c in fan.max_cones]
-    assert fan_mod._same_side_wall(fan.max_cones, slots, dets) is None
-    with pytest.raises(ValidationError, match="completeness check: .* more than once"):
-        build_fan(dim, rays, cones)
+    dets = [
+        determinant(IntegerMatrix.from_rows([[rays[j][t] for j in c.ray_indices] for t in range(dim)]))
+        for c in cone_objects
+    ]
+    assert fan_mod._same_side_wall(cone_objects, slots, dets) is None
+    for construct in (build_fan, Fan):
+        with pytest.raises(ValidationError, match="completeness check: .* more than once"):
+            construct(dim, rays, cones)
 
 
 def test_build_rejects_unused_ray():
