@@ -251,8 +251,8 @@ def build_parser() -> argparse.ArgumentParser:
                       help="maximal cone whose variables are eliminated "
                            "(default: lexicographically smallest)")
     force_hnf = _flag("--force-hnf", action="store_true",
-                      help="compute every cone multiplicity even for smooth fans, "
-                           "where each is otherwise taken to be 1")
+                      help="compute every cone multiplicity; faces of unimodular maximal "
+                           "cones are otherwise taken to be unimodular")
 
     fansrc = argparse.ArgumentParser(add_help=False)
     group = fansrc.add_mutually_exclusive_group(required=True)

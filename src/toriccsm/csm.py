@@ -15,12 +15,13 @@ over all cones is the product of (1 + x_rho) over all rays, which on a
 smooth fan is the whole class (Barthel-Brasselet-Fieseler, C. R. Acad.
 Sci. Paris 315, 1992).  That product is r passes of the multiplication
 tables over one graded vector.  A singular fan adds (mult(sigma) - 1) *
-x_sigma for each cone of multiplicity other than 1.  Those cones, like the
-maximal cones in ``euler_characteristic``, are walked in lexicographic
-order of their ray indices, which visits the face trie depth first: a
-cone sigma = tau + {j} follows its prefix tau, and nf(x_sigma) =
-nf(x_j * nf(x_tau)) is one sparse vector times the presentation's
-multiplication table of x_j.
+x_sigma for each cone of multiplicity other than 1.  Such a cone lies in
+no unimodular maximal cone, so only those cones take a lattice index.
+The cones of the correction, like the maximal cones in
+``euler_characteristic``, are walked in lexicographic order of their ray
+indices, which visits the face trie depth first: a cone sigma = tau + {j}
+follows its prefix tau, and nf(x_sigma) = nf(x_j * nf(x_tau)) is one
+sparse vector times the presentation's multiplication table of x_j.
 A stack holds the normal forms along the current path, so memory is
 O(n * h) for dimension n and graded dimensions up to h, not one normal
 form per face.
@@ -71,7 +72,9 @@ def _multiplicities(fan: Fan, cones: list[Cone], threads: int) -> list[int]:
     """mult(sigma) for each cone, in order, from one thread pool at most.
 
     Maximal cones read the value that validation cached; every other cone
-    takes one lattice index.
+    takes one lattice index, unless an earlier call cached it.
+    ``csm_result`` passes every face only with ``force_hnf``; by default it
+    passes only the faces that lie in no unimodular maximal cone.
     """
     if threads > 1 and len(cones) > 2 * threads:
         size = -(-len(cones) // threads)
@@ -165,18 +168,21 @@ def csm_result(
     product).  Its degree-d part, plus the degree-d corrections, is
     ``per_dim_contributions[d]``.
 
-    On a smooth fan every multiplicity is 1 (deciding smoothness reads the
-    maximal cones' multiplicities, which validation caches as the |det| it
-    takes), so the product is the class and the faces are never
-    enumerated.  Otherwise, or with ``force_hnf``, every cone's
-    multiplicity is computed: maximal cones from that cache,
-    lower-dimensional ones through ``column_lattice_index``.
-    ``force_hnf`` is the product's own check of the smooth-fan
-    shortcut: it computes every multiplicity that a smooth
-    fan takes to be 1, and the results are identical.  ``threads`` bounds
-    the worker count for that batch; output is deterministic regardless.
-    The cones of multiplicity other than 1 then go through one walk of
-    ``_orbit_sum`` in lexicographic order.
+    Faces of unimodular maximal cones are taken to be unimodular: their
+    rays are part of a lattice basis, so their multiplicity is 1.  That
+    reads only the maximal cones' multiplicities, which validation caches
+    as the |det| it takes.  On a smooth fan every cone is such a face, so
+    the product is the class and the faces are never enumerated.  On a
+    singular fan ``Fan.faces`` lists them, ``Fan.in_unimodular`` marks the
+    faces of unimodular maximal cones, and only the other cones' multiplicities
+    are computed: maximal cones from that cache, lower-dimensional ones
+    through ``column_lattice_index``.  ``force_hnf`` is the product's own
+    check of that shortcut: it computes the multiplicity of every cone, of a
+    smooth fan too, and the results are identical.  The shortcut caches no
+    multiplicity, so a forced run after a default one still computes every
+    face's.  ``threads`` bounds the worker count for that batch; output is
+    deterministic regardless.  The cones of multiplicity other than 1 then
+    go through one walk of ``_orbit_sum`` in lexicographic order.
 
     ``pres`` defaults to ``build_presentation(fan)``; one built from any
     other fan object raises ``ValidationError``.
@@ -185,7 +191,12 @@ def csm_result(
     sums = _ray_product(pres)
     if force_hnf or not is_smooth(fan):
         table = enumerate_cones(fan)
-        cones = [c for d in range(1, fan.ambient_dim + 1) for c in table[d]]
+        dims = range(1, fan.ambient_dim + 1)
+        if force_hnf:
+            cones = [c for d in dims for c in table[d]]
+        else:
+            flags = fan.in_unimodular
+            cones = [c for d in dims for c, one in zip(table[d], flags[d]) if not one]
         mults = _multiplicities(fan, cones, threads)
         # Each table[d] is sorted already, so this merges n sorted runs.
         walk = sorted(

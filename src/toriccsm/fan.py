@@ -98,7 +98,7 @@ class Fan:
     the multiplicity of each maximal cone.
     """
 
-    __slots__ = ("ambient_dim", "rays", "max_cones", "_faces", "_smooth")
+    __slots__ = ("ambient_dim", "rays", "max_cones", "_faces", "_in_unimodular", "_smooth")
 
     def __init__(self, ambient_dim: int, rays: Sequence[Sequence[int]],
                  max_cones: Sequence[Cone | Iterable[int]]):
@@ -113,6 +113,7 @@ class Fan:
         # cached against some other fan's rays.
         self.max_cones = tuple(Cone(c.ray_indices if isinstance(c, Cone) else c) for c in max_cones)
         self._faces: dict[int, tuple[Cone, ...]] | None = None
+        self._in_unimodular: dict[int, tuple[bool, ...]] | None = None
         self._smooth: bool | None = None
         _validate(self)
 
@@ -122,25 +123,47 @@ class Fan:
 
         Built lazily on first access (a write-once cache, like the per-cone
         multiplicities) since only the class of a singular fan, or one
-        computed with every multiplicity forced, needs it.
+        computed with every multiplicity forced, needs it.  The same pass
+        over the maximal cones' subsets fills ``in_unimodular``.
         """
         if self._faces is None:
-            by_dim: dict[int, set[tuple[int, ...]]] = {d: set() for d in range(1, self.ambient_dim + 1)}
-            for c in self.max_cones:
-                idx = c.ray_indices
-                for d in range(1, len(idx) + 1):
-                    by_dim[d].update(combinations(idx, d))
-            table: dict[int, tuple[Cone, ...]] = {}
-            top = self.ambient_dim
-            for d in range(1, top + 1):
-                if d == top:
-                    # reuse the maximal cone objects so cached multiplicities
-                    # are shared
-                    table[d] = tuple(sorted(self.max_cones, key=lambda c: c.ray_indices))
-                else:
-                    table[d] = tuple(Cone(t) for t in sorted(by_dim[d]))
-            self._faces = table
+            self._list_faces()
         return self._faces
+
+    @property
+    def in_unimodular(self) -> dict[int, tuple[bool, ...]]:
+        """For each dimension 1..n, one flag per cone of ``faces[d]``, in
+        order: True when the cone is a face of a unimodular maximal cone.
+
+        Such a face has multiplicity 1, because its rays are part of a
+        lattice basis (Fulton, *Introduction to Toric Varieties*, 2.1); the
+        flags read only the multiplicities that validation cached on the
+        maximal cones.
+        """
+        if self._in_unimodular is None:
+            self._list_faces()
+        return self._in_unimodular
+
+    def _list_faces(self) -> None:
+        top = self.ambient_dim
+        # the proper faces of unimodular maximal cones, and of the others
+        unimodular: dict[int, set[tuple[int, ...]]] = {d: set() for d in range(1, top)}
+        singular: dict[int, set[tuple[int, ...]]] = {d: set() for d in range(1, top)}
+        for c in self.max_cones:
+            idx = c.ray_indices
+            by_dim = unimodular if c._mult == 1 else singular
+            for d in range(1, top):
+                by_dim[d].update(combinations(idx, d))
+        table: dict[int, tuple[Cone, ...]] = {}
+        flags: dict[int, tuple[bool, ...]] = {}
+        for d in range(1, top):
+            keys = sorted(unimodular[d] | singular[d])
+            table[d] = tuple(Cone(t) for t in keys)
+            flags[d] = tuple(t in unimodular[d] for t in keys)
+        # reuse the maximal cone objects so cached multiplicities are shared
+        table[top] = tuple(sorted(self.max_cones, key=lambda c: c.ray_indices))
+        flags[top] = tuple(c._mult == 1 for c in table[top])
+        self._faces, self._in_unimodular = table, flags
 
     def ray_matrix(self, cone: Cone) -> IntegerMatrix:
         """The n x d matrix whose columns are the cone's ray generators."""
@@ -422,7 +445,9 @@ def multiplicity(fan: Fan, cone: Cone) -> int:
     once and caches it; that is ``|det|`` on a full-dimensional cone, and
     it raises ``ValueError("not simplicial")`` when the rays are linearly
     dependent, at any dimension.  Equals 1 exactly when the corresponding
-    affine chart is smooth.
+    affine chart is smooth.  A face of a unimodular maximal cone has
+    multiplicity 1 (``Fan.in_unimodular``); ``csm_result`` calls this on
+    such a face only with ``force_hnf``, as the check of that rule.
     """
     if cone._mult is None:
         cone._mult = column_lattice_index(fan.ray_matrix(cone))

@@ -30,6 +30,7 @@ from fractions import Fraction
 from itertools import combinations
 from math import comb, gcd
 from types import SimpleNamespace
+from typing import Sequence
 
 from hypothesis import strategies as st
 
@@ -440,17 +441,26 @@ def _subdivide(rays: list, cones: list, cone: tuple[int, ...], coeffs: list[int]
     cones += [cone[:i] + (len(rays) - 1,) + cone[i + 1 :] for i in range(n)]
 
 
-def stellar_fan(n: int, k: int, seed: int) -> Fan:
-    """P^n + k: ``projective_space(n)`` subdivided k times, each time at the
-    sum of the rays of a maximal cone drawn by one ``random.Random(seed)``'s
-    ``choice`` over the current maximal cones.  Smooth, complete and not a
-    product; with seed 1 these are the P^n + k fans of ROADMAP's Baseline."""
+def stellar_fan(n: int, k: int, seed: int, coefficients: Sequence[int] = (1,)) -> Fan:
+    """P^n + k: ``projective_space(n)`` subdivided k times, each time at
+    the primitive vector of sum c_i v_i over the rays v_i of a maximal cone
+    drawn by one ``random.Random(seed)``'s ``choice`` over the current
+    maximal cones.  Each c_i is drawn from ``coefficients`` by the same
+    generator, after the cone; a single value is used without a draw.
+    Complete and not a product.  With the default all c_i are 1, so the fan
+    is smooth, and seed 1 gives the P^n + k fans of ROADMAP's Baseline;
+    ``coefficients=(1, 2)`` makes most of the fans singular."""
     rng = random.Random(seed)
     fan = projective_space(n)
     rays = list(fan.rays)
     cones = [c.ray_indices for c in fan.max_cones]
     for _ in range(k):
-        _subdivide(rays, cones, rng.choice(cones), [1] * n)
+        cone = rng.choice(cones)
+        if len(coefficients) == 1:
+            coeffs = [coefficients[0]] * n
+        else:
+            coeffs = [rng.choice(coefficients) for _ in range(n)]
+        _subdivide(rays, cones, cone, coeffs)
     return build_fan(n, rays, cones)
 
 
