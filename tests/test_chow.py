@@ -399,10 +399,14 @@ def test_packed_monomials(data, rng):
 
 @st.composite
 def non_product_fans(draw):
-    """P^n + k fans, smooth, and subdivided products, often singular."""
+    """P^n + k fans, subdivided at ray sums (smooth) or at sums with
+    coefficients in {1, 2} (mostly singular), and subdivided products,
+    often singular."""
     if draw(st.booleans()):
         n = draw(st.integers(2, 4))
-        return stellar_fan(n, draw(st.integers(1, 8 if n < 4 else 5)), draw(st.integers(0, 10**6)))
+        k = draw(st.integers(1, 8 if n < 4 else 5))
+        coefficients = draw(st.sampled_from([(1,), (1, 2)]))
+        return stellar_fan(n, k, draw(st.integers(0, 10**6)), coefficients)
     return build_fan(*draw(shuffled_products(min_subdivisions=1)))
 
 

@@ -10,6 +10,10 @@ does not read, flags none accepts (``--trust-input`` among them) and
 thread counts below 1.  The only allowed exit codes are 0, 1 and 2, and
 a successful ``csm``/``euler`` run on a drawn fan file or a builder
 reports chi equal to its number of maximal cones.
+
+Rendered ``stellar_fan`` files, smooth and singular, must pass: ``csm``
+and ``chow`` exit 0, chi is the number of maximal cones, and the graded
+dimensions are the h-vector.
 """
 
 import contextlib
@@ -20,10 +24,11 @@ from itertools import combinations
 from math import atan2, gcd
 from pathlib import Path
 
+from helpers import h_vector, stellar_fan
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from toriccsm import Fan, ValidationError, parse_fan_text
+from toriccsm import Fan, ValidationError, parse_fan_text, render_fan
 from toriccsm.cli import main
 
 # Builder specs with their number of maximal cones (None: rejected spec).
@@ -158,3 +163,31 @@ def test_parse_fan_text_raises_only_validation_errors(text):
         return
     assert isinstance(fan, Fan)
     assert all(len(ray) == fan.ambient_dim for ray in fan.rays), text
+
+
+def _main_json(argv):
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        code = main(argv)
+    assert code == 0, (argv, err.getvalue())
+    return json.loads(out.getvalue())
+
+
+@settings(max_examples=30, deadline=None, database=None)
+@given(
+    n=st.integers(2, 3),
+    k=st.integers(1, 6),
+    seed=st.integers(0, 10**6),
+    coefficients=st.sampled_from([(1,), (1, 2)]),
+)
+def test_rendered_stellar_fans(n, k, seed, coefficients):
+    fan = stellar_fan(n, k, seed, coefficients)
+    dims = list(h_vector(fan))
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp) / "stellar.fan"
+        path.write_text(render_fan(fan))
+        csm = _main_json(["csm", "--fan", str(path), "--json"])
+        chow = _main_json(["chow", "--fan", str(path), "--json"])
+    assert csm["euler"] == len(fan.max_cones)
+    assert csm["presentation"]["graded_dimensions"] == dims
+    assert chow["presentation"]["graded_dimensions"] == dims

@@ -10,6 +10,7 @@ from helpers import (
     product_formula_class,
     relabel,
     relabelled_products,
+    stellar_fan,
     suite_fans,
 )
 from hypothesis import given, settings
@@ -205,6 +206,76 @@ def test_product_formula_gives_the_class(drawn):
     factors, fan = drawn
     pres = build_presentation(fan)
     assert product_formula_class(factors, pres) == csm_result(fan, pres).csm_class
+
+
+def _default_equals_forced(fan, pres):
+    """``csm_result`` by default, after checking term by term that it equals
+    the class with ``force_hnf`` on the same fan."""
+    default = csm_result(fan, pres)
+    forced = csm_result(fan, pres, force_hnf=True)
+    assert default.csm_class == forced.csm_class
+    assert default.per_dim_contributions == forced.per_dim_contributions
+    assert default.euler == forced.euler == len(fan.max_cones)
+    return default
+
+
+def test_unimodular_face_rule_on_singular_suite_and_stellar_fans():
+    # Faces of unimodular maximal cones are taken to be unimodular by
+    # default; the forced class computes every multiplicity.  A suite
+    # product's name is its builder spec, so its factors give the product
+    # formula as a third class.
+    from toriccsm.cli import _builder_fan
+
+    fans = [(name, fan) for name, fan in suite_fans() if not is_smooth(fan)]
+    for n, k in ((2, 6), (3, 6), (3, 10), (4, 4)):
+        for seed in range(3):
+            fans.append((f"stellar_fan({n}, {k}, {seed}, (1, 2))", stellar_fan(n, k, seed, (1, 2))))
+    products = 0
+    for name, fan in fans:
+        assert not is_smooth(fan), name
+        pres = build_presentation(fan)
+        default = _default_equals_forced(fan, pres)
+        if "*" in name:
+            factors = [_builder_fan(spec) for spec in name.split("*")]
+            assert product_formula_class(factors, pres) == default.csm_class, name
+            products += 1
+    assert products >= 10 and len(fans) - products >= 4 + 12
+
+
+@settings(max_examples=15, deadline=None, database=None)
+@given(relabelled_products().filter(lambda drawn: not is_smooth(drawn[1])))
+def test_unimodular_face_rule_on_singular_products(drawn):
+    # The default class, the forced class and the product formula agree
+    # term by term on products with a singular weighted projective factor.
+    factors, fan = drawn
+    pres = build_presentation(fan)
+    default = _default_equals_forced(fan, pres)
+    assert product_formula_class(factors, pres) == default.csm_class
+
+
+def test_lattice_indices_of_default_and_forced_class(monkeypatch):
+    # wps=1,1,3*pn=5*pn=6 has 55,880 faces below the top dimension.  By
+    # default only the 7,959 that lie in no unimodular maximal cone take a
+    # lattice index; the shortcut caches no multiplicity, so a forced class
+    # afterwards on the same Fan takes the other 47,921.
+    import toriccsm.fan as fan_mod
+
+    calls = []
+    index = fan_mod.column_lattice_index
+
+    def counted(m):
+        calls.append(1)
+        return index(m)
+
+    monkeypatch.setattr(fan_mod, "column_lattice_index", counted)
+    fan = product(product(weighted_projective([1, 1, 3]), projective_space(5)), projective_space(6))
+    pres = build_presentation(fan)
+    default = csm_result(fan, pres)
+    assert len(calls) == 7959
+    forced = csm_result(fan, pres, force_hnf=True)
+    assert len(calls) == 7959 + 47921
+    assert sum(len(fan.faces[d]) for d in range(1, fan.ambient_dim)) == 55880
+    assert default == forced
 
 
 def _shuffled(fan, rng):

@@ -2,7 +2,14 @@ import random
 from itertools import combinations
 
 import pytest
-from helpers import MULTI_COVER_FANS, oracle_multiplicity, relabel, shuffled_products, suite_fans
+from helpers import (
+    MULTI_COVER_FANS,
+    oracle_multiplicity,
+    relabel,
+    shuffled_products,
+    stellar_fan,
+    suite_fans,
+)
 from hypothesis import given, settings
 
 from toriccsm import (
@@ -124,6 +131,26 @@ def test_enumerate_cones_matches_subset_bruteforce():
                 s for s in combinations(range(r), d) if any(set(s) <= m for m in maxsets)
             )
             assert sorted(c.ray_indices for c in table[d]) == expect, name
+
+
+def test_in_unimodular_flags_exactly_the_faces_of_unimodular_maximal_cones():
+    # The flags follow faces in order, and each is set exactly when the face
+    # lies in a maximal cone of multiplicity 1; every flagged face then has
+    # multiplicity 1 by the minor-gcd oracle, and no flag computes one.
+    fans = [(name, fan) for name, fan in suite_fans() if not is_smooth(fan) and len(fan.rays) <= 9]
+    fans += [(f"stellar_fan(3, 6, {seed}, (1, 2))", stellar_fan(3, 6, seed, (1, 2))) for seed in range(3)]
+    fans.append(("pn=2", projective_space(2)))
+    for name, fan in fans:
+        flags = fan.in_unimodular
+        unimodular = [set(c.ray_indices) for c in fan.max_cones if multiplicity(fan, c) == 1]
+        assert sorted(flags) == sorted(fan.faces) == list(range(1, fan.ambient_dim + 1)), name
+        for d, cones in fan.faces.items():
+            assert len(flags[d]) == len(cones), (name, d)
+            for c, flag in zip(cones, flags[d]):
+                assert flag == any(set(c.ray_indices) <= m for m in unimodular), (name, c)
+                assert c.dim == fan.ambient_dim or c._mult is None, (name, c)
+                if flag:
+                    assert oracle_multiplicity(fan, c) == 1, (name, c)
 
 
 def test_multiplicity_examples():
