@@ -22,7 +22,6 @@ from .fan import (
     Cone,
     Fan,
     build_fan,
-    enumerate_cones,
     hirzebruch,
     is_smooth,
     multiplicity,
@@ -47,6 +46,7 @@ from .chow import (
 from .csm import (
     CsmResult,
     csm_result,
+    enumerate_cones,
     euler_characteristic,
 )
 from .formats import parse_class, parse_fan_file, parse_fan_text, render_class, render_fan

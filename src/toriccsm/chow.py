@@ -48,6 +48,7 @@ from __future__ import annotations
 
 from fractions import Fraction
 from itertools import islice
+from operator import index
 from typing import Callable, Dict, Iterable, Tuple
 
 from .errors import InternalError, ValidationError
@@ -583,8 +584,9 @@ def normal_form(c: GradedClass, pres: ChowPresentation) -> GradedClass:
     expanded.  Kept and eliminated variables alike have their table.
 
     Linear in the input and idempotent on classes already in basis form.
-    Raises ``ValidationError`` on a monomial with an exponent below 1, of
-    degree above ``n``, or with a ray index outside ``0..r-1``.
+    Raises ``ValidationError`` on a monomial with a ray index or exponent
+    that is not an integer, an exponent below 1, degree above ``n``, or a
+    ray index outside ``0..r-1``.
     """
     n = pres.fan.ambient_dim
     tables = pres._mul_tables
@@ -592,6 +594,10 @@ def normal_form(c: GradedClass, pres: ChowPresentation) -> GradedClass:
     for mono, coeff in c.items():
         if coeff == 0:
             continue
+        try:
+            mono = tuple((index(ray), index(e)) for ray, e in mono)
+        except TypeError:
+            raise ValidationError(f"monomial {mono} has a non-integer ray index or exponent") from None
         if any(e < 1 for _, e in mono):
             raise ValidationError("monomial has an exponent below 1")
         if monomial_degree(mono) > n:

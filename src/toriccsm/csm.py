@@ -16,13 +16,13 @@ smooth fan is the whole class (Barthel-Brasselet-Fieseler, C. R. Acad.
 Sci. Paris 315, 1992).  That product is r passes of the multiplication
 tables over one graded vector.  A singular fan adds (mult(sigma) - 1) *
 x_sigma for each cone of multiplicity other than 1.  Such a cone lies in
-no unimodular maximal cone, so only those cones take a lattice index.
-The cones of the correction, like the maximal cones in
-``euler_characteristic``, are walked in lexicographic order of their ray
-indices, which visits the face trie depth first: a cone sigma = tau + {j}
-follows its prefix tau, and nf(x_sigma) = nf(x_j * nf(x_tau)) is one
-sparse vector times the presentation's multiplication table of x_j.
-A stack holds the normal forms along the current path, so memory is
+no unimodular maximal cone, so only the cones that ``enumerate_cones``
+lists with ``skip_unimodular`` take a lattice index.  The cones of the
+correction, like the maximal cones in ``euler_characteristic``, are
+walked in lexicographic order of their ray indices, which visits the
+face trie depth first: a cone sigma = tau + {j} follows its prefix tau,
+and nf(x_sigma) = nf(x_j * nf(x_tau)) is one sparse vector times the
+presentation's multiplication table of x_j.  A stack holds the normal forms along the current path, so memory is
 O(n * h) for dimension n and graded dimensions up to h, not one normal
 form per face.
 """
@@ -32,6 +32,7 @@ from __future__ import annotations
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from fractions import Fraction
+from itertools import combinations
 from typing import Iterable
 
 from .chow import (
@@ -45,11 +46,12 @@ from .chow import (
     normal_form,  # noqa: F401 -- not called here; perfbench/tracer.py wraps csm.normal_form
 )
 from .errors import InternalError, ValidationError
-from .fan import Cone, Fan, enumerate_cones, is_smooth, multiplicity
+from .fan import Cone, Fan, is_smooth, multiplicity
 
 __all__ = [
     "CsmResult",
     "csm_result",
+    "enumerate_cones",
     "euler_characteristic",
 ]
 
@@ -68,13 +70,37 @@ class CsmResult:
     per_dim_contributions: dict[int, GradedClass]
 
 
+def enumerate_cones(fan: Fan, *, skip_unimodular: bool = False) -> list[Cone]:
+    """The cones of dimension 1..n, one list sorted by ray indices: the
+    subsets of the maximal cones, since the fan is simplicial.
+
+    Maximal cones are the fan's own objects, with validation's cached
+    multiplicities; the others are fresh ``Cone`` objects.
+    ``skip_unimodular`` leaves out every face of a unimodular maximal cone,
+    itself included: its rays are part of a lattice basis, so its
+    multiplicity is 1 (Fulton, *Introduction to Toric Varieties*, 2.1).
+    """
+    maximal: dict[tuple[int, ...], Cone] = {}
+    # the proper faces of the listed maximal cones, and of the skipped ones
+    faces: set[tuple[int, ...]] = set()
+    skipped: set[tuple[int, ...]] = set()
+    for c in fan.max_cones:
+        unimodular = skip_unimodular and c._mult == 1
+        if not unimodular:
+            maximal[c.ray_indices] = c
+        subsets = skipped if unimodular else faces
+        for d in range(1, fan.ambient_dim):
+            subsets.update(combinations(c.ray_indices, d))
+    faces -= skipped
+    faces.update(maximal)
+    return [maximal.get(t) or Cone(t) for t in sorted(faces)]
+
+
 def _multiplicities(fan: Fan, cones: list[Cone], threads: int) -> list[int]:
     """mult(sigma) for each cone, in order, from one thread pool at most.
 
-    Maximal cones read the value that validation cached; every other cone
-    takes one lattice index, unless an earlier call cached it.
-    ``csm_result`` passes every face only with ``force_hnf``; by default it
-    passes only the faces that lie in no unimodular maximal cone.
+    Maximal cones read the value that validation cached; every other cone,
+    fresh from ``enumerate_cones``, takes one lattice index.
     """
     if threads > 1 and len(cones) > 2 * threads:
         size = -(-len(cones) // threads)
@@ -160,29 +186,21 @@ def csm_result(
     """Compute the full class, the Euler characteristic, and the per-dimension
     breakdown.
 
-    The sum of mult(sigma) * x_sigma over all cones is computed as
-    prod_rho (1 + x_rho) plus (mult(sigma) - 1) * x_sigma for each cone of
-    multiplicity other than 1: the product is the sum of x_sigma over all
-    cones, the empty one included, because x_S vanishes when S spans no
-    cone (Aluffi 2006 for the sum, Barthel-Brasselet-Fieseler 1992 for the
-    product).  Its degree-d part, plus the degree-d corrections, is
+    The sum of mult(sigma) * x_sigma over all cones is prod_rho (1 + x_rho)
+    plus (mult(sigma) - 1) * x_sigma for each cone of multiplicity other
+    than 1, as the module docstring derives; its degree-d part is
     ``per_dim_contributions[d]``.
 
-    Faces of unimodular maximal cones are taken to be unimodular: their
-    rays are part of a lattice basis, so their multiplicity is 1.  That
-    reads only the maximal cones' multiplicities, which validation caches
-    as the |det| it takes.  On a smooth fan every cone is such a face, so
-    the product is the class and the faces are never enumerated.  On a
-    singular fan ``Fan.faces`` lists them, ``Fan.in_unimodular`` marks the
-    faces of unimodular maximal cones, and only the other cones' multiplicities
-    are computed: maximal cones from that cache, lower-dimensional ones
-    through ``column_lattice_index``.  ``force_hnf`` is the product's own
-    check of that shortcut: it computes the multiplicity of every cone, of a
-    smooth fan too, and the results are identical.  The shortcut caches no
-    multiplicity, so a forced run after a default one still computes every
-    face's.  ``threads`` bounds the worker count for that batch; output is
+    Faces of unimodular maximal cones have multiplicity 1, so a smooth
+    fan's class is the product and its faces are never listed.  On a
+    singular fan only the cones of ``enumerate_cones(fan,
+    skip_unimodular=True)`` take a multiplicity: maximal cones from
+    validation's cache, the others through ``column_lattice_index``.
+    ``force_hnf`` is the check of that shortcut: it takes the multiplicity
+    of every cone, of a smooth fan too, and the results are identical.
+    ``threads`` bounds the worker count for that batch; output is
     deterministic regardless.  The cones of multiplicity other than 1 then
-    go through one walk of ``_orbit_sum`` in lexicographic order.
+    go, in the listing's order, through one walk of ``_orbit_sum``.
 
     ``pres`` defaults to ``build_presentation(fan)``; one built from any
     other fan object raises ``ValidationError``.
@@ -190,20 +208,9 @@ def csm_result(
     pres = _presentation_of(fan, pres)
     sums = _ray_product(pres)
     if force_hnf or not is_smooth(fan):
-        table = enumerate_cones(fan)
-        dims = range(1, fan.ambient_dim + 1)
-        if force_hnf:
-            cones = [c for d in dims for c in table[d]]
-        else:
-            flags = fan.in_unimodular
-            cones = [c for d in dims for c, one in zip(table[d], flags[d]) if not one]
+        cones = enumerate_cones(fan, skip_unimodular=not force_hnf)
         mults = _multiplicities(fan, cones, threads)
-        # Each table[d] is sorted already, so this merges n sorted runs.
-        walk = sorted(
-            ((c, m - 1) for c, m in zip(cones, mults) if m != 1),
-            key=lambda cm: cm[0].ray_indices,
-        )
-        _orbit_sum(pres, walk, sums)
+        _orbit_sum(pres, ((c, m - 1) for c, m in zip(cones, mults) if m != 1), sums)
     per_dim = _graded_classes(pres, sums)
     total: GradedClass = {}
     for part in per_dim.values():

@@ -1,4 +1,4 @@
-"""Fan data model: validation, face enumeration, multiplicities, builders.
+"""Fan data model: validation, multiplicities, builders.
 
 A fan is given by its ambient dimension, a list of primitive ray
 generators in ``Z^n``, and the maximal cones as sets of ray indices
@@ -10,13 +10,15 @@ number of times, at least once per wall-connected piece.  So they cover
 it exactly once iff they form one piece and the sum of one cone's rays
 lies in no other cone (Ewald, GTM 168, Ch. III).  One walk across the
 walls decides this and gives every maximal cone's determinant, each from
-a neighbour's.
+a neighbour's.  A ``Fan`` keeps no face cache: ``csm.enumerate_cones``
+lists the cones.
 """
 
 from __future__ import annotations
 
 from itertools import combinations
 from math import gcd
+from operator import index
 from typing import Iterable, Sequence
 
 from .errors import ValidationError
@@ -35,7 +37,6 @@ __all__ = [
     "Cone",
     "Fan",
     "build_fan",
-    "enumerate_cones",
     "multiplicity",
     "is_smooth",
     "projective_space",
@@ -46,7 +47,7 @@ __all__ = [
 
 
 class Cone:
-    """A simplicial cone, identified by its sorted ray indices.
+    """A simplicial cone, identified by its sorted ray indices (integers).
 
     ``_mult`` caches the multiplicity.  Constructing a ``Fan`` fills it for
     every maximal cone, from the determinant that validation finds anyway;
@@ -58,7 +59,7 @@ class Cone:
     __slots__ = ("ray_indices", "_mult")
 
     def __init__(self, ray_indices: Iterable[int]):
-        idx = tuple(sorted(int(i) for i in ray_indices))
+        idx = tuple(sorted(_integers(ray_indices, "cone")))
         if len(set(idx)) != len(idx):
             raise ValidationError("duplicate ray index in cone")
         self.ray_indices = idx
@@ -95,75 +96,29 @@ class Fan:
     neighbour's.  A cone whose shape is wrong is reported after any
     non-simplicial cone listed before it.  Each determinant's absolute value
     is the cone's multiplicity, cached on the cone, so every ``Fan`` carries
-    the multiplicity of each maximal cone.
+    the multiplicity of each maximal cone.  A dimension, coordinate or ray
+    index that is not an integer is never truncated: it is an error.
     """
 
-    __slots__ = ("ambient_dim", "rays", "max_cones", "_faces", "_in_unimodular", "_smooth")
+    __slots__ = ("ambient_dim", "rays", "max_cones")
 
     def __init__(self, ambient_dim: int, rays: Sequence[Sequence[int]],
                  max_cones: Sequence[Cone | Iterable[int]]):
+        try:
+            ambient_dim = index(ambient_dim)
+        except TypeError:
+            raise ValidationError(f"ambient dimension {ambient_dim!r} is not an integer") from None
         if ambient_dim < 1:
             raise ValidationError("ambient dimension must be at least 1")
         self.ambient_dim = ambient_dim
-        self.rays = tuple(tuple(int(x) for x in r) for r in rays)
+        self.rays = tuple(_integers(r, f"ray {i}") for i, r in enumerate(rays))
         for i, v in enumerate(self.rays):
             if len(v) != ambient_dim:
                 raise ValidationError(f"ray {i} has {len(v)} coordinates, expected {ambient_dim}")
         # Fresh cone objects: a caller-supplied Cone may carry a multiplicity
         # cached against some other fan's rays.
         self.max_cones = tuple(Cone(c.ray_indices if isinstance(c, Cone) else c) for c in max_cones)
-        self._faces: dict[int, tuple[Cone, ...]] | None = None
-        self._in_unimodular: dict[int, tuple[bool, ...]] | None = None
-        self._smooth: bool | None = None
         _validate(self)
-
-    @property
-    def faces(self) -> dict[int, tuple[Cone, ...]]:
-        """Cones of each dimension 1..n, derived from the maximal cones.
-
-        Built lazily on first access (a write-once cache, like the per-cone
-        multiplicities) since only the class of a singular fan, or one
-        computed with every multiplicity forced, needs it.  The same pass
-        over the maximal cones' subsets fills ``in_unimodular``.
-        """
-        if self._faces is None:
-            self._list_faces()
-        return self._faces
-
-    @property
-    def in_unimodular(self) -> dict[int, tuple[bool, ...]]:
-        """For each dimension 1..n, one flag per cone of ``faces[d]``, in
-        order: True when the cone is a face of a unimodular maximal cone.
-
-        Such a face has multiplicity 1, because its rays are part of a
-        lattice basis (Fulton, *Introduction to Toric Varieties*, 2.1); the
-        flags read only the multiplicities that validation cached on the
-        maximal cones.
-        """
-        if self._in_unimodular is None:
-            self._list_faces()
-        return self._in_unimodular
-
-    def _list_faces(self) -> None:
-        top = self.ambient_dim
-        # the proper faces of unimodular maximal cones, and of the others
-        unimodular: dict[int, set[tuple[int, ...]]] = {d: set() for d in range(1, top)}
-        singular: dict[int, set[tuple[int, ...]]] = {d: set() for d in range(1, top)}
-        for c in self.max_cones:
-            idx = c.ray_indices
-            by_dim = unimodular if c._mult == 1 else singular
-            for d in range(1, top):
-                by_dim[d].update(combinations(idx, d))
-        table: dict[int, tuple[Cone, ...]] = {}
-        flags: dict[int, tuple[bool, ...]] = {}
-        for d in range(1, top):
-            keys = sorted(unimodular[d] | singular[d])
-            table[d] = tuple(Cone(t) for t in keys)
-            flags[d] = tuple(t in unimodular[d] for t in keys)
-        # reuse the maximal cone objects so cached multiplicities are shared
-        table[top] = tuple(sorted(self.max_cones, key=lambda c: c.ray_indices))
-        flags[top] = tuple(c._mult == 1 for c in table[top])
-        self._faces, self._in_unimodular = table, flags
 
     def ray_matrix(self, cone: Cone) -> IntegerMatrix:
         """The n x d matrix whose columns are the cone's ray generators."""
@@ -179,6 +134,15 @@ class Fan:
             f"Fan(dim={self.ambient_dim}, rays={len(self.rays)}, "
             f"max_cones={len(self.max_cones)})"
         )
+
+
+def _integers(values: Iterable[int], what: str) -> tuple[int, ...]:
+    """``values`` as ints (``operator.index``), or ``ValidationError``."""
+    values = tuple(values)
+    try:
+        return tuple(map(index, values))
+    except TypeError:
+        raise ValidationError(f"{what} {values} has a non-integer entry") from None
 
 
 def _is_primitive(v: Sequence[int]) -> bool:
@@ -427,15 +391,6 @@ def _same_side_wall(
     return None
 
 
-def enumerate_cones(fan: Fan) -> dict[int, tuple[Cone, ...]]:
-    """All cones of the fan by dimension 1..n.
-
-    For a simplicial fan every face of a cone is spanned by a subset of its
-    rays, so the subsets of maximal cones enumerate exactly the cones.
-    """
-    return fan.faces
-
-
 def multiplicity(fan: Fan, cone: Cone) -> int:
     """Multiplicity of a cone: the index of the sublattice spanned by its
     ray generators inside the lattice points of its linear span.
@@ -446,7 +401,7 @@ def multiplicity(fan: Fan, cone: Cone) -> int:
     it raises ``ValueError("not simplicial")`` when the rays are linearly
     dependent, at any dimension.  Equals 1 exactly when the corresponding
     affine chart is smooth.  A face of a unimodular maximal cone has
-    multiplicity 1 (``Fan.in_unimodular``); ``csm_result`` calls this on
+    multiplicity 1 (``csm.enumerate_cones``); ``csm_result`` calls this on
     such a face only with ``force_hnf``, as the check of that rule.
     """
     if cone._mult is None:
@@ -455,15 +410,9 @@ def multiplicity(fan: Fan, cone: Cone) -> int:
 
 
 def is_smooth(fan: Fan) -> bool:
-    """True iff every maximal cone is unimodular (multiplicity 1).
-
-    Faces of unimodular simplicial cones are unimodular, so checking the
-    maximal cones suffices.  Validation has already cached their
-    multiplicities, so this computes nothing.
-    """
-    if fan._smooth is None:
-        fan._smooth = all(multiplicity(fan, c) == 1 for c in fan.max_cones)
-    return fan._smooth
+    """True iff every maximal cone is unimodular, by the multiplicities
+    validation cached on them: their faces are then unimodular too."""
+    return all(c._mult == 1 for c in fan.max_cones)
 
 
 def projective_space(n: int) -> Fan:

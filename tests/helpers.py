@@ -36,6 +36,7 @@ from hypothesis import strategies as st
 
 from toriccsm import (
     ChowPresentation,
+    Cone,
     Fan,
     GradedClass,
     build_fan,
@@ -379,14 +380,19 @@ def normal_form_orbit_sums(
     """Per-dimension orbit sums as class assembly once computed them: for
     each d, the oracle normal form of the sum of mult(sigma) * x_sigma over
     the d-dimensional cones, every multiplicity computed, with d = 0 the
-    constant 1.  ``mac`` is ``macaulay_presentation(pres)``, computed when
+    constant 1.  The cones are the maximal cones' ray subsets, listed here
+    rather than by ``enumerate_cones``.  ``mac`` is ``macaulay_presentation(pres)``, computed when
     not given."""
     if mac is None:
         mac = macaulay_presentation(pres)
+    n = fan.ambient_dim
+    raw: dict[int, GradedClass] = {d: {} for d in range(1, n + 1)}
+    faces = {face for c in fan.max_cones for d in range(1, n + 1) for face in combinations(c.ray_indices, d)}
+    for face in faces:
+        raw[len(face)][squarefree_monomial(face)] = Fraction(multiplicity(fan, Cone(face)))
     sums = {0: oracle_normal_form({(): Fraction(1)}, mac)}
-    for d, cones in fan.faces.items():
-        raw = {squarefree_monomial(c.ray_indices): Fraction(multiplicity(fan, c)) for c in cones}
-        sums[d] = oracle_normal_form(raw, mac)
+    for d, part in raw.items():
+        sums[d] = oracle_normal_form(part, mac)
     return sums
 
 

@@ -156,6 +156,16 @@ def test_normal_form_rejects_unknown_rays_and_high_degree():
             normal_form({mono: Fraction(1)}, p2)
 
 
+def test_normal_form_rejects_non_integer_rays_and_exponents():
+    # A float or Fraction exponent or ray index is never truncated, and it
+    # raises ValidationError, not a TypeError from the table lookup.
+    p = build_presentation(projective_space(2))
+    for mono in (((1, 1.5),), ((1.5, 1),), ((0, 1), (1, Fraction(1, 2))), ((1, "1"),)):
+        with pytest.raises(ValidationError, match="non-integer ray index or exponent"):
+            normal_form({mono: Fraction(1)}, p)
+    assert normal_form({((True, 1),): Fraction(1)}, p) == normal_form({((1, 1),): Fraction(1)}, p)
+
+
 def test_normal_form_kills_ideal_generators():
     for name, fan in suite_fans():
         if len(fan.rays) > 9:

@@ -1,4 +1,5 @@
 import random
+from fractions import Fraction
 from itertools import combinations
 
 import pytest
@@ -16,6 +17,7 @@ from toriccsm import (
     Cone,
     Fan,
     build_fan,
+    build_presentation,
     enumerate_cones,
     hirzebruch,
     is_smooth,
@@ -107,6 +109,29 @@ def test_build_rejects_fans_that_cover_space_twice(name):
             construct(dim, rays, cones)
 
 
+@pytest.mark.parametrize("x", [1.5, 1.0, Fraction(3, 2), Fraction(1), "1"])
+def test_non_integer_ray_coordinate_is_rejected_not_truncated(x):
+    # int() would truncate 1.5 to 1 and yield P^2's class with chi = 3.
+    for construct in (build_fan, Fan):
+        with pytest.raises(ValidationError, match=r"ray 0 \(.*\) has a non-integer entry"):
+            construct(2, [(x, 0), (0, 1), (-1, -1)], [(0, 1), (1, 2), (2, 0)])
+
+
+def test_non_integer_dimension_and_ray_index_are_rejected():
+    rays = [(1, 0), (0, 1), (-1, -1)]
+    with pytest.raises(ValidationError, match="ambient dimension 2.5 is not an integer"):
+        Fan(2.5, rays, [(0, 1), (1, 2), (2, 0)])
+    with pytest.raises(ValidationError, match=r"cone \(0.9, 1\) has a non-integer entry"):
+        Fan(2, rays, [(0.9, 1), (1, 2), (2, 0)])
+    for idx in ((0.9, 1), (Fraction(1), 2), ("0", 1)):
+        with pytest.raises(ValidationError, match="non-integer entry"):
+            Cone(idx)
+    with pytest.raises(ValidationError, match="non-integer entry"):
+        build_presentation(projective_space(2), (0.5, 1))
+    # Integer types other than int are taken by value.
+    assert Fan(2, [(True, 0), (0, 1), (-1, -1)], [(0, True), (1, 2), (2, 0)]).rays == tuple(rays)
+
+
 def test_build_rejects_unused_ray():
     with pytest.raises(ValidationError, match="unused ray"):
         build_fan(2, [(1, 0), (0, 1), (-1, -1), (1, 1)], [(0, 1), (1, 2), (2, 0)])
@@ -114,43 +139,48 @@ def test_build_rejects_unused_ray():
 
 def test_enumerate_cones_h5():
     f = hirzebruch(5)
-    table = enumerate_cones(f)
-    assert sorted(c.ray_indices for c in table[1]) == [(0,), (1,), (2,), (3,)]
-    assert sorted(c.ray_indices for c in table[2]) == [(0, 1), (0, 3), (1, 2), (2, 3)]
+    assert [c.ray_indices for c in enumerate_cones(f)] == [
+        (0,), (0, 1), (0, 3), (1,), (1, 2), (2,), (2, 3), (3,)
+    ]
 
 
 def test_enumerate_cones_matches_subset_bruteforce():
+    # One flat list, sorted by ray indices; the maximal cones are the fan's
+    # own objects and every other cone is a fresh one.
     for name, fan in suite_fans():
         r = len(fan.rays)
         if r > 12:
             continue
-        table = enumerate_cones(fan)
+        cones = enumerate_cones(fan)
         maxsets = [set(c.ray_indices) for c in fan.max_cones]
-        for d in range(1, fan.ambient_dim + 1):
-            expect = sorted(
-                s for s in combinations(range(r), d) if any(set(s) <= m for m in maxsets)
-            )
-            assert sorted(c.ray_indices for c in table[d]) == expect, name
+        expect = sorted(
+            s for d in range(1, fan.ambient_dim + 1) for s in combinations(range(r), d)
+            if any(set(s) <= m for m in maxsets)
+        )
+        assert [c.ray_indices for c in cones] == expect, name
+        assert {id(c) for c in cones if c.dim == fan.ambient_dim} == {id(c) for c in fan.max_cones}, name
 
 
-def test_in_unimodular_flags_exactly_the_faces_of_unimodular_maximal_cones():
-    # The flags follow faces in order, and each is set exactly when the face
-    # lies in a maximal cone of multiplicity 1; every flagged face then has
-    # multiplicity 1 by the minor-gcd oracle, and no flag computes one.
+def test_skip_unimodular_leaves_out_exactly_the_faces_of_unimodular_maximal_cones():
+    # The skipped list is every cone but those in a maximal cone of
+    # multiplicity 1, in the same order; every cone left out has
+    # multiplicity 1 by the minor-gcd oracle, and listing caches no
+    # multiplicity below the top dimension.
     fans = [(name, fan) for name, fan in suite_fans() if not is_smooth(fan) and len(fan.rays) <= 9]
     fans += [(f"stellar_fan(3, 6, {seed}, (1, 2))", stellar_fan(3, 6, seed, (1, 2))) for seed in range(3)]
     fans.append(("pn=2", projective_space(2)))
     for name, fan in fans:
-        flags = fan.in_unimodular
+        every = enumerate_cones(fan)
+        kept = enumerate_cones(fan, skip_unimodular=True)
         unimodular = [set(c.ray_indices) for c in fan.max_cones if multiplicity(fan, c) == 1]
-        assert sorted(flags) == sorted(fan.faces) == list(range(1, fan.ambient_dim + 1)), name
-        for d, cones in fan.faces.items():
-            assert len(flags[d]) == len(cones), (name, d)
-            for c, flag in zip(cones, flags[d]):
-                assert flag == any(set(c.ray_indices) <= m for m in unimodular), (name, c)
-                assert c.dim == fan.ambient_dim or c._mult is None, (name, c)
-                if flag:
-                    assert oracle_multiplicity(fan, c) == 1, (name, c)
+        in_unimodular = [any(set(c.ray_indices) <= m for m in unimodular) for c in every]
+        assert kept == [c for c, one in zip(every, in_unimodular) if not one], name
+        assert (kept == []) == is_smooth(fan), name
+        for c, one in zip(every, in_unimodular):
+            if one:
+                assert oracle_multiplicity(fan, c) == 1, (name, c)
+        for c in every + kept:
+            assert c.dim == fan.ambient_dim or c._mult is None, (name, c)
 
 
 def test_multiplicity_examples():
@@ -159,8 +189,9 @@ def test_multiplicity_examples():
     w = weighted_projective([1, 1, 2])
     assert multiplicity(w, Cone((0, 2))) == 2
     assert sorted(multiplicity(w, c) for c in w.max_cones) == [1, 1, 2]
-    for c in enumerate_cones(w)[1]:
-        assert multiplicity(w, c) == 1
+    for c in enumerate_cones(w):
+        if c.dim == 1:
+            assert multiplicity(w, c) == 1
 
 
 def test_multiplicity_cached_on_cone():
@@ -175,10 +206,8 @@ def test_multiplicity_against_minor_gcd_oracle_on_suite():
     for name, fan in suite_fans():
         if len(fan.rays) > 9:
             continue
-        table = enumerate_cones(fan)
-        for d in range(1, fan.ambient_dim + 1):
-            for c in table[d]:
-                assert multiplicity(fan, c) == oracle_multiplicity(fan, c), (name, c)
+        for c in enumerate_cones(fan):
+            assert multiplicity(fan, c) == oracle_multiplicity(fan, c), (name, c)
 
 
 def test_cached_maximal_multiplicity_matches_hnf_and_lattice_index():
@@ -262,7 +291,7 @@ def test_product_multiplicity_is_multiplicative():
                     assert multiplicity(p, joined) == multiplicity(f1, c1) * multiplicity(f2, c2)
     # random lower-dimensional faces too
     p = product(weighted_projective([1, 1, 4]), hirzebruch(3))
-    cones = [c for d in enumerate_cones(p).values() for c in d]
+    cones = enumerate_cones(p)
     for c in rng.sample(cones, 12):
         assert multiplicity(p, c) == oracle_multiplicity(p, c)
 
