@@ -51,7 +51,8 @@ class Cone:
 
     ``_mult`` caches the multiplicity.  Constructing a ``Fan`` fills it for
     every maximal cone, from the determinant that validation finds anyway;
-    other cones fill it on the first ``multiplicity`` call.
+    other cones, such as those ``csm.enumerate_cones`` lists afresh on each
+    call, fill it on their first ``multiplicity`` call.
     Everything else is immutable, so cones are safe to share across
     threads (the cache write is idempotent).
     """

@@ -381,8 +381,8 @@ def normal_form_orbit_sums(
     each d, the oracle normal form of the sum of mult(sigma) * x_sigma over
     the d-dimensional cones, every multiplicity computed, with d = 0 the
     constant 1.  The cones are the maximal cones' ray subsets, listed here
-    rather than by ``enumerate_cones``.  ``mac`` is ``macaulay_presentation(pres)``, computed when
-    not given."""
+    rather than by ``enumerate_cones``.  ``mac`` is
+    ``macaulay_presentation(pres)``, computed when not given."""
     if mac is None:
         mac = macaulay_presentation(pres)
     n = fan.ambient_dim
