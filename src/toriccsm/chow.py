@@ -6,18 +6,24 @@ non-faces and the ``n`` linear relations coming from the ray coordinates.
 We eliminate the ``n`` variables of one maximal cone (its ray matrix is
 invertible), which leaves ``r - n`` variables and an ideal generated by the
 substituted non-faces alone.  The linear relations are solved in integers
-by a fraction-free solve, and integral substitution coefficients stay
-``int``, so on a unimodular elimination cone the eliminated variables'
-multiplication tables are built in int arithmetic.  A homogeneous
-Buchberger run in graded-lex order (an earlier kept variable is more
-significant), truncated at degree ``n``, gives that ideal's leading terms.
-The monomials they do not divide are the basis of each graded piece, an
-order ideal grown degree by degree from its border; the normal forms of
-the border monomials are the kept variables' multiplication tables, and
-each eliminated variable's table is its substitution's combination of
-them.  All of them are built with the presentation, its only reduction
-data, and one row-product kernel walks them: the normal forms, class
-assembly and the degree calibration.
+by a fraction-free solve.  A homogeneous Buchberger run in graded-lex
+order (an earlier kept variable is more significant), truncated at degree
+``n``, gives that ideal's leading terms.  The monomials they do not divide
+are the basis of each graded piece, an order ideal grown degree by degree
+from its border; the normal forms of the border monomials are the kept
+variables' multiplication tables, and each eliminated variable's table is
+its substitution's combination of them.  All of them are built with the
+presentation, its only reduction data, and one row-product kernel walks
+them: the normal forms, class assembly and the degree calibration.
+
+Every table is integral, the fraction-free principle of Bareiss (*Math.
+Comp.* 22, 1968): each degree e < n has one positive integer scale s_e,
+which clears the substitution's common denominator and the denominators
+of the kept tables' degree-e rows, and every ray's degree-e table is
+stored times s_e.  A walk through t tables from the constant 1 stays in
+int arithmetic, and each output coefficient is divided once, by s_0 ...
+s_{t-1}.  On a unimodular elimination cone with an integral Groebner
+basis, as on every smooth product, every scale is 1.
 
 Inside the presentation a monomial over the kept variables is one packed
 int (Bachmann-Schoenemann, ISSAC 1998).  Every monomial there has degree
@@ -47,8 +53,9 @@ The empty tuple is the constant monomial 1.
 from __future__ import annotations
 
 from fractions import Fraction
-from itertools import islice
-from operator import index
+from itertools import accumulate, islice
+from math import gcd, lcm
+from operator import index, mul
 from typing import Callable, Dict, Iterable, Tuple
 
 from .errors import InternalError, ValidationError
@@ -187,9 +194,8 @@ class _Packing:
 
 
 # Polynomials over the kept variables: packed monomial -> coefficient.  The
-# Groebner input and basis are over Fraction; the substitution keeps its
-# integral coefficients as int.
-_Poly = Dict[int, int | Fraction]
+# substitution, the Groebner input and the basis are over Fraction.
+_Poly = Dict[int, Fraction]
 # A Groebner basis: (leading monomial, monic polynomial) pairs.
 _Basis = list[tuple[int, _Poly]]
 
@@ -222,9 +228,10 @@ class ChowPresentation:
                         squarefree monomial of the reference maximal cone
         point_mult:     multiplicity of the reference maximal cone
 
-    The private ``_mul_tables`` holds, per ray, the multiplication table
-    that ``multiplication_tables`` documents; every ray's is built with the
-    presentation.
+    The private ``_mul_tables`` holds the pair that
+    ``multiplication_tables`` documents: per ray, its multiplication table
+    in integers, and per degree, the scale those integers carry.  Every
+    ray's table is built with the presentation.
 
     The degree map sends the top basis monomial to 1/(point_coeff * point_mult),
     which makes every maximal cone's orbit-closure class integrate to 1.
@@ -285,9 +292,8 @@ def build_presentation(fan: Fan, elim_cone: Cone | Iterable[int] | None = None) 
     # of the elimination cone form an invertible matrix A, so the relations
     # A x_elim + B x_kept = 0 give x_elim = -A^-1 B x_kept.  The solve runs
     # in integers on the rows of [A | -B] and returns d times that matrix,
-    # d = |det A|; an entry that d divides is stored as an ``int`` (always,
-    # when the cone is unimodular), so the eliminated variables' tables are
-    # built in int arithmetic.
+    # d = |det A|; dividing out the content of d and its entries leaves the
+    # integer matrix x that the eliminated variables' tables are built from.
     elim_idx = elim.ray_indices
     nk = len(kept)
     system = [
@@ -296,19 +302,17 @@ def build_presentation(fan: Fan, elim_cone: Cone | Iterable[int] | None = None) 
     d, x = fraction_free_solve_rows(system)
     if not d:
         raise InternalError("elimination system is singular; contradicts simpliciality")
+    g = gcd(d, *(c for row in x for c in row))
+    d, x = d // g, [[c // g for c in row] for row in x]
     packing = _Packing(nk, n)
     variables = packing.variables
-    subst_dense: dict[int, _Poly] = {}
-    for i, ray in enumerate(elim_idx):
-        form: _Poly = {}
-        for m in range(nk):
-            c = x[i][m]
-            if c:
-                form[variables[m]] = c // d if c % d == 0 else Fraction(c, d)
-        subst_dense[ray] = form
+    subst_dense: dict[int, _Poly] = {
+        ray: {variables[m]: Fraction(c, d) for m, c in enumerate(x[i]) if c}
+        for i, ray in enumerate(elim_idx)
+    }
     p._subst_dense = subst_dense
     p.substitution = {
-        ray: {_sparse(packing.unpack(m), kept): Fraction(c) for m, c in form.items()}
+        ray: {_sparse(packing.unpack(m), kept): c for m, c in form.items()}
         for ray, form in subst_dense.items()
     }
 
@@ -334,34 +338,46 @@ def build_presentation(fan: Fan, elim_cone: Cone | Iterable[int] | None = None) 
     # substituted generators: the basis monomials of each graded piece, in
     # descending graded-lex order, and each kept variable's multiplication
     # table between them.
-    bases, kept_tables = _border_tables(_truncated_groebner(gens, packing), packing)
+    groebner = _truncated_groebner(gens, packing)
+    bases, kept_tables = _border_tables(groebner, packing)
     p.degree_bases = tuple(tuple(_sparse(packing.unpack(m), kept) for m in b) for b in bases)
     if len(p.degree_bases[n]) != 1:
         raise InternalError(
             f"fan not complete: top graded piece has dimension {len(p.degree_bases[n])}"
         )
 
-    # An eliminated variable is its substitution, a combination of kept
-    # variables, so its table row is that combination of their rows:
-    # ``columns[d][b]`` lists row b of every kept table in degree d.
+    # Every ray's degree-e table is stored times the scale s_e = d * L_e,
+    # L_e the lcm of the denominators in the kept tables' degree-e rows, so
+    # every entry is an int.  A Groebner basis with integral coefficients
+    # gives integral rows, L_e = 1, with no pass over them.
+    lcms = [1] * n
+    if any(c.denominator != 1 for _, f in groebner for c in f.values()):
+        lcms = [
+            lcm(*(q.denominator for t in kept_tables for row in t[e] for _, q in row))
+            for e in range(n)
+        ]
+        kept_tables = [tuple(map(_scaled, t, lcms)) for t in kept_tables]
+    # An eliminated variable is its substitution, sum_m x[i][m] / d times
+    # the kept variables, so its table row is that combination of their
+    # L_e-scaled rows times d: ``columns[e][b]`` lists row b of every kept
+    # table in degree e.
     tables = [None] * r
-    for ray, table in zip(kept, kept_tables):
-        tables[ray] = table
-    columns = [tuple(zip(*(table[d] for table in kept_tables))) for d in range(n)]
-    var_pos = {v: i for i, v in enumerate(variables)}
-    for ray, form in subst_dense.items():
-        coeffs = [(var_pos[v], c) for v, c in form.items()]
+    columns = [tuple(zip(*(table[e] for table in kept_tables))) for e in range(n)]
+    for i, ray in enumerate(elim_idx):
+        coeffs = [(m, c) for m, c in enumerate(x[i]) if c]
         tables[ray] = tuple(
-            tuple(_row(_add_rows({}, coeffs, column)) for column in columns[d])
-            for d in range(n)
+            tuple(_row(_add_rows({}, coeffs, column)) for column in columns[e])
+            for e in range(n)
         )
-    p._mul_tables = tables
+    for ray, table in zip(kept, kept_tables):
+        tables[ray] = table if d == 1 else tuple(_scaled(rows, d) for rows in table)
+    p._mul_tables = tables, tuple(d * s for s in lcms)
 
     # Degree-map calibration against the lexicographically smallest maximal
     # cone: its multiplicity times its squarefree monomial is a point class,
     # so it must integrate to 1.
     ref = min(fan.max_cones, key=lambda c: c.ray_indices)
-    reduced = normal_form({squarefree_monomial(ref.ray_indices): _F1}, p)
+    reduced = normal_form({squarefree_monomial(ref.ray_indices): 1}, p)
     top = p.degree_bases[n][0]
     c0 = reduced.get(top, _F0)
     if c0 == 0:
@@ -559,6 +575,14 @@ def _row(acc: dict) -> tuple:
     return tuple((i, q.numerator if q.denominator == 1 else q) for i, q in sorted(acc.items()) if q)
 
 
+def _scaled(rows: tuple, s: int) -> tuple:
+    """Table rows with every coefficient times ``s``, which makes each an
+    ``int``; the same rows when ``s`` is 1."""
+    if s == 1:
+        return rows
+    return tuple(tuple((i, (q * s).numerator) for i, q in row) for row in rows)
+
+
 def _check_graded_dimensions(dims: tuple[int, ...], num_max_cones: int) -> None:
     """Raise ``InternalError`` unless the graded dimensions are palindromic
     (Poincare duality) and sum to the number of maximal cones."""
@@ -581,7 +605,10 @@ def normal_form(c: GradedClass, pres: ChowPresentation) -> GradedClass:
 
     Each monomial is walked through the multiplication tables: starting
     from 1, one table row per variable occurrence, so no product is ever
-    expanded.  Kept and eliminated variables alike have their table.
+    expanded.  Kept and eliminated variables alike have their table.  The
+    walk stays in the tables' scaled integers, and each output coefficient
+    is divided once by its degree's scale product, as
+    ``multiplication_tables`` documents.
 
     Linear in the input and idempotent on classes already in basis form.
     Raises ``ValidationError`` on a monomial with a ray index or exponent
@@ -589,7 +616,7 @@ def normal_form(c: GradedClass, pres: ChowPresentation) -> GradedClass:
     ray index outside ``0..r-1``.
     """
     n = pres.fan.ambient_dim
-    tables = pres._mul_tables
+    tables = pres._mul_tables[0]
     out: list[dict[int, int | Fraction]] = [{} for _ in range(n + 1)]
     for mono, coeff in c.items():
         if coeff == 0:
@@ -602,7 +629,7 @@ def normal_form(c: GradedClass, pres: ChowPresentation) -> GradedClass:
             raise ValidationError("monomial has an exponent below 1")
         if monomial_degree(mono) > n:
             raise ValidationError("monomial degree exceeds the fan dimension")
-        vec: dict[int, int | Fraction] = {0: 1}
+        vec: dict[int, int] = {0: 1}
         d = 0
         for ray, e in mono:
             if not 0 <= ray < len(tables):
@@ -613,19 +640,35 @@ def normal_form(c: GradedClass, pres: ChowPresentation) -> GradedClass:
         acc = out[d]
         for i, v in vec.items():
             acc[i] = acc.get(i, 0) + coeff * v
+    return {m: q for part in _graded_classes(pres, out).values() for m, q in part.items()}
+
+
+def _graded_classes(pres: ChowPresentation, sums: list[dict]) -> dict[int, GradedClass]:
+    """Scaled graded accumulators as classes over the basis monomials:
+    ``sums[t]`` maps an index into ``degree_bases[t]`` to S_t times its
+    coefficient, S_t = s_0 ... s_{t-1} for the table scales s_e.  Each
+    coefficient is divided once, as a ``Fraction``; zeros are dropped."""
     bases = pres.degree_bases
-    return {bases[d][i]: Fraction(q) for d, acc in enumerate(out) for i, q in acc.items() if q}
+    divisors = accumulate(pres._mul_tables[1], mul, initial=1)
+    return {
+        t: {bases[t][b]: Fraction(q) if s == 1 else Fraction(q, s) for b, q in acc.items() if q}
+        for (t, acc), s in zip(enumerate(sums), divisors)
+    }
 
 
-def multiplication_tables(pres: ChowPresentation) -> list[tuple[tuple, ...]]:
-    """Multiplication by each ray variable, as a map between graded pieces.
+def multiplication_tables(pres: ChowPresentation) -> tuple[list[tuple[tuple, ...]], tuple[int, ...]]:
+    """Multiplication by each ray variable, as a map between graded pieces,
+    and the per-degree scales its integer entries carry.
 
-    ``tables[j][d][b]`` is the normal form of ``x_j`` times the basis
-    monomial ``degree_bases[d][b]``, for every ray ``j`` and degree
-    ``d < n``, as ``(index, coeff)`` pairs over ``degree_bases[d + 1]``.
-    Integral coefficients are stored as ``int``, so that walks over
-    integral tables stay in int arithmetic; mixed with ``Fraction`` they
-    remain exact.
+    Returns ``(tables, scales)``.  ``tables[j][d][b]`` is ``scales[d]``
+    times the normal form of ``x_j`` times the basis monomial
+    ``degree_bases[d][b]``, for every ray ``j`` and degree ``d < n``, as
+    ``(index, coeff)`` pairs over ``degree_bases[d + 1]``.  Every scale is
+    a positive int and every coefficient an ``int``, so a walk from the
+    constant 1 through t tables stays in int arithmetic and ends at S_t =
+    scales[0] * ... * scales[t - 1] times the true coefficients, which it
+    divides by once.  On a unimodular elimination cone with an integral
+    Groebner basis every scale is 1.
 
     All of them are built with the presentation: the kept variables' as
     its reduction data, and each eliminated variable's as its linear

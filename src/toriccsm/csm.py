@@ -31,7 +31,6 @@ from __future__ import annotations
 
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
-from fractions import Fraction
 from itertools import combinations
 from typing import Iterable
 
@@ -39,6 +38,7 @@ from .chow import (
     ChowPresentation,
     GradedClass,
     _add_rows,
+    _graded_classes,
     build_presentation,
     class_add,
     degree,
@@ -111,9 +111,10 @@ def _multiplicities(fan: Fan, cones: list[Cone], threads: int) -> list[int]:
     return [multiplicity(fan, c) for c in cones]
 
 
-# Graded accumulators: sums[d] maps an index into degree_bases[d] to its
-# coefficient, an int while every table entry met so far was integral.
-_Sums = list[dict[int, int | Fraction]]
+# Graded accumulators: sums[t] maps an index into degree_bases[t] to its
+# coefficient times S_t, the product of the first t table scales, an int
+# (see ``multiplication_tables``); ``_graded_classes`` divides once.
+_Sums = list[dict[int, int]]
 
 
 def _ray_product(pres: ChowPresentation) -> _Sums:
@@ -125,7 +126,7 @@ def _ray_product(pres: ChowPresentation) -> _Sums:
     """
     n = pres.fan.ambient_dim
     v: _Sums = [{0: 1}] + [{} for _ in range(n)]
-    for table in multiplication_tables(pres):
+    for table in multiplication_tables(pres)[0]:
         for d in range(n - 1, -1, -1):
             _add_rows(v[d + 1], v[d].items(), table[d])
     return v
@@ -146,7 +147,7 @@ def _orbit_sum(pres: ChowPresentation, cones: Iterable[tuple[Cone, int]], sums: 
     sums.  Memory stays at the n + 1 vectors of the stack, O(n * h) for
     graded dimensions up to h, however many cones there are.
     """
-    tables = multiplication_tables(pres)
+    tables = multiplication_tables(pres)[0]
     stack: _Sums = [{0: 1}]
     path: tuple[int, ...] = ()
     for cone, mult in cones:
@@ -165,15 +166,6 @@ def _orbit_sum(pres: ChowPresentation, cones: Iterable[tuple[Cone, int]], sums: 
         for b, q in stack[-1].items():
             acc[b] = acc.get(b, 0) + mult * q
     return sums
-
-
-def _graded_classes(pres: ChowPresentation, sums: _Sums) -> dict[int, GradedClass]:
-    """Accumulators as classes over the basis monomials, coefficients as
-    ``Fraction``, zeros dropped."""
-    return {
-        d: {pres.degree_bases[d][b]: Fraction(q) for b, q in acc.items() if q}
-        for d, acc in enumerate(sums)
-    }
 
 
 def csm_result(

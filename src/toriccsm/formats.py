@@ -49,6 +49,7 @@ def parse_fan_text(text: str, source: str = "<string>") -> tuple[Fan, str | None
     ray_lines: list[int] = []
     cones: list[list[int]] = []
     section: str | None = None
+    seen: set[str] = set()
 
     def fail(lineno: int, msg: str) -> None:
         raise ValidationError(f"{source}, line {lineno}: {msg}")
@@ -60,6 +61,9 @@ def parse_fan_text(text: str, source: str = "<string>") -> tuple[Fan, str | None
         m = _SECTION.match(line)
         if m:
             key, rest = m.group(1), m.group(2).strip()
+            if key in seen:
+                fail(lineno, f"field '{key}' given twice")
+            seen.add(key)
             if key == "name":
                 name = rest or None
             elif key == "dim":

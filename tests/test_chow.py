@@ -253,7 +253,7 @@ def test_groebner_tables_match_macaulay_oracle():
             case = (name, elim)
             assert p.degree_bases == q.degree_bases, case
             assert p.point_coeff == q.point_coeff, case
-            assert all(table is not None for table in multiplication_tables(p)), case
+            assert all(table is not None for table in multiplication_tables(p)[0]), case
             monos = [
                 tuple((p.kept[i], k) for i, k in enumerate(e) if k)
                 for d in range(fan.ambient_dim + 1)
@@ -297,10 +297,33 @@ def test_p1_power_7_presentation_envelope(k, limit):
     assert elapsed < limit, f"(P1)^{k} presentation took {elapsed:.2f}s"
 
 
+def _power(fan, k):
+    out = fan
+    for _ in range(k - 1):
+        out = product(out, fan)
+    return out
+
+
+def _scaled_rows_are_normal_forms(pres):
+    """Every row of every table, divided by its degree's scale, is the
+    Macaulay oracle's normal form of x_j times that basis monomial."""
+    mac = macaulay_presentation(pres)
+    tables, scales = multiplication_tables(pres)
+    bases = pres.degree_bases
+    for j, table in enumerate(tables):
+        for e, rows in enumerate(table):
+            for b, row in zip(bases[e], rows):
+                exps = dict(b)
+                exps[j] = exps.get(j, 0) + 1
+                expected = oracle_normal_form({tuple(sorted(exps.items())): Fraction(1)}, mac)
+                assert {bases[e + 1][i]: Fraction(q, scales[e]) for i, q in row} == expected
+
+
 def test_table_entries_are_int_exactly_when_integral(monkeypatch):
-    # == cannot tell 1 from Fraction(1); the class walks rely on int
-    # entries to stay in int arithmetic.  The Groebner basis stays over
-    # Fraction: an int leading coefficient must not turn into a float.
+    # Every ray's degree-e table is stored times one positive int scale,
+    # which makes every entry an int (== cannot tell 1 from Fraction(1)),
+    # so the class walks stay in int arithmetic.  The Groebner basis stays
+    # over Fraction: an int leading coefficient must not turn into a float.
     groebner = []
     truncated_groebner = chow._truncated_groebner
 
@@ -310,31 +333,39 @@ def test_table_entries_are_int_exactly_when_integral(monkeypatch):
         return basis
 
     monkeypatch.setattr(chow, "_truncated_groebner", spy)
-    fans = [
-        ("hirzebruch=1", hirzebruch(1)),
-        ("wps=1,2,3*wps=1,1,3", product(weighted_projective([1, 2, 3]), weighted_projective([1, 1, 3]))),
+    wps = product(weighted_projective([1, 2, 3]), weighted_projective([1, 1, 3]))
+    p1, p2 = projective_space(1), projective_space(2)
+    # (fan, index of the elimination cone, scales): a unimodular cone and
+    # an integral Groebner basis give scale 1 in every degree.  The cones
+    # of multiplicity 9 and 2 scale every degree by d = |det A| over the
+    # content of the solve, 9 / 3 and 2.  stellar_fan(3, 4, 0) is smooth,
+    # and its Groebner denominators scale degree 1 alone.
+    cases = [
+        (product(_power(p1, 3), _power(p2, 2)), 0, (1,) * 7),
+        (product(_power(p1, 3), _power(p2, 2)), -1, (1,) * 7),
+        (_power(projective_space(4), 3), 0, (1,) * 12),
+        (_power(projective_space(4), 3), -1, (1,) * 12),
+        (hirzebruch(1), 0, (1, 1)),
+        (hirzebruch(1), -1, (1, 1)),
+        (wps, 0, (1, 1, 1, 1)),
+        (wps, 4, (3, 3, 3, 3)),
+        (wps, -1, (2, 2, 2, 2)),
+        (stellar_fan(3, 4, 0), -1, (1, 2, 1)),
     ]
-    kinds = {"tables": set(), "substitution": set()}
-    for name, fan in fans:
+    for fan, t, expected in cases:
+        elim = sorted(c.ray_indices for c in fan.max_cones)[t]
+        pres = build_presentation(fan, elim)
+        tables, scales = multiplication_tables(pres)
+        assert scales == expected and all(type(s) is int for s in scales), elim
+        assert all(type(q) is int for table in tables for rows in table for row in rows for _, q in row)
+        _scaled_rows_are_normal_forms(pres)
+    for name, fan in suite_fans():
         cones = sorted(c.ray_indices for c in fan.max_cones)
-        for elim in (cones[0], cones[-1]):
-            pres = build_presentation(fan, elim)
-            entries = {
-                "tables": [
-                    q
-                    for table in multiplication_tables(pres)
-                    for rows in table
-                    for row in rows
-                    for _, q in row
-                ],
-                "substitution": [q for form in pres._subst_dense.values() for q in form.values()],
-            }
-            for kind, values in entries.items():
-                assert values, (name, elim, kind)
-                for q in values:
-                    assert type(q) is int or q.denominator != 1, (name, elim, kind, q)
-                    kinds[kind].add(type(q))
-    assert kinds == {"tables": {int, Fraction}, "substitution": {int, Fraction}}
+        for elim in (cones[0], cones[len(cones) // 2], cones[-1]):
+            tables, scales = multiplication_tables(build_presentation(fan, elim))
+            assert all(type(s) is int and s > 0 for s in scales), (name, elim)
+            for table in tables:
+                assert all(type(q) is int for rows in table for row in rows for _, q in row), (name, elim)
     assert groebner
     for _, g in groebner:
         assert all(type(c) is Fraction for c in g.values()), g

@@ -133,7 +133,7 @@ def test_elim_cone_must_be_maximal(capsys):
     assert code == 2 and "not a maximal cone" in err
 
 
-def test_euler_only_flag_on_csm(capsys):
+def test_chi_alone_comes_from_euler_not_a_csm_flag(capsys):
     # The retired --euler-only is a usage error; `euler` gives chi alone.
     code, out, err = run(capsys, "csm", "--builder", "pn=4", "--euler-only")
     assert (code, out) == (1, "")
@@ -141,7 +141,7 @@ def test_euler_only_flag_on_csm(capsys):
     assert run(capsys, "euler", "--builder", "pn=4") == (0, "5\n", "")
 
 
-def test_trust_input_skips_wall_check(capsys, tmp_path):
+def test_no_flag_skips_the_completeness_check(capsys, tmp_path):
     # No flag skips validation: an open fan fails the completeness check,
     # and the retired --trust-input is a usage error on every subcommand.
     path = tmp_path / "open.fan"
@@ -155,7 +155,7 @@ def test_trust_input_skips_wall_check(capsys, tmp_path):
 
 
 @pytest.mark.parametrize("ray, length", [("0", 1), ("0 1 2", 3)])
-def test_trust_input_still_checks_ray_length(capsys, tmp_path, ray, length):
+def test_ragged_ray_is_rejected_on_every_command(capsys, tmp_path, ray, length):
     path = tmp_path / "ragged.fan"
     path.write_text(f"dim: 2\nrays:\n  1 0\n  {ray}\n  -1 -1\nmax_cones:\n  0 1\n  1 2\n  2 0\n")
     for command in ("csm", "euler", "chow", "validate"):
@@ -173,7 +173,7 @@ def test_trust_input_still_checks_ray_length(capsys, tmp_path, ray, length):
         ("1 0", "maximal cone (0, 1) is listed twice"),
     ],
 )
-def test_trust_input_still_checks_cone_shape(capsys, tmp_path, cone, message):
+def test_malformed_cone_is_rejected_on_every_command(capsys, tmp_path, cone, message):
     path = tmp_path / "malformed.fan"
     path.write_text(f"dim: 2\nrays:\n  1 0\n  0 1\n  -1 -1\nmax_cones:\n  0 1\n  1 2\n  {cone}\n")
     for command in ("csm", "euler", "chow", "validate"):
@@ -182,7 +182,7 @@ def test_trust_input_still_checks_cone_shape(capsys, tmp_path, cone, message):
         assert message in err, command
 
 
-def test_trust_input_degenerate_cone(capsys, tmp_path):
+def test_degenerate_cone_is_rejected_also_as_elimination_cone(capsys, tmp_path):
     # Cone (0, 3) spans a line: validation names it, also when it is the
     # elimination cone.
     path = tmp_path / "degenerate.fan"
@@ -195,6 +195,22 @@ def test_trust_input_degenerate_cone(capsys, tmp_path):
     for command in ("csm", "euler", "chow"):
         code, out, err = run(capsys, command, "--fan", str(path), "--elim-cone", "0,3")
         assert (code, out, err) == (2, "", degenerate), command
+
+
+@pytest.mark.parametrize(
+    "repeat",
+    ["name: again", "dim: 2", "rays:\n  1 1", "max_cones:\n  0 1"],
+)
+def test_repeated_header_is_rejected_with_its_line(capsys, tmp_path, repeat):
+    # A second header would concatenate sections or override the first
+    # value; it is named at its line, whatever follows it.
+    path = tmp_path / "repeated.fan"
+    path.write_text(render_fan(Fan(2, [(1, 0), (0, 1), (-1, 5), (0, -1)],
+                                   [(0, 1), (1, 2), (2, 3), (3, 0)]), "h5") + repeat + "\n")
+    key = repeat.split(":")[0]
+    message = f"toric-csm: validation error: {path}, line 13: field '{key}' given twice\n"
+    for command in ("csm", "euler", "chow", "validate"):
+        assert run(capsys, command, "--fan", str(path)) == (2, "", message), command
 
 
 def test_cached_parser_matches_a_fresh_one(capsys, monkeypatch):

@@ -13,7 +13,8 @@ from helpers import (
     stellar_fan,
     suite_fans,
 )
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
 from toriccsm import (
     build_fan,
@@ -83,7 +84,7 @@ def test_euler_examples():
     assert euler_characteristic(weighted_projective([1, 1, 2])) == 3
 
 
-def test_euler_by_cone_count():
+def test_euler_characteristic_is_the_max_cone_count():
     # chi is the number of maximal cones
     fans = [(hirzebruch(5), 4), (product(projective_space(5), projective_space(6)), 42),
             (projective_space(1), 2)]
@@ -252,6 +253,49 @@ def test_unimodular_face_rule_on_singular_products(drawn):
     pres = build_presentation(fan)
     default = _default_equals_forced(fan, pres)
     assert product_formula_class(factors, pres) == default.csm_class
+
+
+@st.composite
+def singular_fans(draw):
+    """A singular relabelled product of at most 12 rays, which keeps the
+    oracle quick, or a singular P^n + k subdivided at sums with
+    coefficients in {1, 2}."""
+    if draw(st.booleans()):
+        _, fan = draw(relabelled_products().filter(lambda drawn: len(drawn[1].rays) <= 12))
+        assume(not is_smooth(fan))
+        return fan
+    n = draw(st.integers(2, 3))
+    fan = stellar_fan(n, draw(st.integers(1, 8 if n == 2 else 6)), draw(st.integers(0, 10**6)), (1, 2))
+    assume(not is_smooth(fan))
+    return fan
+
+
+@settings(max_examples=30, deadline=None, database=None)
+@given(singular_fans())
+def test_class_and_euler_walks_stay_in_int(fan):
+    # Under its elimination cone of largest multiplicity every table is
+    # scaled, and every accumulator the walks hand over to be divided is
+    # still an int; the divided classes and chi match the oracle.
+    import toriccsm.csm as csm
+
+    handed = []
+    graded_classes = csm._graded_classes
+
+    def spy(pres, sums):
+        handed.extend(q for acc in sums for q in acc.values())
+        return graded_classes(pres, sums)
+
+    elim = max(fan.max_cones, key=lambda c: (multiplicity(fan, c), c.ray_indices))
+    pres = build_presentation(fan, elim)
+    expected = normal_form_orbit_sums(fan, pres)
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(csm, "_graded_classes", spy)
+        results = [csm_result(fan, pres, force_hnf=force) for force in (False, True)]
+        chi = euler_characteristic(fan, pres)
+    assert handed and all(type(q) is int for q in handed)
+    for res in results:
+        assert res.per_dim_contributions == expected
+    assert chi == degree(expected[fan.ambient_dim], pres) == len(fan.max_cones)
 
 
 def test_lattice_indices_of_default_and_forced_class(monkeypatch):
