@@ -23,7 +23,7 @@ of the kept tables' degree-e rows, and every ray's degree-e table is
 stored times s_e.  A walk through t tables from the constant 1 stays in
 int arithmetic, and each output coefficient is divided once, by s_0 ...
 s_{t-1}.  On a unimodular elimination cone with an integral Groebner
-basis, as on every smooth product, every scale is 1.
+basis every scale is 1, and the tables take no extra pass.
 
 Inside the presentation a monomial over the kept variables is one packed
 int (Bachmann-Schoenemann, ISSAC 1998).  Every monomial there has degree

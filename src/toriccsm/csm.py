@@ -40,7 +40,6 @@ from .chow import (
     _add_rows,
     _graded_classes,
     build_presentation,
-    class_add,
     degree,
     multiplication_tables,
     normal_form,  # noqa: F401 -- not called here; perfbench/tracer.py wraps csm.normal_form
@@ -204,9 +203,8 @@ def csm_result(
         mults = _multiplicities(fan, cones, threads)
         _orbit_sum(pres, ((c, m - 1) for c, m in zip(cones, mults) if m != 1), sums)
     per_dim = _graded_classes(pres, sums)
-    total: GradedClass = {}
-    for part in per_dim.values():
-        total = class_add(total, part)
+    # the parts hold monomials of distinct degrees: the class is their union
+    total = {m: q for part in per_dim.values() for m, q in part.items()}
     chi = _integer_degree(total, pres)
     return CsmResult(csm_class=total, euler=chi, per_dim_contributions=per_dim)
 

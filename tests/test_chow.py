@@ -304,6 +304,10 @@ def _power(fan, k):
     return out
 
 
+def _table_entries(tables):
+    return [q for table in tables for rows in table for row in rows for _, q in row]
+
+
 def _scaled_rows_are_normal_forms(pres):
     """Every row of every table, divided by its degree's scale, is the
     Macaulay oracle's normal form of x_j times that basis monomial."""
@@ -338,8 +342,9 @@ def test_table_entries_are_int_exactly_when_integral(monkeypatch):
     # (fan, index of the elimination cone, scales): a unimodular cone and
     # an integral Groebner basis give scale 1 in every degree.  The cones
     # of multiplicity 9 and 2 scale every degree by d = |det A| over the
-    # content of the solve, 9 / 3 and 2.  stellar_fan(3, 4, 0) is smooth,
-    # and its Groebner denominators scale degree 1 alone.
+    # content of the solve, 9 / 3 and 2.  stellar_fan(3, 4, 0) and the
+    # product (P1)^3 x F7 are smooth, and under these unimodular cones
+    # their Groebner denominators scale some degrees.
     cases = [
         (product(_power(p1, 3), _power(p2, 2)), 0, (1,) * 7),
         (product(_power(p1, 3), _power(p2, 2)), -1, (1,) * 7),
@@ -351,21 +356,22 @@ def test_table_entries_are_int_exactly_when_integral(monkeypatch):
         (wps, 4, (3, 3, 3, 3)),
         (wps, -1, (2, 2, 2, 2)),
         (stellar_fan(3, 4, 0), -1, (1, 2, 1)),
+        (product(_power(p1, 3), hirzebruch(7)), 0, (1, 7, 7, 7, 7)),
+        (product(_power(p1, 3), hirzebruch(7)), 1, (1,) * 5),
     ]
     for fan, t, expected in cases:
         elim = sorted(c.ray_indices for c in fan.max_cones)[t]
         pres = build_presentation(fan, elim)
         tables, scales = multiplication_tables(pres)
         assert scales == expected and all(type(s) is int for s in scales), elim
-        assert all(type(q) is int for table in tables for rows in table for row in rows for _, q in row)
+        assert all(type(q) is int for q in _table_entries(tables)), elim
         _scaled_rows_are_normal_forms(pres)
     for name, fan in suite_fans():
         cones = sorted(c.ray_indices for c in fan.max_cones)
         for elim in (cones[0], cones[len(cones) // 2], cones[-1]):
             tables, scales = multiplication_tables(build_presentation(fan, elim))
             assert all(type(s) is int and s > 0 for s in scales), (name, elim)
-            for table in tables:
-                assert all(type(q) is int for rows in table for row in rows for _, q in row), (name, elim)
+            assert all(type(q) is int for q in _table_entries(tables)), (name, elim)
     assert groebner
     for _, g in groebner:
         assert all(type(c) is Fraction for c in g.values()), g

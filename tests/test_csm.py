@@ -265,7 +265,8 @@ def singular_fans(draw):
         assume(not is_smooth(fan))
         return fan
     n = draw(st.integers(2, 3))
-    fan = stellar_fan(n, draw(st.integers(1, 8 if n == 2 else 6)), draw(st.integers(0, 10**6)), (1, 2))
+    k = draw(st.integers(1, 8 if n == 2 else 6))
+    fan = stellar_fan(n, k, draw(st.integers(0, 10**6)), (1, 2))
     assume(not is_smooth(fan))
     return fan
 
