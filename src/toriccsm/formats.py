@@ -16,8 +16,9 @@ lines are ignored, and the sections are::
       2 3
       3 0
 
-Ray indices are 0-based everywhere.  Parsing reports the offending line;
-fan validation errors are surfaced verbatim.
+Each header appears at most once, and ray indices are 0-based everywhere.
+Parsing reports the offending line; fan validation errors are surfaced
+verbatim.
 """
 
 from __future__ import annotations

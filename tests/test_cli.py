@@ -200,6 +200,7 @@ def test_degenerate_cone_is_rejected_also_as_elimination_cone(capsys, tmp_path):
 @pytest.mark.parametrize(
     "repeat",
     ["name: again", "dim: 2", "rays:\n  1 1", "max_cones:\n  0 1"],
+    ids=["name", "dim", "rays", "max_cones"],
 )
 def test_repeated_header_is_rejected_with_its_line(capsys, tmp_path, repeat):
     # A second header would concatenate sections or override the first
