@@ -11,8 +11,10 @@ order (an earlier kept variable is more significant), truncated at degree
 ``n``, gives that ideal's leading terms.  The monomials they do not divide
 are the basis of each graded piece, an order ideal grown degree by degree
 from its border; the normal forms of the border monomials are the kept
-variables' multiplication tables, and each eliminated variable's table is
-its substitution's combination of them.  All of them are built with the
+variables' multiplication tables.  An eliminated variable whose
+substitution is one term c * x_m gets x_m's table, shared when c is 1
+and times c otherwise; only a substitution of two or more terms is
+combined from the kept tables.  All of them are built with the
 presentation, its only reduction data, and one row-product kernel walks
 them: the normal forms, class assembly and the degree calibration.
 
@@ -231,7 +233,10 @@ class ChowPresentation:
     The private ``_mul_tables`` holds the pair that
     ``multiplication_tables`` documents: per ray, its multiplication table
     in integers, and per degree, the scale those integers carry.  Every
-    ray's table is built with the presentation.
+    ray's table is built with the presentation.  An eliminated ray whose
+    substitution is c * x_m gets x_m's table, the same object or its rows
+    times c; only multi-term substitutions are combined.  Tables are
+    nested tuples, so several rays may share one.
 
     The degree map sends the top basis monomial to 1/(point_coeff * point_mult),
     which makes every maximal cone's orbit-closure class integrate to 1.
@@ -247,7 +252,6 @@ class ChowPresentation:
         "degree_bases",
         "point_coeff",
         "point_mult",
-        "_subst_dense",
         "_mul_tables",
     )
 
@@ -310,7 +314,6 @@ def build_presentation(fan: Fan, elim_cone: Cone | Iterable[int] | None = None) 
         ray: {variables[m]: Fraction(c, d) for m, c in enumerate(x[i]) if c}
         for i, ray in enumerate(elim_idx)
     }
-    p._subst_dense = subst_dense
     p.substitution = {
         ray: {_sparse(packing.unpack(m), kept): c for m, c in form.items()}
         for ray, form in subst_dense.items()
@@ -359,18 +362,26 @@ def build_presentation(fan: Fan, elim_cone: Cone | Iterable[int] | None = None) 
         kept_tables = [tuple(map(_scaled, t, lcms)) for t in kept_tables]
     # An eliminated variable is its substitution, sum_m x[i][m] / d times
     # the kept variables, so its table row is that combination of their
-    # L_e-scaled rows times d: ``columns[e][b]`` lists row b of every kept
-    # table in degree e.
+    # L_e-scaled rows times d.  A single term c * x_m takes kept table m's
+    # rows times c, the same table when c = 1.  Only a longer combination
+    # is summed, with ``columns[e][b]`` listing row b of every kept table
+    # in degree e.
     tables = [None] * r
-    columns = [tuple(zip(*(table[e] for table in kept_tables))) for e in range(n)]
+    columns = None
     for i, ray in enumerate(elim_idx):
         coeffs = [(m, c) for m, c in enumerate(x[i]) if c]
+        if len(coeffs) == 1:
+            (m, c), = coeffs
+            tables[ray] = _scaled_table(kept_tables[m], c)
+            continue
+        if columns is None:
+            columns = [tuple(zip(*(table[e] for table in kept_tables))) for e in range(n)]
         tables[ray] = tuple(
             tuple(_row(_add_rows({}, coeffs, column)) for column in columns[e])
             for e in range(n)
         )
     for ray, table in zip(kept, kept_tables):
-        tables[ray] = table if d == 1 else tuple(_scaled(rows, d) for rows in table)
+        tables[ray] = _scaled_table(table, d)
     p._mul_tables = tables, tuple(d * s for s in lcms)
 
     # Degree-map calibration against the lexicographically smallest maximal
@@ -583,6 +594,11 @@ def _scaled(rows: tuple, s: int) -> tuple:
     return tuple(tuple((i, (q * s).numerator) for i, q in row) for row in rows)
 
 
+def _scaled_table(table: tuple, s: int) -> tuple:
+    """``_scaled`` in every degree; the same table when ``s`` is 1."""
+    return table if s == 1 else tuple(_scaled(rows, s) for rows in table)
+
+
 def _check_graded_dimensions(dims: tuple[int, ...], num_max_cones: int) -> None:
     """Raise ``InternalError`` unless the graded dimensions are palindromic
     (Poincare duality) and sum to the number of maximal cones."""
@@ -671,8 +687,11 @@ def multiplication_tables(pres: ChowPresentation) -> tuple[list[tuple[tuple, ...
     Groebner basis every scale is 1.
 
     All of them are built with the presentation: the kept variables' as
-    its reduction data, and each eliminated variable's as its linear
-    substitution's combination of those.
+    its reduction data, and each eliminated variable's from its linear
+    substitution.  A substitution c * x_m gives x_m's table itself when c
+    is 1 and its rows times c otherwise, so ``tables[j] is tables[k]`` can
+    hold for j != k; only a substitution of two or more terms is combined
+    from the kept tables.
     """
     return pres._mul_tables
 

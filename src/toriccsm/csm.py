@@ -29,7 +29,6 @@ form per face.
 
 from __future__ import annotations
 
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from itertools import combinations
 from typing import Iterable
@@ -102,6 +101,9 @@ def _multiplicities(fan: Fan, cones: list[Cone], threads: int) -> list[int]:
     fresh from ``enumerate_cones``, takes one lattice index.
     """
     if threads > 1 and len(cones) > 2 * threads:
+        # Imported here: a smooth fan never takes the pool.
+        from concurrent.futures import ThreadPoolExecutor
+
         size = -(-len(cones) // threads)
         chunks = [cones[i : i + size] for i in range(0, len(cones), size)]
         with ThreadPoolExecutor(max_workers=threads) as pool:

@@ -62,7 +62,7 @@ class Cone:
     def __init__(self, ray_indices: Iterable[int]):
         idx = tuple(sorted(_integers(ray_indices, "cone")))
         if len(set(idx)) != len(idx):
-            raise ValidationError("duplicate ray index in cone")
+            raise ValidationError(f"duplicate ray index in cone {idx}")
         self.ray_indices = idx
         self._mult: int | None = None
 

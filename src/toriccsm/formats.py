@@ -49,6 +49,7 @@ def parse_fan_text(text: str, source: str = "<string>") -> tuple[Fan, str | None
     rays: list[list[int]] = []
     ray_lines: list[int] = []
     cones: list[list[int]] = []
+    cone_lines: list[int] = []
     section: str | None = None
     seen: set[str] = set()
 
@@ -86,6 +87,7 @@ def parse_fan_text(text: str, source: str = "<string>") -> tuple[Fan, str | None
             ray_lines.append(lineno)
         elif section == "max_cones":
             cones.append(values)
+            cone_lines.append(lineno)
         else:
             fail(lineno, "data line outside a 'rays:' or 'max_cones:' section")
 
@@ -95,10 +97,15 @@ def parse_fan_text(text: str, source: str = "<string>") -> tuple[Fan, str | None
         raise ValidationError(f"{source}: missing or empty 'rays' section")
     if not cones:
         raise ValidationError(f"{source}: missing or empty 'max_cones' section")
-    for i, (ray, lineno) in enumerate(zip(rays, ray_lines)):
-        # a dim below 1 is left to build_fan, which rejects it
-        if len(ray) != dim and dim >= 1:
-            fail(lineno, f"ray {i} has {len(ray)} coordinates, expected {dim}")
+    # A dim below 1 is left to build_fan, which rejects it first.
+    if dim >= 1:
+        for i, (ray, lineno) in enumerate(zip(rays, ray_lines)):
+            if len(ray) != dim:
+                fail(lineno, f"ray {i} has {len(ray)} coordinates, expected {dim}")
+        for k, (cone, lineno) in enumerate(zip(cones, cone_lines)):
+            repeated = [j for t, j in enumerate(cone) if j in cone[:t]]
+            if repeated:
+                fail(lineno, f"cone {k} repeats ray {repeated[0]}")
     return build_fan(dim, rays, cones), name
 
 

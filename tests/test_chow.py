@@ -2,7 +2,7 @@ import random
 import time
 from itertools import combinations
 from fractions import Fraction
-from math import comb
+from math import comb, lcm
 from types import SimpleNamespace
 
 import pytest
@@ -16,6 +16,7 @@ from helpers import (
     oracle_normal_form,
     oracle_substitution,
     relabel,
+    relabelled_products,
     shuffled_products,
     stellar_fan,
     suite_fans,
@@ -308,14 +309,15 @@ def _table_entries(tables):
     return [q for table in tables for rows in table for row in rows for _, q in row]
 
 
-def _scaled_rows_are_normal_forms(pres):
-    """Every row of every table, divided by its degree's scale, is the
-    Macaulay oracle's normal form of x_j times that basis monomial."""
+def _scaled_rows_are_normal_forms(pres, rays=None):
+    """Every row of every table of the given rays (by default all),
+    divided by its degree's scale, is the Macaulay oracle's normal form of
+    x_j times that basis monomial."""
     mac = macaulay_presentation(pres)
     tables, scales = multiplication_tables(pres)
     bases = pres.degree_bases
-    for j, table in enumerate(tables):
-        for e, rows in enumerate(table):
+    for j in range(len(tables)) if rays is None else rays:
+        for e, rows in enumerate(tables[j]):
             for b, row in zip(bases[e], rows):
                 exps = dict(b)
                 exps[j] = exps.get(j, 0) + 1
@@ -400,6 +402,63 @@ def test_substitution_matches_rref_oracle():
             assert all(type(q) is Fraction for q in coeffs), (name, elim)
             fractional += any(q.denominator != 1 for q in coeffs)
     assert fractional
+
+
+def _eliminated_tables_are_kept_tables(pres):
+    """Check every eliminated ray's table against the Macaulay oracle, and
+    that a substitution of exactly one kept variable x_m shares x_m's
+    table when d = 1; return the kinds of substitution seen.
+
+    d is the lcm of the substitution's denominators, the scale that the
+    solve leaves on every table.  Every level of every table must be a
+    tuple, which is what makes sharing one table between rays safe.
+    """
+    tables, _ = multiplication_tables(pres)
+    for table in tables:
+        assert type(table) is tuple
+        for rows in table:
+            assert type(rows) is tuple
+            assert all(type(row) is tuple for row in rows)
+            assert all(type(pair) is tuple for row in rows for pair in row)
+    _scaled_rows_are_normal_forms(pres, pres.elim_cone.ray_indices)
+    d = lcm(*(q.denominator for form in pres.substitution.values() for q in form.values()))
+    kinds = set()
+    for ray, form in pres.substitution.items():
+        if len(form) > 1:
+            kinds.add("combined")
+            continue
+        (((kept_ray, _),), q), = form.items()
+        if q == 1:
+            assert tables[ray] == tables[kept_ray], ray
+            assert tables[ray] is tables[kept_ray] or d != 1, ray
+        kinds.add("shared" if q == 1 and d == 1 else f"c * x_m, d {'= 1' if d == 1 else '> 1'}")
+    return kinds
+
+
+def test_eliminated_tables_of_suite_fans():
+    # Under three elimination cones the suite reaches every kind of
+    # substitution: x_m (shared table), c * x_m with and without d = 1,
+    # and a combination of two or more kept variables (hirzebruch).
+    kinds = set()
+    for name, fan in suite_fans():
+        cones = sorted(c.ray_indices for c in fan.max_cones)
+        for elim in (cones[0], cones[len(cones) // 2], cones[-1]):
+            kinds |= _eliminated_tables_are_kept_tables(build_presentation(fan, elim))
+    assert kinds == {"shared", "c * x_m, d = 1", "c * x_m, d > 1", "combined"}
+
+
+@settings(max_examples=30, deadline=None, database=None)
+@given(
+    relabelled_products().filter(lambda drawn: len(drawn[1].rays) - drawn[1].ambient_dim <= 4),
+    st.data(),
+)
+def test_eliminated_tables_of_relabelled_products(drawn, data):
+    # Products of pn, hirzebruch (multi-term substitutions) and singular
+    # wps factors (c != 1 and d != 1) under a drawn elimination cone; at
+    # most four kept variables keep the Macaulay oracle small.
+    _, fan = drawn
+    elim = data.draw(st.sampled_from(sorted(c.ray_indices for c in fan.max_cones)))
+    _eliminated_tables_are_kept_tables(build_presentation(fan, elim))
 
 
 @st.composite

@@ -1,10 +1,15 @@
 import json
+import os
 import re
+import subprocess
+import sys
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 from helpers import MULTI_COVER_FANS, suite_fans
 
+import toriccsm
 from toriccsm import (
     Cone,
     Fan,
@@ -180,6 +185,32 @@ def test_malformed_cone_is_rejected_on_every_command(capsys, tmp_path, cone, mes
         code, out, err = run(capsys, command, "--fan", str(path))
         assert code == 2 and out == "", command
         assert message in err, command
+
+
+@pytest.mark.parametrize("cone, repeated", [("1 1", 1), ("1 2 2", 2)])
+def test_cone_with_a_repeated_ray_is_named_by_its_line(capsys, tmp_path, cone, repeated):
+    path = tmp_path / "repeated.fan"
+    path.write_text(f"dim: 2\nrays:\n  1 0\n  0 1\n  -1 -1\nmax_cones:\n  0 1\n  1 2\n  {cone}\n")
+    message = f"toric-csm: validation error: {path}, line 9: cone 2 repeats ray {repeated}\n"
+    for command in ("csm", "euler", "chow", "validate"):
+        assert run(capsys, command, "--fan", str(path)) == (2, "", message), command
+
+
+def test_elim_cone_with_a_repeated_ray_is_named(capsys):
+    message = "toric-csm: validation error: duplicate ray index in cone (0, 0)\n"
+    for command in ("csm", "euler", "chow"):
+        code, out, err = run(capsys, command, "--builder", "pn=2", "--elim-cone", "0,0")
+        assert (code, out, err) == (2, "", message), command
+
+
+def test_importing_the_cli_loads_no_thread_pool():
+    # The csm thread pool is imported where it is used: a run that never
+    # takes it pays nothing for concurrent.futures.
+    src = str(Path(toriccsm.__file__).parents[1])
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
+    code = "import sys, toriccsm.cli; print('concurrent.futures' in sys.modules)"
+    done = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True, timeout=60)
+    assert (done.returncode, done.stdout) == (0, "False\n"), done.stderr
 
 
 def test_degenerate_cone_is_rejected_also_as_elimination_cone(capsys, tmp_path):
