@@ -11,12 +11,11 @@ order (an earlier kept variable is more significant), truncated at degree
 ``n``, gives that ideal's leading terms.  The monomials they do not divide
 are the basis of each graded piece, an order ideal grown degree by degree
 from its border; the normal forms of the border monomials are the kept
-variables' multiplication tables.  An eliminated variable whose
-substitution is one term c * x_m gets x_m's table, shared when c is 1
-and times c otherwise; only a substitution of two or more terms is
-combined from the kept tables.  All of them are built with the
-presentation, its only reduction data, and one row-product kernel walks
-them: the normal forms, class assembly and the degree calibration.
+variables' multiplication tables.  An eliminated variable substituted by
+c * x_m gets x_m's table, shared when c = 1 and times c otherwise, and
+one substituted by several terms their combination.  All are built with
+the presentation, its only reduction data, and one row-product kernel
+walks them: the normal forms, class assembly and the degree calibration.
 
 Every table is integral, the fraction-free principle of Bareiss (*Math.
 Comp.* 22, 1968): each degree e < n has one positive integer scale s_e,
@@ -232,11 +231,9 @@ class ChowPresentation:
 
     The private ``_mul_tables`` holds the pair that
     ``multiplication_tables`` documents: per ray, its multiplication table
-    in integers, and per degree, the scale those integers carry.  Every
-    ray's table is built with the presentation.  An eliminated ray whose
-    substitution is c * x_m gets x_m's table, the same object or its rows
-    times c; only multi-term substitutions are combined.  Tables are
-    nested tuples, so several rays may share one.
+    in integers, and per degree, the scale those integers carry, built with
+    the presentation.  An eliminated ray substituted by c * x_m gets x_m's
+    table, shared or times c; only multi-term substitutions are combined.
 
     The degree map sends the top basis monomial to 1/(point_coeff * point_mult),
     which makes every maximal cone's orbit-closure class integrate to 1.
@@ -360,28 +357,24 @@ def build_presentation(fan: Fan, elim_cone: Cone | Iterable[int] | None = None) 
             for e in range(n)
         ]
         kept_tables = [tuple(map(_scaled, t, lcms)) for t in kept_tables]
-    # An eliminated variable is its substitution, sum_m x[i][m] / d times
-    # the kept variables, so its table row is that combination of their
-    # L_e-scaled rows times d.  A single term c * x_m takes kept table m's
-    # rows times c, the same table when c = 1.  Only a longer combination
-    # is summed, with ``columns[e][b]`` listing row b of every kept table
-    # in degree e.
-    tables = [None] * r
-    columns = None
-    for i, ray in enumerate(elim_idx):
-        coeffs = [(m, c) for m, c in enumerate(x[i]) if c]
+    # Every ray is a form sum_m c_m / d over the kept variables: row i of x
+    # for an eliminated ray, d * x_m for a kept x_m.  Its degree-e table is
+    # sum_m c_m times kept table m's L_e-scaled rows.  A one-term form takes
+    # those rows times c, the table itself when c = 1; only a longer form
+    # sums rows, with ``columns[e][b]`` listing row b of each kept table.
+    forms = [(ray, [(m, d)]) for m, ray in enumerate(kept)]
+    forms += [(ray, [(m, c) for m, c in enumerate(x[i]) if c]) for i, ray in enumerate(elim_idx)]
+    tables, columns = [None] * r, None
+    for ray, coeffs in forms:
         if len(coeffs) == 1:
             (m, c), = coeffs
-            tables[ray] = _scaled_table(kept_tables[m], c)
-            continue
-        if columns is None:
-            columns = [tuple(zip(*(table[e] for table in kept_tables))) for e in range(n)]
-        tables[ray] = tuple(
-            tuple(_row(_add_rows({}, coeffs, column)) for column in columns[e])
-            for e in range(n)
-        )
-    for ray, table in zip(kept, kept_tables):
-        tables[ray] = _scaled_table(table, d)
+            tables[ray] = kept_tables[m] if c == 1 else tuple(_scaled(rows, c) for rows in kept_tables[m])
+        else:
+            columns = columns or [tuple(zip(*(table[e] for table in kept_tables))) for e in range(n)]
+            tables[ray] = tuple(
+                tuple(_row(_add_rows({}, coeffs, column)) for column in columns[e])
+                for e in range(n)
+            )
     p._mul_tables = tables, tuple(d * s for s in lcms)
 
     # Degree-map calibration against the lexicographically smallest maximal
@@ -594,11 +587,6 @@ def _scaled(rows: tuple, s: int) -> tuple:
     return tuple(tuple((i, (q * s).numerator) for i, q in row) for row in rows)
 
 
-def _scaled_table(table: tuple, s: int) -> tuple:
-    """``_scaled`` in every degree; the same table when ``s`` is 1."""
-    return table if s == 1 else tuple(_scaled(rows, s) for rows in table)
-
-
 def _check_graded_dimensions(dims: tuple[int, ...], num_max_cones: int) -> None:
     """Raise ``InternalError`` unless the graded dimensions are palindromic
     (Poincare duality) and sum to the number of maximal cones."""
@@ -687,11 +675,9 @@ def multiplication_tables(pres: ChowPresentation) -> tuple[list[tuple[tuple, ...
     Groebner basis every scale is 1.
 
     All of them are built with the presentation: the kept variables' as
-    its reduction data, and each eliminated variable's from its linear
-    substitution.  A substitution c * x_m gives x_m's table itself when c
-    is 1 and its rows times c otherwise, so ``tables[j] is tables[k]`` can
-    hold for j != k; only a substitution of two or more terms is combined
-    from the kept tables.
+    its reduction data.  An eliminated variable substituted by c * x_m gets
+    x_m's table, the same object when c = 1 (so ``tables[j] is tables[k]``
+    may hold) and its rows times c otherwise; a multi-term one, their sum.
     """
     return pres._mul_tables
 

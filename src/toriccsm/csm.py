@@ -103,7 +103,6 @@ def _multiplicities(fan: Fan, cones: list[Cone], threads: int) -> list[int]:
     if threads > 1 and len(cones) > 2 * threads:
         # Imported here: a smooth fan never takes the pool.
         from concurrent.futures import ThreadPoolExecutor
-
         size = -(-len(cones) // threads)
         chunks = [cones[i : i + size] for i in range(0, len(cones), size)]
         with ThreadPoolExecutor(max_workers=threads) as pool:

@@ -97,15 +97,14 @@ def parse_fan_text(text: str, source: str = "<string>") -> tuple[Fan, str | None
         raise ValidationError(f"{source}: missing or empty 'rays' section")
     if not cones:
         raise ValidationError(f"{source}: missing or empty 'max_cones' section")
-    # A dim below 1 is left to build_fan, which rejects it first.
-    if dim >= 1:
-        for i, (ray, lineno) in enumerate(zip(rays, ray_lines)):
-            if len(ray) != dim:
-                fail(lineno, f"ray {i} has {len(ray)} coordinates, expected {dim}")
-        for k, (cone, lineno) in enumerate(zip(cones, cone_lines)):
-            repeated = [j for t, j in enumerate(cone) if j in cone[:t]]
-            if repeated:
-                fail(lineno, f"cone {k} repeats ray {repeated[0]}")
+    for i, (ray, lineno) in enumerate(zip(rays, ray_lines)):
+        # a dim below 1 is left to build_fan, which rejects it
+        if len(ray) != dim and dim >= 1:
+            fail(lineno, f"ray {i} has {len(ray)} coordinates, expected {dim}")
+    for k, (cone, lineno) in enumerate(zip(cones, cone_lines)):
+        j = max(cone, key=cone.count)
+        if cone.count(j) > 1 and dim >= 1:
+            fail(lineno, f"cone {k} repeats ray {j}")
     return build_fan(dim, rays, cones), name
 
 
