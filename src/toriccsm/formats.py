@@ -24,6 +24,7 @@ verbatim.
 from __future__ import annotations
 
 import re
+from collections import Counter
 from fractions import Fraction
 
 from .chow import GradedClass, Monomial, monomial_degree
@@ -102,8 +103,8 @@ def parse_fan_text(text: str, source: str = "<string>") -> tuple[Fan, str | None
         if len(ray) != dim and dim >= 1:
             fail(lineno, f"ray {i} has {len(ray)} coordinates, expected {dim}")
     for k, (cone, lineno) in enumerate(zip(cones, cone_lines)):
-        j = max(cone, key=cone.count)
-        if cone.count(j) > 1 and dim >= 1:
+        (j, count), = Counter(cone).most_common(1)
+        if count > 1 and dim >= 1:
             fail(lineno, f"cone {k} repeats ray {j}")
     return build_fan(dim, rays, cones), name
 
