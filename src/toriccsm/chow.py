@@ -357,11 +357,12 @@ def build_presentation(fan: Fan, elim_cone: Cone | Iterable[int] | None = None) 
             for e in range(n)
         ]
         kept_tables = [tuple(map(_scaled, t, lcms)) for t in kept_tables]
-    # Every ray is a form sum_m c_m / d over the kept variables: row i of x
-    # for an eliminated ray, d * x_m for a kept x_m.  Its degree-e table is
-    # sum_m c_m times kept table m's L_e-scaled rows.  A one-term form takes
-    # those rows times c, the table itself when c = 1; only a longer form
-    # sums rows, with ``columns[e][b]`` listing row b of each kept table.
+    # Every ray is a form sum_m c_m x_m / d over the kept variables: row i
+    # of x for an eliminated ray, c_m = d alone for a kept x_m.  Its table
+    # is sum_m c_m times kept table m, L_e-scaled in degree e.  A one-term
+    # form c * x_m takes that table times c, the table itself when c = 1;
+    # only a longer form sums rows, ``columns[e][b]`` listing row b of each
+    # kept table.
     forms = [(ray, [(m, d)]) for m, ray in enumerate(kept)]
     forms += [(ray, [(m, c) for m, c in enumerate(x[i]) if c]) for i, ray in enumerate(elim_idx)]
     tables, columns = [None] * r, None
