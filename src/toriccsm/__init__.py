@@ -34,7 +34,6 @@ from .chow import (
     GradedClass,
     Monomial,
     build_presentation,
-    class_add,
     degree,
     graded_dimensions,
     linear_relations,
@@ -79,7 +78,6 @@ __all__ = [
     "ChowPresentation",
     "squarefree_monomial",
     "monomial_degree",
-    "class_add",
     "stanley_reisner_nonfaces",
     "linear_relations",
     "build_presentation",

@@ -11,11 +11,13 @@ order (an earlier kept variable is more significant), truncated at degree
 ``n``, gives that ideal's leading terms.  The monomials they do not divide
 are the basis of each graded piece, an order ideal grown degree by degree
 from its border; the normal forms of the border monomials are the kept
-variables' multiplication tables.  An eliminated variable substituted by
-c * x_m gets x_m's table, shared when c = 1 and times c otherwise, and
-one substituted by several terms their combination.  All are built with
-the presentation, its only reduction data, and one row-product kernel
-walks them: the normal forms, class assembly and the degree calibration.
+variables' multiplication tables.  Every ray is a form sum_m c_m x_m / d
+over the kept variables, a kept x_m the form d * x_m / d: a one-term
+form c * x_m gets x_m's table times c, one object shared by every ray
+of that form, and a longer form the combination.  All are built with
+the presentation, its only reduction data, and one walk reads them,
+``orbit_classes``: it serves ``normal_form`` and so the degree
+calibration, and the Euler characteristic and the c_SM class.
 
 Every table is integral, the fraction-free principle of Bareiss (*Math.
 Comp.* 22, 1968): each degree e < n has one positive integer scale s_e,
@@ -40,8 +42,8 @@ the mask ``G`` of the guard bits, ``lead`` divides ``m`` iff ``((m | G)
 - lead) & G == G``, since a field borrows from its guard bit exactly when
 ``lead``'s exponent is the larger; the cofactor is then ``m - lead``.
 Only the Buchberger leads are unpacked, for the lcm and the coprime
-test, and the basis monomials and substitution forms, where they become
-public monomials.  An exponent above ``n`` is an ``InternalError``.
+test, and the basis monomials, where they become public monomials.  An
+exponent above ``n`` is an ``InternalError``.
 
 Classes are sparse:
 
@@ -56,7 +58,7 @@ from __future__ import annotations
 from fractions import Fraction
 from itertools import accumulate, islice
 from math import gcd, lcm
-from operator import index, mul
+from operator import index, itemgetter, mul
 from typing import Callable, Dict, Iterable, Tuple
 
 from .errors import InternalError, ValidationError
@@ -72,11 +74,11 @@ __all__ = [
     "ChowPresentation",
     "squarefree_monomial",
     "monomial_degree",
-    "class_add",
     "stanley_reisner_nonfaces",
     "linear_relations",
     "build_presentation",
     "normal_form",
+    "orbit_classes",
     "multiplication_tables",
     "graded_dimensions",
     "degree",
@@ -96,17 +98,6 @@ def squarefree_monomial(ray_indices: Iterable[int]) -> Monomial:
 
 def monomial_degree(mono: Monomial) -> int:
     return sum(e for _, e in mono)
-
-
-def class_add(a: GradedClass, b: GradedClass) -> GradedClass:
-    out = dict(a)
-    for m, c in b.items():
-        s = out.get(m, _F0) + c
-        if s:
-            out[m] = s
-        else:
-            out.pop(m, None)
-    return out
 
 
 def stanley_reisner_nonfaces(fan: Fan) -> tuple[tuple[int, ...], ...]:
@@ -232,8 +223,8 @@ class ChowPresentation:
     The private ``_mul_tables`` holds the pair that
     ``multiplication_tables`` documents: per ray, its multiplication table
     in integers, and per degree, the scale those integers carry, built with
-    the presentation.  An eliminated ray substituted by c * x_m gets x_m's
-    table, shared or times c; only multi-term substitutions are combined.
+    the presentation.  Rays of equal one-term forms c * x_m share one
+    table; only multi-term substitutions are combined.
 
     The degree map sends the top basis monomial to 1/(point_coeff * point_mult),
     which makes every maximal cone's orbit-closure class integrate to 1.
@@ -305,19 +296,19 @@ def build_presentation(fan: Fan, elim_cone: Cone | Iterable[int] | None = None) 
         raise InternalError("elimination system is singular; contradicts simpliciality")
     g = gcd(d, *(c for row in x for c in row))
     d, x = d // g, [[c // g for c in row] for row in x]
+    # Every ray is a form sum_m c_m x_m / d over the kept variables, as
+    # (m, c_m) pairs: row i of x for an eliminated ray, c_m = d alone for
+    # a kept x_m.
+    forms = {ray: [(m, d)] for m, ray in enumerate(kept)}
+    forms.update((ray, [(m, c) for m, c in enumerate(row) if c]) for ray, row in zip(elim_idx, x))
+    p.substitution = {ray: {((kept[m], 1),): Fraction(c, d) for m, c in forms[ray]} for ray in elim_idx}
     packing = _Packing(nk, n)
     variables = packing.variables
-    subst_dense: dict[int, _Poly] = {
-        ray: {variables[m]: Fraction(c, d) for m, c in enumerate(x[i]) if c}
-        for i, ray in enumerate(elim_idx)
-    }
-    p.substitution = {
-        ray: {_sparse(packing.unpack(m), kept): c for m, c in form.items()}
-        for ray, form in subst_dense.items()
-    }
 
-    # Substituted Stanley-Reisner generators (homogeneous over kept vars).
-    # One of degree above n never enters the truncated basis.
+    # Substituted Stanley-Reisner generators (homogeneous over kept vars),
+    # an eliminated ray taken as its row of x, d times its substitution: a
+    # constant factor changes neither the ideal nor its monic Groebner
+    # basis.  One of degree above n never enters the truncated basis.
     gens: list[tuple[int, _Poly]] = []
     for s in p.nonfaces:
         if len(s) > n:
@@ -328,7 +319,7 @@ def build_presentation(fan: Fan, elim_cone: Cone | Iterable[int] | None = None) 
             if j in kept_pos:
                 base += variables[kept_pos[j]]
             else:
-                poly = _poly_mul(poly, subst_dense[j])
+                poly = _poly_mul(poly, {variables[m]: c for m, c in forms[j]})
         if base:
             poly = {m + base: c for m, c in poly.items()}
         if poly:
@@ -357,19 +348,17 @@ def build_presentation(fan: Fan, elim_cone: Cone | Iterable[int] | None = None) 
             for e in range(n)
         ]
         kept_tables = [tuple(map(_scaled, t, lcms)) for t in kept_tables]
-    # Every ray is a form sum_m c_m x_m / d over the kept variables: row i
-    # of x for an eliminated ray, c_m = d alone for a kept x_m.  Its table
-    # is sum_m c_m times kept table m, L_e-scaled in degree e.  A one-term
-    # form c * x_m takes that table times c, the table itself when c = 1;
-    # only a longer form sums rows, ``columns[e][b]`` listing row b of each
-    # kept table.
-    forms = [(ray, [(m, d)]) for m, ray in enumerate(kept)]
-    forms += [(ray, [(m, c) for m, c in enumerate(x[i]) if c]) for i, ray in enumerate(elim_idx)]
-    tables, columns = [None] * r, None
-    for ray, coeffs in forms:
+    # A ray's table is sum_m c_m times kept table m, L_e-scaled in degree
+    # e.  A one-term form c * x_m takes that table times c, built once per
+    # (m, c) and shared by every ray of that form; only a longer form sums
+    # rows, ``columns[e][b]`` listing row b of each kept table.
+    tables, columns, one_term = [None] * r, None, {}
+    for ray, coeffs in forms.items():
         if len(coeffs) == 1:
             (m, c), = coeffs
-            tables[ray] = kept_tables[m] if c == 1 else tuple(_scaled(rows, c) for rows in kept_tables[m])
+            if (m, c) not in one_term:
+                one_term[m, c] = tuple(_scaled(rows, c) for rows in kept_tables[m])
+            tables[ray] = one_term[m, c]
         else:
             columns = columns or [tuple(zip(*(table[e] for table in kept_tables))) for e in range(n)]
             tables[ray] = tuple(
@@ -608,21 +597,16 @@ def _sparse(exps: tuple[int, ...], kept: tuple[int, ...]) -> Monomial:
 def normal_form(c: GradedClass, pres: ChowPresentation) -> GradedClass:
     """Canonical representative of a class over the basis monomials.
 
-    Each monomial is walked through the multiplication tables: starting
-    from 1, one table row per variable occurrence, so no product is ever
-    expanded.  Kept and eliminated variables alike have their table.  The
-    walk stays in the tables' scaled integers, and each output coefficient
-    is divided once by its degree's scale product, as
-    ``multiplication_tables`` documents.
-
-    Linear in the input and idempotent on classes already in basis form.
-    Raises ``ValidationError`` on a monomial with a ray index or exponent
-    that is not an integer, an exponent below 1, degree above ``n``, or a
-    ray index outside ``0..r-1``.
+    The monomials, x_i^e written as i repeated e times, go through one
+    ``orbit_classes`` walk in sorted order.  Linear in the input and
+    idempotent on classes already in basis form.  Raises
+    ``ValidationError`` on a monomial with a ray index or exponent that is
+    not an integer, an exponent below 1, degree above ``n``, or a ray
+    index outside ``0..r-1``.
     """
     n = pres.fan.ambient_dim
-    tables = pres._mul_tables[0]
-    out: list[dict[int, int | Fraction]] = [{} for _ in range(n + 1)]
+    r = len(pres.fan.rays)
+    terms = []
     for mono, coeff in c.items():
         if coeff == 0:
             continue
@@ -634,18 +618,65 @@ def normal_form(c: GradedClass, pres: ChowPresentation) -> GradedClass:
             raise ValidationError("monomial has an exponent below 1")
         if monomial_degree(mono) > n:
             raise ValidationError("monomial degree exceeds the fan dimension")
-        vec: dict[int, int] = {0: 1}
-        d = 0
-        for ray, e in mono:
-            if not 0 <= ray < len(tables):
+        for ray, _ in mono:
+            if not 0 <= ray < r:
                 raise ValidationError(f"monomial references unknown ray index {ray}")
-            for _ in range(e):
-                vec = _add_rows({}, vec.items(), tables[ray][d])
-                d += 1
-        acc = out[d]
-        for i, v in vec.items():
-            acc[i] = acc.get(i, 0) + coeff * v
-    return {m: q for part in _graded_classes(pres, out).values() for m, q in part.items()}
+        terms.append((tuple(sorted(ray for ray, e in mono for _ in range(e))), coeff))
+    terms.sort(key=itemgetter(0))
+    return {m: q for part in orbit_classes(pres, terms).values() for m, q in part.items()}
+
+
+def orbit_classes(
+    pres: ChowPresentation,
+    terms: Iterable[tuple[tuple[int, ...], int | Fraction]],
+    *,
+    ray_product: bool = False,
+) -> dict[int, GradedClass]:
+    """The sum of coeff * x_{i_1} ... x_{i_t} over the ``(ray indices,
+    coeff)`` terms, plus prod_rho (1 + x_rho) over all rays when
+    ``ray_product`` is set, reduced, as one class per degree 0..n.
+
+    Each term's ray indices are nondecreasing, x_i^e written as i repeated
+    e times, and a term of t indices adds to degree t.  The walk keeps a
+    path stack: ``stack[t]`` is the scaled normal form of the product of
+    the term's first t variables, a sparse vector over the degree-t basis.
+    Each term truncates the stack to the prefix it shares with the
+    previous term, then extends it one variable at a time with one row
+    lookup per entry in that variable's degree-t table.  In lexicographic
+    order most terms cost a single extension; any order gives the same
+    sums, and memory stays at the n + 1 vectors of the stack.  The ray
+    product is r passes over one graded vector: each ray's pass replaces
+    v by v + x_j * v, degree by degree from the top down, so every step
+    still reads the degree-d part from before the pass.
+
+    Every walk stays in the tables' scaled integers; ``_graded_classes``
+    divides once, as ``multiplication_tables`` documents.  Ray indices
+    are not checked.
+    """
+    n = pres.fan.ambient_dim
+    tables = pres._mul_tables[0]
+    sums: list[dict] = [{} for _ in range(n + 1)]
+    if ray_product:
+        sums[0][0] = 1
+        for table in tables:
+            for d in range(n - 1, -1, -1):
+                _add_rows(sums[d + 1], sums[d].items(), table[d])
+    stack: list[dict] = [{0: 1}]
+    path: tuple[int, ...] = ()
+    for rays, coeff in terms:
+        shared = 0
+        for a, b in zip(path, rays):
+            if a != b:
+                break
+            shared += 1
+        del stack[shared + 1 :]
+        for t in range(shared, len(rays)):
+            stack.append(_add_rows({}, stack[t].items(), tables[rays[t]][t]))
+        path = rays
+        acc = sums[len(rays)]
+        for b, q in stack[-1].items():
+            acc[b] = acc.get(b, 0) + coeff * q
+    return _graded_classes(pres, sums)
 
 
 def _graded_classes(pres: ChowPresentation, sums: list[dict]) -> dict[int, GradedClass]:
@@ -676,9 +707,11 @@ def multiplication_tables(pres: ChowPresentation) -> tuple[list[tuple[tuple, ...
     Groebner basis every scale is 1.
 
     All of them are built with the presentation: the kept variables' as
-    its reduction data.  An eliminated variable substituted by c * x_m gets
-    x_m's table, the same object when c = 1 (so ``tables[j] is tables[k]``
-    may hold) and its rows times c otherwise; a multi-term one, their sum.
+    its reduction data.  A ray of the one-term form c * x_m / d (a kept
+    x_m has c = d) gets kept table m's rows times c, and rays of equal
+    forms share that one object, so ``tables[j] is tables[k]`` may hold; a
+    multi-term form gets the sum.  ``orbit_classes`` is the walk that
+    reads them.
     """
     return pres._mul_tables
 

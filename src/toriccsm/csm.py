@@ -13,35 +13,29 @@ The sum is never expanded.  Since x_S vanishes for every set S of rays
 that spans no cone (the Stanley-Reisner relations), the sum of x_sigma
 over all cones is the product of (1 + x_rho) over all rays, which on a
 smooth fan is the whole class (Barthel-Brasselet-Fieseler, C. R. Acad.
-Sci. Paris 315, 1992).  That product is r passes of the multiplication
-tables over one graded vector.  A singular fan adds (mult(sigma) - 1) *
-x_sigma for each cone of multiplicity other than 1.  Such a cone lies in
-no unimodular maximal cone, so only the cones that ``enumerate_cones``
-lists with ``skip_unimodular`` take a lattice index.  The cones of the
-correction, like the maximal cones in ``euler_characteristic``, are
-walked in lexicographic order of their ray indices, which visits the
-face trie depth first: a cone sigma = tau + {j} follows its prefix tau,
-and nf(x_sigma) = nf(x_j * nf(x_tau)) is one sparse vector times the
-presentation's multiplication table of x_j.  A stack holds the normal forms along the current path, so memory is
-O(n * h) for dimension n and graded dimensions up to h, not one normal
-form per face.
+Sci. Paris 315, 1992).  A singular fan adds (mult(sigma) - 1) * x_sigma
+for each cone of multiplicity other than 1.  Such a cone lies in no
+unimodular maximal cone, so only the cones that ``enumerate_cones``
+lists with ``skip_unimodular`` take a lattice index.  The product and
+the correction, like the maximal cones in ``euler_characteristic``, are
+reduced by one walk of the presentation's multiplication tables,
+``chow.orbit_classes``, the cones in lexicographic order of their ray
+indices, so that each cone extends a prefix already walked.
 """
 
 from __future__ import annotations
 
+import os
 from dataclasses import dataclass
 from itertools import combinations
-from typing import Iterable
 
 from .chow import (
     ChowPresentation,
     GradedClass,
-    _add_rows,
-    _graded_classes,
     build_presentation,
     degree,
-    multiplication_tables,
     normal_form,  # noqa: F401 -- not called here; perfbench/tracer.py wraps csm.normal_form
+    orbit_classes,
 )
 from .errors import InternalError, ValidationError
 from .fan import Cone, Fan, is_smooth, multiplicity
@@ -95,11 +89,13 @@ def enumerate_cones(fan: Fan, *, skip_unimodular: bool = False) -> list[Cone]:
 
 
 def _multiplicities(fan: Fan, cones: list[Cone], threads: int) -> list[int]:
-    """mult(sigma) for each cone, in order, from one thread pool at most.
+    """mult(sigma) for each cone, in order, from one thread pool at most,
+    of no more workers than ``os.cpu_count()``.
 
     Maximal cones read the value that validation cached; every other cone,
     fresh from ``enumerate_cones``, takes one lattice index.
     """
+    threads = min(threads, os.cpu_count() or 1)
     if threads > 1 and len(cones) > 2 * threads:
         # Imported here: a smooth fan never takes the pool.
         from concurrent.futures import ThreadPoolExecutor
@@ -109,63 +105,6 @@ def _multiplicities(fan: Fan, cones: list[Cone], threads: int) -> list[int]:
             parts = pool.map(lambda ch: [multiplicity(fan, c) for c in ch], chunks)
         return [m for part in parts for m in part]
     return [multiplicity(fan, c) for c in cones]
-
-
-# Graded accumulators: sums[t] maps an index into degree_bases[t] to its
-# coefficient times S_t, the product of the first t table scales, an int
-# (see ``multiplication_tables``); ``_graded_classes`` divides once.
-_Sums = list[dict[int, int]]
-
-
-def _ray_product(pres: ChowPresentation) -> _Sums:
-    """prod_rho (1 + x_rho) over all rays, reduced, as graded accumulators.
-
-    Each ray's pass replaces v by v + x_j * v, degree by degree from the
-    top down, so every step still reads the degree-d part from before the
-    pass.
-    """
-    n = pres.fan.ambient_dim
-    v: _Sums = [{0: 1}] + [{} for _ in range(n)]
-    for table in multiplication_tables(pres)[0]:
-        for d in range(n - 1, -1, -1):
-            _add_rows(v[d + 1], v[d].items(), table[d])
-    return v
-
-
-def _orbit_sum(pres: ChowPresentation, cones: Iterable[tuple[Cone, int]], sums: _Sums) -> _Sums:
-    """Add mult * nf(x_sigma) into ``sums[dim sigma]`` for each ``(sigma,
-    mult)`` pair, and return ``sums``.
-
-    The walk keeps a path stack: ``stack[t]`` is nf(x_{i_1} ... x_{i_t})
-    for the first t rays i_1 < ... < i_t of the current cone, as a sparse
-    vector over the degree-t basis.  Each cone truncates the stack to the
-    prefix it shares with the previous cone, then extends it one ray at a
-    time, nf(x_tau * x_j) = nf(x_j * nf(x_tau)), with one row lookup per
-    term in the multiplication table of ``x_j``.  In lexicographic order
-    every cone after the first shares all but its last ray with an earlier
-    one, so most cones cost a single extension.  Any order gives the same
-    sums.  Memory stays at the n + 1 vectors of the stack, O(n * h) for
-    graded dimensions up to h, however many cones there are.
-    """
-    tables = multiplication_tables(pres)[0]
-    stack: _Sums = [{0: 1}]
-    path: tuple[int, ...] = ()
-    for cone, mult in cones:
-        rays = cone.ray_indices
-        shared = 0
-        for a, b in zip(path, rays):
-            if a != b:
-                break
-            shared += 1
-        del stack[shared + 1 :]
-        for t in range(shared, len(rays)):
-            # in range: Fan checks every maximal cone's ray indices
-            stack.append(_add_rows({}, stack[t].items(), tables[rays[t]][t]))
-        path = rays
-        acc = sums[len(rays)]
-        for b, q in stack[-1].items():
-            acc[b] = acc.get(b, 0) + mult * q
-    return sums
 
 
 def csm_result(
@@ -190,20 +129,21 @@ def csm_result(
     validation's cache, the others through ``column_lattice_index``.
     ``force_hnf`` is the check of that shortcut: it takes the multiplicity
     of every cone, of a smooth fan too, and the results are identical.
-    ``threads`` bounds the worker count for that batch; output is
-    deterministic regardless.  The cones of multiplicity other than 1 then
-    go, in the listing's order, through one walk of ``_orbit_sum``.
+    ``threads`` bounds the worker count for that batch, as does the CPU
+    count; output is deterministic regardless.  The cones of multiplicity
+    other than 1 then go, in the listing's order, through the walk of
+    ``orbit_classes`` that also reduces the product.
 
     ``pres`` defaults to ``build_presentation(fan)``; one built from any
     other fan object raises ``ValidationError``.
     """
     pres = _presentation_of(fan, pres)
-    sums = _ray_product(pres)
+    corrections = ()
     if force_hnf or not is_smooth(fan):
         cones = enumerate_cones(fan, skip_unimodular=not force_hnf)
         mults = _multiplicities(fan, cones, threads)
-        _orbit_sum(pres, ((c, m - 1) for c, m in zip(cones, mults) if m != 1), sums)
-    per_dim = _graded_classes(pres, sums)
+        corrections = ((c.ray_indices, m - 1) for c, m in zip(cones, mults) if m != 1)
+    per_dim = orbit_classes(pres, corrections, ray_product=True)
     # the parts hold monomials of distinct degrees: the class is their union
     total = {m: q for part in per_dim.values() for m, q in part.items()}
     chi = _integer_degree(total, pres)
@@ -220,11 +160,9 @@ def euler_characteristic(fan: Fan, pres: ChowPresentation | None = None) -> int:
     ``csm_result``.
     """
     pres = _presentation_of(fan, pres)
-    n = fan.ambient_dim
     cones = sorted(fan.max_cones, key=lambda c: c.ray_indices)
-    walk = ((c, multiplicity(fan, c)) for c in cones)
-    sums = _orbit_sum(pres, walk, [{} for _ in range(n + 1)])
-    return _integer_degree(_graded_classes(pres, sums)[n], pres)
+    terms = ((c.ray_indices, multiplicity(fan, c)) for c in cones)
+    return _integer_degree(orbit_classes(pres, terms)[fan.ambient_dim], pres)
 
 
 def _presentation_of(fan: Fan, pres: ChowPresentation | None) -> ChowPresentation:

@@ -79,16 +79,6 @@ class IntegerMatrix:
         c = self.cols
         return [list(self.entries[i * c : (i + 1) * c]) for i in range(self.rows)]
 
-    def mul(self, other: "IntegerMatrix") -> "IntegerMatrix":
-        if self.cols != other.rows:
-            raise ValueError("dimension mismatch in matrix product")
-        a, b = self.row_lists(), other.row_lists()
-        out = [
-            [sum(a[i][k] * b[k][j] for k in range(self.cols)) for j in range(other.cols)]
-            for i in range(self.rows)
-        ]
-        return IntegerMatrix.from_rows(out) if out else IntegerMatrix(0, other.cols, ())
-
 
 @dataclass(frozen=True)
 class RationalMatrix:

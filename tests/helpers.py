@@ -121,6 +121,27 @@ def oracle_substitution(fan: Fan, elim: tuple[int, ...]) -> dict[int, GradedClas
     }
 
 
+def matrix_mul(a: IntegerMatrix, b: IntegerMatrix) -> IntegerMatrix:
+    """The product a * b, entry by entry."""
+    if a.cols != b.rows:
+        raise ValueError("dimension mismatch in matrix product")
+    x, y = a.row_lists(), b.row_lists()
+    out = [[sum(x[i][k] * y[k][j] for k in range(a.cols)) for j in range(b.cols)] for i in range(a.rows)]
+    return IntegerMatrix.from_rows(out) if out else IntegerMatrix(0, b.cols, ())
+
+
+def class_add(a: GradedClass, b: GradedClass) -> GradedClass:
+    """The sum of two classes, zero coefficients dropped."""
+    out = dict(a)
+    for m, c in b.items():
+        s = out.get(m, Fraction(0)) + c
+        if s:
+            out[m] = s
+        else:
+            out.pop(m, None)
+    return out
+
+
 def gcd_minors_index(rows: list[list[int]]) -> int:
     """gcd of all maximal minors of an n x d (n >= d) integer matrix: the
     index of its column span inside the saturation."""

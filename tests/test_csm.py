@@ -6,6 +6,7 @@ from math import comb
 
 import pytest
 from helpers import (
+    class_add,
     normal_form_orbit_sums,
     product_formula_class,
     relabel,
@@ -19,7 +20,6 @@ from hypothesis import strategies as st
 from toriccsm import (
     build_fan,
     build_presentation,
-    class_add,
     csm_result,
     degree,
     enumerate_cones,
@@ -277,10 +277,10 @@ def test_class_and_euler_walks_stay_in_int(fan):
     # Under its elimination cone of largest multiplicity every table is
     # scaled, and every accumulator the walks hand over to be divided is
     # still an int; the divided classes and chi match the oracle.
-    import toriccsm.csm as csm
+    import toriccsm.chow as chow
 
     handed = []
-    graded_classes = csm._graded_classes
+    graded_classes = chow._graded_classes
 
     def spy(pres, sums):
         handed.extend(q for acc in sums for q in acc.values())
@@ -290,7 +290,7 @@ def test_class_and_euler_walks_stay_in_int(fan):
     pres = build_presentation(fan, elim)
     expected = normal_form_orbit_sums(fan, pres)
     with pytest.MonkeyPatch.context() as mp:
-        mp.setattr(csm, "_graded_classes", spy)
+        mp.setattr(chow, "_graded_classes", spy)
         results = [csm_result(fan, pres, force_hnf=force) for force in (False, True)]
         chi = euler_characteristic(fan, pres)
     assert handed and all(type(q) is int for q in handed)
@@ -390,22 +390,53 @@ def test_smooth_class_never_enumerates_faces(monkeypatch):
     assert len(res.per_dim_contributions) == 14
 
 
+def test_thread_count_is_clamped_at_the_cpu_count(monkeypatch):
+    # A thread count far above the CPU count starts no more workers than
+    # there are CPUs.  The pool is a recording fake that runs its map
+    # inline, so no thread is started.
+    import concurrent.futures
+    import os
+
+    started = []
+
+    class InlinePool:
+        def __init__(self, max_workers):
+            started.append(max_workers)
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc):
+            return False
+
+        def map(self, fn, items):
+            return map(fn, items)
+
+    fan = product(weighted_projective([1, 1, 3]), projective_space(2))
+    pres = build_presentation(fan)
+    expected = csm_result(fan, pres, force_hnf=True, threads=1)
+    monkeypatch.setattr(concurrent.futures, "ThreadPoolExecutor", InlinePool)
+    monkeypatch.setattr(os, "cpu_count", lambda: 4)
+    assert csm_result(fan, pres, force_hnf=True, threads=3000) == expected
+    assert started == [4]
+
+
 def test_correction_walk_sees_only_singular_cones(monkeypatch):
     import toriccsm.csm as csm
 
     walked = []
-    orbit_sum = csm._orbit_sum
+    orbit_classes = csm.orbit_classes
 
-    def record(pres, cones, sums):
-        cones = list(cones)
-        walked.extend(cones)
-        return orbit_sum(pres, cones, sums)
+    def record(pres, terms, **kwargs):
+        terms = list(terms)
+        walked.extend(terms)
+        return orbit_classes(pres, terms, **kwargs)
 
-    monkeypatch.setattr(csm, "_orbit_sum", record)
+    monkeypatch.setattr(csm, "orbit_classes", record)
     fan = product(product(projective_space(2), weighted_projective([1, 1, 3])), projective_space(3))
     res = csm_result(fan, build_presentation(fan))
     assert res.euler == 36
-    expected = [(c, multiplicity(fan, c) - 1) for c in enumerate_cones(fan)]
+    expected = [(c.ray_indices, multiplicity(fan, c) - 1) for c in enumerate_cones(fan)]
     expected = [cm for cm in expected if cm[1]]
     assert walked and walked == expected
 
