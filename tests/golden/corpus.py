@@ -16,9 +16,10 @@ The corpus:
   --json``), ``euler`` and ``chow`` (each with and without ``--json``),
   and once through ``validate`` (with and without ``--json``);
 - malformed fan files (ragged rays, bad cones, repeated headers, an open
-  fan, fans that cover space twice, a latin-1 file, a missing file)
-  through every command;
-- usage errors.
+  fan, fans that cover space twice, a latin-1 file) through every
+  command;
+- usage errors and bad arguments: unknown builders, a non-maximal or
+  repeated elimination cone, a missing file.
 
 argparse wraps its usage text at the terminal width, so the runs set
 ``COLUMNS`` to 80.
@@ -118,26 +119,24 @@ USAGE_ERRORS = (
 )
 
 
-def _fans() -> list[tuple[str, object]]:
-    """(fan argument, fan) for every fan run under elimination cones."""
-    out = []
-    seen = set()
+def _fans() -> list[tuple[list[str], object]]:
+    """(fan source arguments, fan) for every fan run under elimination
+    cones; a suite name given twice is run once."""
+    out = {}
     for name, fan in suite_fans():
-        if len(fan.rays) <= MAX_RAYS and name not in seen:
-            seen.add(name)
-            out.append((f"--builder={name}", fan))
+        if len(fan.rays) <= MAX_RAYS:
+            out.setdefault(("--builder", name), fan)
     for n, k, seed in STELLAR:
         fan = stellar_fan(n, k, seed, (1, 2))
         if not is_smooth(fan):
-            out.append((f"--fan=stellar-{n}-{k}-{seed}.fan", fan))
-    return out
+            out[("--fan", f"stellar-{n}-{k}-{seed}.fan")] = fan
+    return [(list(source), fan) for source, fan in out.items()]
 
 
 def write_files(workdir: Path) -> None:
     """Write the corpus's fan files into ``workdir``."""
-    for arg, fan in _fans():
-        if arg.startswith("--fan="):
-            name = arg.removeprefix("--fan=")
+    for (flag, name), fan in _fans():
+        if flag == "--fan":
             (workdir / name).write_text(render_fan(fan, name.removesuffix(".fan")), encoding="utf-8")
     for name, text in MALFORMED.items():
         (workdir / name).write_text(text, encoding="utf-8")
@@ -147,8 +146,7 @@ def write_files(workdir: Path) -> None:
 def invocations() -> list[list[str]]:
     """Every argv of the corpus, in a fixed order."""
     out: list[list[str]] = []
-    for arg, fan in _fans():
-        source = arg.split("=", 1)
+    for source, fan in _fans():
         cones = sorted(c.ray_indices for c in fan.max_cones)
         elims = dict.fromkeys((cones[0], cones[len(cones) // 2], cones[-1]))
         for elim in elims:
