@@ -433,7 +433,6 @@ def suite_fans() -> list[tuple[str, Fan]]:
     fans: list[tuple[str, Fan]] = []
     for n in range(1, 9):
         fans.append((f"pn={n}", projective_space(n)))
-    fans.append(("pn=1*pn=1", product(projective_space(1), projective_space(1))))
     fans.append(("pn=2*pn=3", product(projective_space(2), projective_space(3))))
     fans.append(("pn=5*pn=6", product(projective_space(5), projective_space(6))))
     for rr in range(11):
