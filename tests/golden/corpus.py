@@ -10,8 +10,10 @@ keyed by the argv joined with spaces; ``record.py`` rewrites it.
 
 The corpus:
 
-- every suite fan with at most 12 rays, by its builder spec, and some
-  singular ``stellar_fan`` files, each under its first, middle and last
+- every suite fan with at most 12 rays, by its builder spec, some
+  singular ``stellar_fan`` files and singular products with their rays
+  relabelled (the lattice index sees a cone's rays in label order), each
+  under its first, middle and last
   maximal cone through ``csm`` (plain, ``--json``, ``--force-hnf
   --json``), ``euler`` and ``chow`` (each with and without ``--json``),
   and once through ``validate`` (with and without ``--json``);
@@ -31,13 +33,21 @@ import hashlib
 import io
 import json
 import os
+import random
 import re
 from contextlib import redirect_stderr, redirect_stdout
 from pathlib import Path
 
-from helpers import MULTI_COVER_FANS, stellar_fan, suite_fans
+from helpers import MULTI_COVER_FANS, relabel, stellar_fan, suite_fans
 
-from toriccsm import is_smooth, render_fan
+from toriccsm import (
+    hirzebruch,
+    is_smooth,
+    product,
+    projective_space,
+    render_fan,
+    weighted_projective,
+)
 from toriccsm.cli import main
 
 __all__ = ["DIGEST_FILE", "write_files", "invocations", "run", "digest", "digests"]
@@ -50,6 +60,21 @@ MAX_RAYS = 12
 STELLAR = [(2, k, seed) for k in (2, 4, 6) for seed in range(3)] + [
     (3, k, seed) for k in (2, 4) for seed in range(3)
 ]
+
+# file name stem -> builder of a singular product, whose rays are
+# relabelled by permutations drawn in this order from one
+# random.Random(RELABEL_SEED)
+RELABEL_SEED = 13
+RELABELLED = {
+    "wps1-1-3_pn2": lambda: product(weighted_projective([1, 1, 3]), projective_space(2)),
+    "wps1-1-2_wps1-1-3": lambda: product(weighted_projective([1, 1, 2]), weighted_projective([1, 1, 3])),
+    "wps1-2-3_pn1": lambda: product(weighted_projective([1, 2, 3]), projective_space(1)),
+    "hirzebruch2_wps1-1-3": lambda: product(hirzebruch(2), weighted_projective([1, 1, 3])),
+    "wps1-1-2_pn1_wps1-1-3": lambda: product(
+        product(weighted_projective([1, 1, 2]), projective_space(1)), weighted_projective([1, 1, 3])
+    ),
+    "pn2_wps1-2-3-5": lambda: product(projective_space(2), weighted_projective([1, 2, 3, 5])),
+}
 
 _CONE_COMMANDS = (
     ["csm"],
@@ -130,6 +155,12 @@ def _fans() -> list[tuple[list[str], object]]:
         fan = stellar_fan(n, k, seed, (1, 2))
         if not is_smooth(fan):
             out[("--fan", f"stellar-{n}-{k}-{seed}.fan")] = fan
+    rng = random.Random(RELABEL_SEED)
+    for stem, build in RELABELLED.items():
+        fan = build()
+        perm = list(range(len(fan.rays)))
+        rng.shuffle(perm)
+        out[("--fan", f"relabelled-{stem}.fan")] = relabel(fan, perm)
     return [(list(source), fan) for source, fan in out.items()]
 
 
