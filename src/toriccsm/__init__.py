@@ -10,8 +10,6 @@ its rational Chow presentation
 
 from .errors import InternalError, ValidationError
 from .exact_linalg import (
-    IntegerMatrix,
-    RationalMatrix,
     column_lattice_index,
     determinant,
     hermite_normal_form,
@@ -56,8 +54,6 @@ __all__ = [
     "__version__",
     "ValidationError",
     "InternalError",
-    "IntegerMatrix",
-    "RationalMatrix",
     "hermite_normal_form",
     "strip_zero_rows",
     "determinant",

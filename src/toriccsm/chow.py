@@ -283,8 +283,8 @@ def build_presentation(fan: Fan, elim_cone: Cone | Iterable[int] | None = None) 
     # Solve the linear relations for the eliminated variables: the columns
     # of the elimination cone form an invertible matrix A, so the relations
     # A x_elim + B x_kept = 0 give x_elim = -A^-1 B x_kept.  The solve runs
-    # in integers on the rows of [A | -B] and returns d times that matrix,
-    # d = |det A|; dividing out the content of d and its entries leaves the
+    # in integers on the rows of [A | -B] and returns d = det A and |d| times
+    # that matrix; dividing out the content of |d| and its entries leaves the
     # integer matrix x that the eliminated variables' tables are built from.
     elim_idx = elim.ray_indices
     nk = len(kept)
@@ -295,7 +295,7 @@ def build_presentation(fan: Fan, elim_cone: Cone | Iterable[int] | None = None) 
     if not d:
         raise InternalError("elimination system is singular; contradicts simpliciality")
     g = gcd(d, *(c for row in x for c in row))
-    d, x = d // g, [[c // g for c in row] for row in x]
+    d, x = abs(d) // g, [[c // g for c in row] for row in x]
     # Every ray is a form sum_m c_m x_m / d over the kept variables, as
     # (m, c_m) pairs: row i of x for an eliminated ray, c_m = d alone for
     # a kept x_m.

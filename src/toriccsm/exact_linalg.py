@@ -1,20 +1,23 @@
-"""Exact integer and rational linear algebra.
+"""Exact integer and rational linear algebra on row lists.
 
 Everything here runs over Python's arbitrary-precision ``int`` and
-``fractions.Fraction``; no floating point is used anywhere.  The matrices
-are tiny (fan ray matrices, at most a few dozen rows), so the
+``fractions.Fraction``; no floating point is used anywhere.  A matrix has
+one format: its rows, each a list of entries.  Every routine also takes
+a tuple of tuples, and every routine but ``fraction_free_solve_rows``
+copies its argument before it reduces it, so a caller's rows never
+change; a matrix result is a new list of row lists.  The matrices are
+tiny (fan ray matrices, at most a few dozen rows), so the
 implementations favour clarity and exactness over asymptotics:
 
 * ``hermite_normal_form``  -- column-style HNF with the unimodular column
   transform: a canonical form of a cone's generator matrix, which the
   tests use as an independent route to the maximal cones' multiplicities.
 * ``fraction_free_solve_rows`` -- fraction-free Gauss-Jordan (Bareiss)
-  elimination on the rows of ``[a | b]``, ``d . a^-1 . b`` in integers
-  with ``d = |det a|``: the elimination solve (the eliminated variables as
+  elimination on the rows of ``[a | b]``, ``det a`` and ``|det a| . a^-1
+  . b`` in integers: the elimination solve (the eliminated variables as
   combinations of the kept ones, with integer coefficients when the
-  elimination cone is unimodular), and, with the sign of ``det a`` kept,
-  fan validation's one solve per wall-connected piece.  It holds the
-  module's one elimination loop.
+  elimination cone is unimodular), and fan validation's one solve per
+  wall-connected piece.  It holds the module's one elimination loop.
 * ``determinant``          -- that loop with an empty right-hand side.
   Validation derives the maximal cones' determinants without it, so it
   serves only the report of a malformed cone during validation.
@@ -29,13 +32,12 @@ implementations favour clarity and exactness over asymptotics:
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
-from typing import Iterable, Sequence
+from typing import Sequence
+
+from .errors import InternalError
 
 __all__ = [
-    "IntegerMatrix",
-    "RationalMatrix",
     "hermite_normal_form",
     "strip_zero_rows",
     "determinant",
@@ -44,75 +46,14 @@ __all__ = [
     "column_lattice_index",
 ]
 
-
-@dataclass(frozen=True)
-class IntegerMatrix:
-    """Dense integer matrix; ``entries`` is row-major."""
-
-    rows: int
-    cols: int
-    entries: tuple[int, ...]
-
-    def __post_init__(self):
-        if self.rows < 0 or self.cols < 0:
-            raise ValueError("negative matrix dimensions")
-        if len(self.entries) != self.rows * self.cols:
-            raise ValueError("entry count does not match dimensions")
-
-    @classmethod
-    def from_rows(cls, rows: Iterable[Sequence[int]]) -> "IntegerMatrix":
-        rows = [list(r) for r in rows]
-        ncols = len(rows[0]) if rows else 0
-        if any(len(r) != ncols for r in rows):
-            raise ValueError("ragged rows")
-        flat = tuple(int(x) for r in rows for x in r)
-        return cls(len(rows), ncols, flat)
-
-    @classmethod
-    def identity(cls, n: int) -> "IntegerMatrix":
-        return cls(n, n, tuple(1 if i == j else 0 for i in range(n) for j in range(n)))
-
-    def at(self, i: int, j: int) -> int:
-        return self.entries[i * self.cols + j]
-
-    def row_lists(self) -> list[list[int]]:
-        c = self.cols
-        return [list(self.entries[i * c : (i + 1) * c]) for i in range(self.rows)]
+# An n x d matrix as its n rows of d entries each.
+Rows = Sequence[Sequence[int]]
 
 
-@dataclass(frozen=True)
-class RationalMatrix:
-    """Dense matrix of ``Fraction`` entries (always in lowest terms)."""
-
-    rows: int
-    cols: int
-    entries: tuple[Fraction, ...]
-
-    def __post_init__(self):
-        if len(self.entries) != self.rows * self.cols:
-            raise ValueError("entry count does not match dimensions")
-
-    @classmethod
-    def from_rows(cls, rows: Iterable[Sequence]) -> "RationalMatrix":
-        rows = [list(r) for r in rows]
-        ncols = len(rows[0]) if rows else 0
-        if any(len(r) != ncols for r in rows):
-            raise ValueError("ragged rows")
-        flat = tuple(Fraction(x) for r in rows for x in r)
-        return cls(len(rows), ncols, flat)
-
-    def at(self, i: int, j: int) -> Fraction:
-        return self.entries[i * self.cols + j]
-
-    def row_lists(self) -> list[list[Fraction]]:
-        c = self.cols
-        return [list(self.entries[i * c : (i + 1) * c]) for i in range(self.rows)]
-
-
-def hermite_normal_form(m: IntegerMatrix) -> tuple[IntegerMatrix, IntegerMatrix]:
+def hermite_normal_form(m: Rows) -> tuple[list[list[int]], list[list[int]]]:
     """Column-style Hermite normal form ``H`` of ``m`` with transform ``T``.
 
-    Returns ``(H, T)`` with ``m . T == H``, ``T`` square unimodular
+    Returns ``(H, T)`` as row lists, with ``m . T == H``, ``T`` square unimodular
     (``|det T| = 1``).  The canonical form fixed here: each column's first
     nonzero entry (its pivot) is positive, pivots sit in strictly
     increasing row positions from left to right, and within a pivot row
@@ -122,10 +63,10 @@ def hermite_normal_form(m: IntegerMatrix) -> tuple[IntegerMatrix, IntegerMatrix]
     ("over-wide matrix") or of deficient column rank ("not simplicial" --
     the caller-facing meaning: linearly dependent cone generators).
     """
-    n, d = m.rows, m.cols
+    n, d = len(m), len(m[0]) if m else 0
     if n < d:
         raise ValueError("over-wide matrix")
-    a = m.row_lists()
+    a = [list(row) for row in m]
     t = [[1 if i == j else 0 for j in range(d)] for i in range(d)]
 
     def add_col(dst: int, src: int, q: int) -> None:
@@ -178,62 +119,56 @@ def hermite_normal_form(m: IntegerMatrix) -> tuple[IntegerMatrix, IntegerMatrix]
         col += 1
     if col < d:
         raise ValueError("not simplicial")
-    h = IntegerMatrix.from_rows(a) if a else IntegerMatrix(0, d, ())
-    return h, IntegerMatrix.from_rows(t)
+    return a, t
 
 
-def pivot_rows(h: IntegerMatrix) -> list[int]:
+def pivot_rows(h: Rows) -> list[int]:
     """Row index of each column's first nonzero entry, for an HNF output."""
     out = []
-    for j in range(h.cols):
-        for i in range(h.rows):
-            if h.at(i, j):
+    for j in range(len(h[0]) if h else 0):
+        for i, row in enumerate(h):
+            if row[j]:
                 out.append(i)
                 break
     return out
 
 
-def strip_zero_rows(h: IntegerMatrix) -> IntegerMatrix:
+def strip_zero_rows(h: Rows) -> list[list[int]]:
     """Square block of the pivot rows of an HNF output.
 
     For a rank-``d`` input whose ``n - d`` non-pivot rows are all zero this
     is literally "drop the zero rows"; in every case it keeps exactly the
     rows carrying a pivot.
     """
-    from .errors import InternalError
-
     piv = pivot_rows(h)
-    if len(piv) != h.cols or len(piv) != len(set(piv)):
+    if len(piv) != (len(h[0]) if h else 0) or len(piv) != len(set(piv)):
         raise InternalError("stripped HNF block is not square; rank contract violated upstream")
-    return IntegerMatrix.from_rows([[h.at(i, j) for j in range(h.cols)] for i in piv])
+    return [list(h[i]) for i in piv]
 
 
-def determinant(m: IntegerMatrix) -> int:
-    """Exact determinant: the signed ``fraction_free_solve_rows`` of the
+def determinant(m: Rows) -> int:
+    """Exact determinant: ``fraction_free_solve_rows`` of a copy of the
     rows of ``m`` with an empty right-hand side."""
-    if m.rows != m.cols:
+    if any(len(row) != len(m) for row in m):
         raise ValueError("determinant of a non-square matrix")
-    return fraction_free_solve_rows(m.row_lists(), signed=True)[0]
+    return fraction_free_solve_rows([list(row) for row in m])[0]
 
 
-def fraction_free_solve_rows(
-    m: list[list[int]], *, signed: bool = False
-) -> tuple[int, list[list[int]] | None]:
+def fraction_free_solve_rows(m: list[list[int]]) -> tuple[int, list[list[int]] | None]:
     """Solve ``a . Y = b`` in integers, given the n rows of ``[a | b]`` as
-    lists (overwritten): ``(d, X)`` with ``X = d . a^-1 . b`` as row lists.
+    lists (overwritten): ``(det a, X)`` with ``X = |det a| . a^-1 . b`` as
+    row lists.
 
     Fraction-free Gauss-Jordan elimination: step k replaces every entry
     outside the pivot row by ``(a[i][j] * akk - a[i][k] * a[k][j]) //
     prev``, an exact division that clears column k.  Then the left block
-    is ``d`` times the identity, with ``d = |det a|``, and the right block
-    is ``X``.  Cone ray matrices are sparse with entries mostly 0 and +-1,
+    is ``|det a|`` times the identity, and the right block is ``X``; the
+    sign of ``det a`` is tracked through the row swaps and negations.  Cone ray matrices are sparse with entries mostly 0 and +-1,
     so two kinds of no-op work are skipped: a negative pivot row is
     negated, so unit pivots stay at 1, and when ``akk == prev`` only rows
     with a nonzero pivot-column entry and only the pivot row's nonzero
     columns change.  With ``b`` the identity, ``X`` is the adjugate up to
-    sign.  A singular ``a`` gives ``(0, None)``.  With
-    ``signed=True`` the first value is ``det a`` itself, its sign tracked
-    through the row swaps and negations; ``X`` is unchanged.
+    sign.  A singular ``a`` gives ``(0, None)``.
     """
     n = len(m)
     width = len(m[0]) if m else 0
@@ -268,13 +203,14 @@ def fraction_free_solve_rows(
                     aik = m[i][k]
                     m[i] = [(x * akk - aik * y) // prev for x, y in zip(m[i], pivot)]
         prev = akk
-    return (sign * prev if signed else prev), [row[n:] for row in m]
+    return sign * prev, [row[n:] for row in m]
 
 
-def rational_rref(m: RationalMatrix) -> tuple[RationalMatrix, tuple[int, ...]]:
-    """Reduced row echelon form over the rationals, with pivot columns."""
-    a = m.row_lists()
-    nrows, ncols = m.rows, m.cols
+def rational_rref(m: Sequence[Sequence]) -> tuple[list[list[Fraction]], tuple[int, ...]]:
+    """Reduced row echelon form over the rationals, as rows of
+    ``Fraction``, with the pivot columns."""
+    a = [[Fraction(x) for x in row] for row in m]
+    nrows, ncols = len(a), len(a[0]) if a else 0
     pivots: list[int] = []
     r = 0
     for c in range(ncols):
@@ -292,10 +228,10 @@ def rational_rref(m: RationalMatrix) -> tuple[RationalMatrix, tuple[int, ...]]:
                 a[i] = [x - f * y for x, y in zip(a[i], a[r])]
         pivots.append(c)
         r += 1
-    return RationalMatrix.from_rows(a) if a else RationalMatrix(0, ncols, ()), tuple(pivots)
+    return a, tuple(pivots)
 
 
-def column_lattice_index(m: IntegerMatrix) -> int:
+def column_lattice_index(m: Rows) -> int:
     """Index of the column span of ``m`` inside the lattice points of its
     real span.
 
@@ -305,10 +241,12 @@ def column_lattice_index(m: IntegerMatrix) -> int:
     For square ``m`` this equals ``|det m|``.  Raises ``ValueError`` ("not
     simplicial") when the columns are linearly dependent.
     """
-    n, d = m.rows, m.cols
+    n, d = len(m), len(m[0]) if m else 0
     if n < d:
         raise ValueError("over-wide matrix")
-    a = m.row_lists()
+    # The reduction replaces rows and never writes into one, so a copy of
+    # the row list keeps the caller's rows unchanged.
+    a = list(m)
     index = 1
     pr = 0
     for c in range(d):

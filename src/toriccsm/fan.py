@@ -23,7 +23,6 @@ from typing import Iterable, Sequence
 
 from .errors import ValidationError
 from .exact_linalg import (
-    IntegerMatrix,
     column_lattice_index,
     determinant,
     fraction_free_solve_rows,
@@ -105,10 +104,7 @@ class Fan:
 
     def __init__(self, ambient_dim: int, rays: Sequence[Sequence[int]],
                  max_cones: Sequence[Cone | Iterable[int]]):
-        try:
-            ambient_dim = index(ambient_dim)
-        except TypeError:
-            raise ValidationError(f"ambient dimension {ambient_dim!r} is not an integer") from None
+        ambient_dim = _integer(ambient_dim, "ambient dimension")
         if ambient_dim < 1:
             raise ValidationError("ambient dimension must be at least 1")
         self.ambient_dim = ambient_dim
@@ -121,20 +117,28 @@ class Fan:
         self.max_cones = tuple(Cone(c.ray_indices if isinstance(c, Cone) else c) for c in max_cones)
         _validate(self)
 
-    def ray_matrix(self, cone: Cone) -> IntegerMatrix:
-        """The n x d matrix whose columns are the cone's ray generators."""
+    def ray_matrix(self, cone: Cone) -> list[list[int]]:
+        """The n rows of the n x d matrix whose columns are the cone's ray
+        generators, in the cone's ray order."""
         for j in cone.ray_indices:
             if not 0 <= j < len(self.rays):
                 raise ValidationError(f"cone {cone.ray_indices} references unknown ray {j}")
         rays = [self.rays[j] for j in cone.ray_indices]
-        entries = tuple(v[k] for k in range(self.ambient_dim) for v in rays)
-        return IntegerMatrix(self.ambient_dim, len(rays), entries)
+        return [[v[k] for v in rays] for k in range(self.ambient_dim)]
 
     def __repr__(self) -> str:
         return (
             f"Fan(dim={self.ambient_dim}, rays={len(self.rays)}, "
             f"max_cones={len(self.max_cones)})"
         )
+
+
+def _integer(value: int, what: str) -> int:
+    """``value`` as an int (``operator.index``), or ``ValidationError``."""
+    try:
+        return index(value)
+    except TypeError:
+        raise ValidationError(f"{what} {value!r} is not an integer") from None
 
 
 def _integers(values: Iterable[int], what: str) -> tuple[int, ...]:
@@ -269,7 +273,7 @@ def _pivot_walk(
     cone k, rays in increasing order.  Each cone not reached across a wall
     from an earlier one (a wall not in exactly two cones, or a neighbour of
     determinant 0, stops the walk) is a root in ``roots`` and takes one
-    signed ``fraction_free_solve_rows``.  It gives ``det`` and the dual rows
+    ``fraction_free_solve_rows``.  It gives ``det`` and the dual rows
     ``u_r = |det| . sigma^-1``, so ``<u_r, v_s> = |det|`` if r == s, else 0.
 
     Crossing the wall opposite slot i to the cone whose new ray ``v`` sits
@@ -295,7 +299,7 @@ def _pivot_walk(
         roots.append(root)
         rays = [fan.rays[j] for j in cone.ray_indices]
         system = [[v[t] for v in rays] + [int(t == s) for s in range(n)] for t in range(n)]
-        det, inv = fraction_free_solve_rows(system, signed=True)
+        det, inv = fraction_free_solve_rows(system)
         dets[root] = det
         if not det:
             continue
@@ -398,7 +402,8 @@ def multiplicity(fan: Fan, cone: Cone) -> int:
 
     A maximal cone of ``fan`` reads the ``|det|`` that validation cached on
     it.  Any other cone takes ``column_lattice_index`` of its ray matrix
-    once and caches it; that is ``|det|`` on a full-dimensional cone, and
+    once and caches it, with the matrix's rows in the cone's ray order
+    (``Fan.ray_matrix``); that is ``|det|`` on a full-dimensional cone, and
     it raises ``ValueError("not simplicial")`` when the rays are linearly
     dependent, at any dimension.  Equals 1 exactly when the corresponding
     affine chart is smooth.  A face of a unimodular maximal cone has
@@ -419,6 +424,7 @@ def is_smooth(fan: Fan) -> bool:
 def projective_space(n: int) -> Fan:
     """Fan of n-dimensional projective space: rays e_1..e_n and -(e_1+...+e_n),
     maximal cones all n-subsets of the n+1 rays."""
+    n = _integer(n, "projective space dimension")
     if n < 1:
         raise ValidationError("projective space requires n >= 1")
     rays = [tuple(1 if k == i else 0 for k in range(n)) for i in range(n)]
@@ -429,6 +435,7 @@ def projective_space(n: int) -> Fan:
 
 def hirzebruch(r: int) -> Fan:
     """The Hirzebruch surface fan: rays (1,0), (0,1), (-1,r), (0,-1)."""
+    r = _integer(r, "hirzebruch parameter")
     if r < 0:
         raise ValidationError("hirzebruch parameter must be nonnegative")
     rays = [(1, 0), (0, 1), (-1, r), (0, -1)]
@@ -440,9 +447,10 @@ def weighted_projective(weights: Sequence[int]) -> Fan:
 
     Rays are e_1..e_n and v_0 = -(q_1 e_1 + ... + q_n e_n)/q_0; only weight
     vectors making v_0 an integral primitive vector are supported (the
-    q_0 = 1 family always works).
+    q_0 = 1 family always works).  Like every builder parameter, the
+    weights are never truncated: a non-integer one is a ``ValidationError``.
     """
-    w = [int(q) for q in weights]
+    w = _integers(weights, "weight vector")
     if len(w) < 2:
         raise ValidationError("weighted projective space needs at least two weights")
     if any(q <= 0 for q in w):

@@ -49,7 +49,7 @@ from toriccsm import (
     squarefree_monomial,
     weighted_projective,
 )
-from toriccsm.exact_linalg import IntegerMatrix, RationalMatrix, rational_rref
+from toriccsm.exact_linalg import rational_rref
 
 
 def cofactor_det(rows: list[list[int]]) -> int:
@@ -112,22 +112,19 @@ def oracle_substitution(fan: Fan, elim: tuple[int, ...]) -> dict[int, GradedClas
     n = fan.ambient_dim
     kept = [j for j in range(len(fan.rays)) if j not in elim]
     rows = [[fan.rays[j][k] for j in elim] + [-fan.rays[j][k] for j in kept] for k in range(n)]
-    red, pivots = rational_rref(RationalMatrix.from_rows(rows))
+    red, pivots = rational_rref(rows)
     assert pivots == tuple(range(n)), "elimination cone is singular"
-    rl = red.row_lists()
     return {
-        ray: {((kept[m], 1),): c for m, c in enumerate(rl[i][n:]) if c}
+        ray: {((kept[m], 1),): c for m, c in enumerate(red[i][n:]) if c}
         for i, ray in enumerate(elim)
     }
 
 
-def matrix_mul(a: IntegerMatrix, b: IntegerMatrix) -> IntegerMatrix:
-    """The product a * b, entry by entry."""
-    if a.cols != b.rows:
+def matrix_mul(a: list[list[int]], b: list[list[int]]) -> list[list[int]]:
+    """The product a * b of two row lists, entry by entry."""
+    if any(len(row) != len(b) for row in a):
         raise ValueError("dimension mismatch in matrix product")
-    x, y = a.row_lists(), b.row_lists()
-    out = [[sum(x[i][k] * y[k][j] for k in range(a.cols)) for j in range(b.cols)] for i in range(a.rows)]
-    return IntegerMatrix.from_rows(out) if out else IntegerMatrix(0, b.cols, ())
+    return [[sum(x * y for x, y in zip(row, col)) for col in zip(*b)] for row in a]
 
 
 def class_add(a: GradedClass, b: GradedClass) -> GradedClass:
@@ -153,27 +150,27 @@ def gcd_minors_index(rows: list[list[int]]) -> int:
 
 
 def oracle_multiplicity(fan: Fan, cone) -> int:
-    return gcd_minors_index(fan.ray_matrix(cone).row_lists())
+    return gcd_minors_index(fan.ray_matrix(cone))
 
 
-def is_column_hnf(h: IntegerMatrix) -> bool:
-    """Canonical-form predicate: positive pivots in strictly increasing row
-    positions, zeros above every pivot, and entries left of a pivot in its
-    row reduced into [0, pivot)."""
+def is_column_hnf(h: list[list[int]]) -> bool:
+    """Canonical-form predicate on the rows of ``h``: positive pivots in
+    strictly increasing row positions, zeros above every pivot, and entries
+    left of a pivot in its row reduced into [0, pivot)."""
     pivots = []
-    for j in range(h.cols):
-        rows_j = [i for i in range(h.rows) if h.at(i, j)]
+    for j in range(len(h[0])):
+        rows_j = [i for i in range(len(h)) if h[i][j]]
         if not rows_j:
             return False
         p = rows_j[0]
-        if h.at(p, j) <= 0:
+        if h[p][j] <= 0:
             return False
         pivots.append(p)
     if pivots != sorted(pivots) or len(set(pivots)) != len(pivots):
         return False
     for j, p in enumerate(pivots):
         for k in range(j):
-            if not 0 <= h.at(p, k) < h.at(p, j):
+            if not 0 <= h[p][k] < h[p][j]:
                 return False
     return True
 
@@ -340,9 +337,8 @@ def macaulay_presentation(pres: ChowPresentation) -> SimpleNamespace:
                 rows.append(row)
         red_d = {}
         if rows:
-            rmat, piv = rational_rref(RationalMatrix.from_rows(rows))
+            rrows, piv = rational_rref(rows)
             pivset = set(piv)
-            rrows = rmat.row_lists()
             basis_idx = [j for j in range(len(mons)) if j not in pivset]
             for i, pcol in enumerate(piv):
                 red_d[mons[pcol]] = {mons[j]: -rrows[i][j] for j in basis_idx if rrows[i][j]}

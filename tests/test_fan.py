@@ -29,7 +29,6 @@ from toriccsm import (
 from toriccsm import fan as fan_mod
 from toriccsm.errors import ValidationError
 from toriccsm.exact_linalg import (
-    IntegerMatrix,
     column_lattice_index,
     determinant,
     hermite_normal_form,
@@ -100,7 +99,7 @@ def test_build_rejects_fans_that_cover_space_twice(name):
     walls, slots = fan_mod._wall_table(cone_objects, dim)
     assert all(len(pairs) == 2 for pairs in walls.values())
     dets = [
-        determinant(IntegerMatrix.from_rows([[rays[j][t] for j in c.ray_indices] for t in range(dim)]))
+        determinant([[rays[j][t] for j in c.ray_indices] for t in range(dim)])
         for c in cone_objects
     ]
     assert fan_mod._same_side_wall(cone_objects, slots, dets) is None
@@ -261,6 +260,31 @@ def test_weighted_projective_builder():
         weighted_projective([1, 2, 2])
     with pytest.raises(ValidationError, match="gcd"):
         weighted_projective([2, 2, 2])
+
+
+@pytest.mark.parametrize(
+    "build, arg, message",
+    [
+        (projective_space, 2.5, "projective space dimension 2.5 is not an integer"),
+        (projective_space, "2", "projective space dimension '2' is not an integer"),
+        (hirzebruch, 2.5, "hirzebruch parameter 2.5 is not an integer"),
+        (hirzebruch, "1", "hirzebruch parameter '1' is not an integer"),
+        (weighted_projective, [1, 1, 2.5], r"weight vector \(1, 1, 2.5\) has a non-integer entry"),
+        (weighted_projective, ["1", "1", "3"], r"weight vector \('1', '1', '3'\) has a non-integer entry"),
+    ],
+    ids=["pn-float", "pn-str", "hirzebruch-float", "hirzebruch-str", "wps-float", "wps-str"],
+)
+def test_builders_reject_non_integer_parameters(build, arg, message):
+    # A builder never truncates a parameter, as Fan never truncates a ray.
+    with pytest.raises(ValidationError, match=f"^{message}$"):
+        build(arg)
+
+
+def test_ray_matrix_is_the_rows_of_the_cone_rays():
+    f = hirzebruch(5)
+    assert f.ray_matrix(Cone((1, 2))) == [[0, -1], [1, 5]]
+    with pytest.raises(ValidationError, match=r"cone \(1, 4\) references unknown ray 4"):
+        f.ray_matrix(Cone((1, 4)))
 
 
 def test_product_builder():
