@@ -53,11 +53,12 @@ Rows = Sequence[Sequence[int]]
 def hermite_normal_form(m: Rows) -> tuple[list[list[int]], list[list[int]]]:
     """Column-style Hermite normal form ``H`` of ``m`` with transform ``T``.
 
-    Returns ``(H, T)`` as row lists, with ``m . T == H``, ``T`` square unimodular
-    (``|det T| = 1``).  The canonical form fixed here: each column's first
-    nonzero entry (its pivot) is positive, pivots sit in strictly
-    increasing row positions from left to right, and within a pivot row
-    every entry to the left of the pivot is reduced into ``[0, pivot)``.
+    Returns ``(H, T)`` as row lists, with ``m . T == H`` and ``T`` square
+    unimodular (``|det T| = 1``).  The canonical form fixed here: each
+    column's first nonzero entry (its pivot) is positive, pivots sit in
+    strictly increasing row positions from left to right, and within a
+    pivot row every entry to the left of the pivot is reduced into ``[0,
+    pivot)``.
 
     Raises ``ValueError`` for a matrix that is wider than tall
     ("over-wide matrix") or of deficient column rank ("not simplicial" --
@@ -163,12 +164,13 @@ def fraction_free_solve_rows(m: list[list[int]]) -> tuple[int, list[list[int]] |
     outside the pivot row by ``(a[i][j] * akk - a[i][k] * a[k][j]) //
     prev``, an exact division that clears column k.  Then the left block
     is ``|det a|`` times the identity, and the right block is ``X``; the
-    sign of ``det a`` is tracked through the row swaps and negations.  Cone ray matrices are sparse with entries mostly 0 and +-1,
-    so two kinds of no-op work are skipped: a negative pivot row is
-    negated, so unit pivots stay at 1, and when ``akk == prev`` only rows
-    with a nonzero pivot-column entry and only the pivot row's nonzero
-    columns change.  With ``b`` the identity, ``X`` is the adjugate up to
-    sign.  A singular ``a`` gives ``(0, None)``.
+    sign of ``det a`` is tracked through the row swaps and negations.
+    Cone ray matrices are sparse with entries mostly 0 and +-1, so two
+    kinds of no-op work are skipped: a negative pivot row is negated, so
+    unit pivots stay at 1, and when ``akk == prev`` only rows with a
+    nonzero pivot-column entry and only the pivot row's nonzero columns
+    change.  With ``b`` the identity, ``X`` is the adjugate up to sign.  A
+    singular ``a`` gives ``(0, None)``.
     """
     n = len(m)
     width = len(m[0]) if m else 0

@@ -401,9 +401,9 @@ def multiplicity(fan: Fan, cone: Cone) -> int:
     ray generators inside the lattice points of its linear span.
 
     A maximal cone of ``fan`` reads the ``|det|`` that validation cached on
-    it.  Any other cone takes ``column_lattice_index`` of its ray matrix
-    once and caches it, with the matrix's rows in the cone's ray order
-    (``Fan.ray_matrix``); that is ``|det|`` on a full-dimensional cone, and
+    it.  Any other cone takes ``column_lattice_index`` of the rows of its
+    ray matrix (``Fan.ray_matrix``, one column per ray in index order) once
+    and caches it; that is ``|det|`` on a full-dimensional cone, and
     it raises ``ValueError("not simplicial")`` when the rays are linearly
     dependent, at any dimension.  Equals 1 exactly when the corresponding
     affine chart is smooth.  A face of a unimodular maximal cone has
