@@ -17,9 +17,13 @@ The corpus:
   maximal cone through ``csm`` (plain, ``--json``, ``--force-hnf
   --json``), ``euler`` and ``chow`` (each with and without ``--json``),
   and once through ``validate`` (with and without ``--json``);
+- two larger products, pn=6*pn=7 and pn=4^3, with their rays relabelled
+  and their maximal cones shuffled, through ``csm --json`` and
+  ``validate`` only;
 - malformed fan files (ragged rays, bad cones, repeated headers, an open
-  fan, fans that cover space twice, a latin-1 file) through every
-  command;
+  fan, a wall in three cones, folded fans, fans that cover space twice,
+  a non-simplicial cone listed before a malformed one, a latin-1 file)
+  through every command;
 - usage errors and bad arguments: unknown builders, a non-maximal or
   repeated elimination cone, a missing file.
 
@@ -41,6 +45,7 @@ from pathlib import Path
 from helpers import MULTI_COVER_FANS, relabel, stellar_fan, suite_fans
 
 from toriccsm import (
+    build_fan,
     hirzebruch,
     is_smooth,
     product,
@@ -76,6 +81,14 @@ RELABELLED = {
     "pn2_wps1-2-3-5": lambda: product(projective_space(2), weighted_projective([1, 2, 3, 5])),
 }
 
+# file name stem -> builder of a larger product, whose rays are relabelled
+# and whose maximal cones are shuffled by one random.Random(SHUFFLE_SEED)
+SHUFFLE_SEED = 17
+SHUFFLED = {
+    "pn6_pn7": lambda: product(projective_space(6), projective_space(7)),
+    "pn4_pn4_pn4": lambda: product(product(projective_space(4), projective_space(4)), projective_space(4)),
+}
+
 _CONE_COMMANDS = (
     ["csm"],
     ["csm", "--json"],
@@ -108,6 +121,15 @@ MALFORMED = {
     "repeat-cones.fan": _H5 + "max_cones:\n  0 1\n",
     "no-cones.fan": "dim: 2\nrays:\n  1 0\n  0 1\n  -1 -1\n",
     "bad-int.fan": "dim: two\nrays:\n  1 0\n",
+    # P^3 and the cone (0, 1, 4): the wall (0, 1) lies in three cones
+    "wall-in-three.fan": "dim: 3\nrays:\n  1 0 0\n  0 1 0\n  0 0 1\n  -1 -1 -1\n  1 1 1\n"
+    "max_cones:\n  0 1 2\n  0 1 3\n  0 2 3\n  1 2 3\n  0 1 4\n",
+    # every wall in two cones, but (0, 1, 2) and (0, 1, 3) on one side of (0, 1)
+    "folded-3d.fan": "dim: 3\nrays:\n  1 3 -3\n  -3 1 1\n  3 -1 3\n  3 0 -1\n"
+    "max_cones:\n  0 1 2\n  0 1 3\n  0 2 3\n  1 2 3\n",
+    # (0, 1) spans a line; the unknown ray of the cone after it is named second
+    "dependent-then-unknown.fan": "dim: 2\nrays:\n  1 0\n  -1 0\n  0 1\n  0 -1\n"
+    "max_cones:\n  0 1\n  0 2\n  0 5\n",
     "empty.fan": "",
 }
 for _name, (_dim, _rays, _cones) in sorted(MULTI_COVER_FANS.items()):
@@ -164,11 +186,29 @@ def _fans() -> list[tuple[list[str], object]]:
     return [(list(source), fan) for source, fan in out.items()]
 
 
+def _shuffled() -> dict[str, object]:
+    """File name -> fan of each ``SHUFFLED`` product, relabelled and with
+    its maximal cones shuffled."""
+    rng = random.Random(SHUFFLE_SEED)
+    out = {}
+    for stem, build in SHUFFLED.items():
+        fan = build()
+        perm = list(range(len(fan.rays)))
+        rng.shuffle(perm)
+        fan = relabel(fan, perm)
+        cones = [c.ray_indices for c in fan.max_cones]
+        rng.shuffle(cones)
+        out[f"shuffled-{stem}.fan"] = build_fan(fan.ambient_dim, fan.rays, cones)
+    return out
+
+
 def write_files(workdir: Path) -> None:
     """Write the corpus's fan files into ``workdir``."""
     for (flag, name), fan in _fans():
         if flag == "--fan":
             (workdir / name).write_text(render_fan(fan, name.removesuffix(".fan")), encoding="utf-8")
+    for name, fan in _shuffled().items():
+        (workdir / name).write_text(render_fan(fan, name.removesuffix(".fan")), encoding="utf-8")
     for name, text in MALFORMED.items():
         (workdir / name).write_text(text, encoding="utf-8")
     (workdir / "latin1.fan").write_bytes(LATIN1)
@@ -184,6 +224,8 @@ def invocations() -> list[list[str]]:
             cone = ["--elim-cone", ",".join(map(str, elim))]
             out += [cmd[:1] + source + cone + cmd[1:] for cmd in _CONE_COMMANDS]
         out += [["validate", *source], ["validate", *source, "--json"]]
+    for name in _shuffled():
+        out += [["csm", "--fan", name, "--json"], ["validate", "--fan", name]]
     for name in [*MALFORMED, "latin1.fan"]:
         out += [[cmd, "--fan", name] for cmd in ("csm", "euler", "chow", "validate")]
     out.append(["csm", "--fan", "degenerate.fan", "--elim-cone", "0,3"])
