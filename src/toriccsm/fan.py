@@ -143,8 +143,8 @@ def _integer(value: int, what: str) -> int:
 
 def _integers(values: Iterable[int], what: str) -> tuple[int, ...]:
     """``values`` as ints (``operator.index``), or ``ValidationError``."""
-    values = tuple(values)
     try:
+        values = tuple(values)
         return tuple(map(index, values))
     except TypeError:
         raise ValidationError(f"{what} {values} has a non-integer entry") from None
@@ -188,8 +188,8 @@ def _validate(fan: Fan) -> None:
             if determinant(fan.ray_matrix(c)) == 0:
                 raise ValidationError(f"not simplicial: maximal cone {c.ray_indices}") from None
         raise
-    walls, slots = _wall_table(cones, n)
-    dets, roots, overlap = _pivot_walk(fan, slots)
+    across = _wall_table(cones, n)
+    dets, roots, overlap, folded = _pivot_walk(fan, across)
     for c, det in zip(cones, dets):
         if det == 0:
             raise ValidationError(f"not simplicial: maximal cone {c.ray_indices}")
@@ -198,11 +198,10 @@ def _validate(fan: Fan) -> None:
     missing = sorted(set(range(len(rays))) - used)
     if missing:
         raise ValidationError(f"unused ray: ray {missing[0]} appears in no maximal cone")
-    if any(len(pairs) != 2 for pairs in walls.values()):
+    if any(None in row for row in across):
         raise ValidationError("fan fails completeness check")
-    fold = _same_side_wall(cones, slots, dets)
-    if fold:
-        wall, a, b = fold
+    if folded:
+        wall, a, b = _same_side_wall(cones, across, dets)
         raise ValidationError(
             f"fan fails completeness check: maximal cones {a} and {b} "
             f"lie on the same side of wall {wall}"
@@ -238,43 +237,50 @@ def _check_cone_shape(c: Cone, n: int, num_rays: int, seen: set[Cone]) -> None:
     seen.add(c)
 
 
-# The (cone, slot) pairs of one wall: cone k without the ray at its slot s.
-_WallPairs = list[tuple[int, int]]
+# For each maximal cone, the (cone, slot) across the wall opposite each of
+# its slots, or None where that wall is not in exactly two maximal cones.
+_Across = list[list[tuple[int, int] | None]]
 
 
-def _wall_table(
-    cones: Sequence[Cone], n: int
-) -> tuple[dict[tuple[int, ...], _WallPairs], list[list[_WallPairs]]]:
-    """Each wall's ``(cone, slot)`` pairs, in cone order, and for each cone
-    the pair list of the wall opposite each of its slots (the wall drops
-    the ray at that slot).  A complete fan has two pairs per wall."""
-    walls: dict[tuple[int, ...], _WallPairs] = {}
-    slots = []
+def _wall_table(cones: Sequence[Cone], n: int) -> _Across:
+    """For each cone k and slot s, the ``(cone, slot)`` on the other side
+    of the wall that drops the ray at slot s, or None if that wall is not
+    in exactly two cones.  A wall is keyed by the bitmask of its rays (bit
+    j for ray j): the cone's mask with one bit cleared.  Call only on
+    bounds-checked ray indices.  A complete fan has no None."""
+    walls: dict[int, tuple[int, int] | None] = {}
+    across: _Across = [[None] * n for _ in cones]
     for k, c in enumerate(cones):
-        idx = c.ray_indices
-        row = []
-        for s in range(n):
-            wall = idx[:s] + idx[s + 1 :]
-            pairs = walls.get(wall)
-            if pairs is None:
-                pairs = walls[wall] = []
-            pairs.append((k, s))
-            row.append(pairs)
-        slots.append(row)
-    return walls, slots
+        bits = [1 << j for j in c.ray_indices]
+        mask = sum(bits)
+        for s, b in enumerate(bits):
+            wall = mask - b
+            there = walls.get(wall, False)
+            if there is False:
+                walls[wall] = (k, s)
+            elif there is not None:
+                a, sa = there
+                partner = across[a][sa]
+                if partner is None:
+                    across[a][sa] = (k, s)
+                    across[k][s] = there
+                else:  # a third cone: the wall pairs no two cones
+                    across[a][sa] = across[partner[0]][partner[1]] = walls[wall] = None
+    return across
 
 
 def _pivot_walk(
-    fan: Fan, slots: list[list[_WallPairs]]
-) -> tuple[list[int], list[int], tuple[int, int] | None]:
+    fan: Fan, across: _Across
+) -> tuple[list[int], list[int], tuple[int, int] | None, bool]:
     """Signed determinant of every maximal cone, by one walk across walls.
 
-    Returns ``(dets, roots, overlap)``.  ``dets[k]`` is the determinant of
-    cone k, rays in increasing order.  Each cone not reached across a wall
-    from an earlier one (a wall not in exactly two cones, or a neighbour of
-    determinant 0, stops the walk) is a root in ``roots`` and takes one
-    ``fraction_free_solve_rows``.  It gives ``det`` and the dual rows
-    ``u_r = |det| . sigma^-1``, so ``<u_r, v_s> = |det|`` if r == s, else 0.
+    Returns ``(dets, roots, overlap, folded)``.  ``dets[k]`` is the
+    determinant of cone k, rays in increasing order.  Each cone not reached
+    across a wall from an earlier one (a wall not in exactly two cones, or
+    a neighbour of determinant 0, stops the walk) is a root in ``roots``
+    and takes one ``fraction_free_solve_rows``.  It gives ``det`` and the
+    dual rows ``u_r = |det| . sigma^-1``, so ``<u_r, v_s> = |det|`` if r
+    == s, else 0.
 
     Crossing the wall opposite slot i to the cone whose new ray ``v`` sits
     at slot j costs ``c_r = <u_r, v>`` over the nonzeros of ``v``: the
@@ -283,9 +289,13 @@ def _pivot_walk(
     if the walk goes on from it (``_exchange``).  The coordinates ``y =
     |det| . sigma^-1 p`` of the root's ray sum p ride along by the same
     exchange; ``overlap`` is the first ``(root, cone)`` whose other cone
-    contains p (all y >= 0), or None.  With every wall in two cones on
-    opposite sides, the cones cover space exactly once iff there is one
-    root and no overlap (Ewald, GTM 168, Ch. III).
+    contains p (all y >= 0), or None.  A slot whose neighbour already has
+    a determinant is checked as ``_same_side_wall`` checks it; ``folded``
+    says whether some such wall has both cones on one side.  It is
+    meaningful once every determinant is nonzero: then the walk scans
+    every cone, so every wall.  With every wall in two cones on opposite
+    sides, the cones cover space exactly once iff there is one root and no
+    overlap (Ewald, GTM 168, Ch. III).
     """
     n = fan.ambient_dim
     cones = [c.ray_indices for c in fan.max_cones]
@@ -293,11 +303,12 @@ def _pivot_walk(
     dets: list[int | None] = [None] * len(cones)
     roots: list[int] = []
     overlap = None
-    for root, cone in enumerate(fan.max_cones):
+    folded = False
+    for root, cone in enumerate(cones):
         if dets[root] is not None:
             continue
         roots.append(root)
-        rays = [fan.rays[j] for j in cone.ray_indices]
+        rays = [fan.rays[j] for j in cone]
         system = [[v[t] for v in rays] + [int(t == s) for s in range(n)] for t in range(n)]
         det, inv = fraction_free_solve_rows(system)
         dets[root] = det
@@ -311,11 +322,16 @@ def _pivot_walk(
             k, rows, y, step = stack.pop()
             det = dets[k]
             scale = abs(det)
-            for i, pairs in enumerate(slots[k]):
-                if len(pairs) != 2:
+            positive = det > 0
+            for i, there in enumerate(across[k]):
+                if there is None:
                     continue
-                nb, j = pairs[1] if pairs[0][0] == k else pairs[0]
-                if dets[nb] is not None:
+                nb, j = there
+                seen = dets[nb]
+                if seen is not None:
+                    # one side iff the signs of det(wall, ray) agree
+                    if (positive != (seen > 0)) == ((i ^ j) & 1):
+                        folded = True
                     continue
                 if step is not None:
                     rows = _exchange(rows, *step)
@@ -326,7 +342,7 @@ def _pivot_walk(
                 for t, x in v[1:]:
                     c = [a + x * u[t] for a, u in zip(c, rows)]
                 ci = c[i]
-                nb_det = ci if det > 0 else -ci
+                nb_det = ci if positive else -ci
                 dets[nb] = -nb_det if (i - j) & 1 else nb_det
                 if not ci:
                     continue
@@ -342,7 +358,7 @@ def _pivot_walk(
                 if overlap is None and min(y_nb) >= 0:
                     overlap = (root, nb)
                 stack.append((nb, rows, y_nb, (c, i, j, scale)))
-    return dets, roots, overlap
+    return dets, roots, overlap, folded
 
 
 def _exchange(rows: list[list[int]], c: Sequence[int], i: int, j: int, scale: int) -> list[list[int]]:
@@ -370,11 +386,12 @@ def _exchange(rows: list[list[int]], c: Sequence[int], i: int, j: int, scale: in
 
 
 def _same_side_wall(
-    cones: Sequence[Cone], slots: list[list[_WallPairs]], dets: list[int]
+    cones: Sequence[Cone], across: _Across, dets: list[int]
 ) -> tuple[tuple[int, ...], ...] | None:
     """A wall whose two maximal cones lie on the same side of its span, as
     ``(wall, cone, cone)``, or None.  Call only after every wall was found
-    in exactly two cones.
+    in exactly two cones; ``_validate`` calls it only to name the wall of
+    a fold that ``_pivot_walk`` found.
 
     ``dets[k]`` is the determinant of maximal cone k, rays in increasing
     order.  The cones wall+a and wall+b lie on opposite sides exactly when
@@ -383,12 +400,12 @@ def _same_side_wall(
     each from its last slot to its first, and a wall is reported at its
     second cone.
     """
-    last = len(slots[0]) - 1
-    for k, row in enumerate(slots):
+    last = len(across[0]) - 1
+    for k, row in enumerate(across):
         positive = dets[k] > 0
         for s in range(last, -1, -1):
-            (a, sa), (b, _) = row[s]
-            if b != k:
+            a, sa = row[s]
+            if a > k:
                 continue
             if (positive ^ ((last - s) & 1)) == ((dets[a] > 0) ^ ((last - sa) & 1)):
                 idx = cones[k].ray_indices

@@ -61,7 +61,8 @@ def parse_fan_text(text: str, source: str = "<string>") -> tuple[Fan, str | None
         line = raw.split("#", 1)[0].strip()
         if not line:
             continue
-        m = _SECTION.match(line)
+        # a section header starts with a letter, a data line never does
+        m = _SECTION.match(line) if line[0].isalpha() else None
         if m:
             key, rest = m.group(1), m.group(2).strip()
             if key in seen:
@@ -80,7 +81,7 @@ def parse_fan_text(text: str, source: str = "<string>") -> tuple[Fan, str | None
                 section = key
             continue
         try:
-            values = [int(tok) for tok in line.split()]
+            values = list(map(int, line.split()))
         except ValueError:
             fail(lineno, f"expected whitespace-separated integers, got {line!r}")
         if section == "rays":
@@ -103,8 +104,8 @@ def parse_fan_text(text: str, source: str = "<string>") -> tuple[Fan, str | None
         if len(ray) != dim and dim >= 1:
             fail(lineno, f"ray {i} has {len(ray)} coordinates, expected {dim}")
     for k, (cone, lineno) in enumerate(zip(cones, cone_lines)):
-        (j, count), = Counter(cone).most_common(1)
-        if count > 1 and dim >= 1:
+        if len(set(cone)) != len(cone) and dim >= 1:
+            (j, _), = Counter(cone).most_common(1)
             fail(lineno, f"cone {k} repeats ray {j}")
     return build_fan(dim, rays, cones), name
 

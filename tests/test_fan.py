@@ -1,6 +1,7 @@
 import random
 from fractions import Fraction
 from itertools import combinations
+from types import SimpleNamespace
 
 import pytest
 from helpers import (
@@ -11,7 +12,8 @@ from helpers import (
     stellar_fan,
     suite_fans,
 )
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
 from toriccsm import (
     Cone,
@@ -39,12 +41,34 @@ H5_RAYS = [(1, 0), (0, 1), (-1, 5), (0, -1)]
 H5_CONES = [(0, 1), (1, 2), (2, 3), (3, 0)]
 
 
+def assert_every_wall_in_two_cones(cones, across):
+    # Each slot's wall is shared with exactly one other (cone, slot), which
+    # points back, and the two cones differ only in the rays at those slots.
+    for k, row in enumerate(across):
+        for s, there in enumerate(row):
+            assert there is not None, (k, s)
+            nb, j = there
+            assert nb != k and across[nb][j] == (k, s)
+            a, b = cones[k].ray_indices, cones[nb].ray_indices
+            assert a[:s] + a[s + 1 :] == b[:j] + b[j + 1 :]
+
+
 def test_build_hirzebruch5():
     f = build_fan(2, H5_RAYS, H5_CONES)
     assert len(f.max_cones) == 4
-    walls, _ = fan_mod._wall_table(f.max_cones, 2)
-    assert all(len(pairs) == 2 for pairs in walls.values())
+    assert_every_wall_in_two_cones(f.max_cones, fan_mod._wall_table(f.max_cones, 2))
     assert f.rays == tuple(H5_RAYS)
+
+
+def test_wall_table_leaves_out_walls_not_in_two_cones():
+    # P^2 without one cone (open), and P^3 with a fifth cone on the wall
+    # (0, 1), which then lies in three cones.
+    open_p2 = [Cone(c) for c in [(0, 1), (1, 2)]]
+    assert fan_mod._wall_table(open_p2, 2) == [[(1, 1), None], [None, (0, 0)]]
+    cones = [Cone(c) for c in [(0, 1, 2), (0, 1, 3), (0, 2, 3), (1, 2, 3), (0, 1, 4)]]
+    across = fan_mod._wall_table(cones, 3)
+    assert [row[2] for row in across[:2]] + [across[4][2]] == [None, None, None]
+    assert across[0][1] == (2, 2) and across[4][:2] == [None, None]
 
 
 def test_build_p2():
@@ -96,13 +120,16 @@ def test_build_rejects_fans_that_cover_space_twice(name):
     # each passes the wall condition: every wall in two cones, on opposite
     # sides; the determinants come from the plain rows of each ray matrix
     cone_objects = [Cone(c) for c in cones]
-    walls, slots = fan_mod._wall_table(cone_objects, dim)
-    assert all(len(pairs) == 2 for pairs in walls.values())
+    across = fan_mod._wall_table(cone_objects, dim)
+    assert_every_wall_in_two_cones(cone_objects, across)
     dets = [
         determinant([[rays[j][t] for j in c.ray_indices] for t in range(dim)])
         for c in cone_objects
     ]
-    assert fan_mod._same_side_wall(cone_objects, slots, dets) is None
+    assert fan_mod._same_side_wall(cone_objects, across, dets) is None
+    unchecked = SimpleNamespace(ambient_dim=dim, rays=rays, max_cones=cone_objects)
+    walked, _, _, folded = fan_mod._pivot_walk(unchecked, across)
+    assert walked == dets and not folded
     for construct in (build_fan, Fan):
         with pytest.raises(ValidationError, match="completeness check: .* more than once"):
             construct(dim, rays, cones)
@@ -335,10 +362,79 @@ def test_walk_determinants_match_bareiss(data):
     # Bareiss on the cone's own ray matrix is the slower oracle.
     n, rays, cones = data
     fan = build_fan(n, rays, cones)
-    _, slots = fan_mod._wall_table(fan.max_cones, n)
-    dets, roots, overlap = fan_mod._pivot_walk(fan, slots)
-    assert roots == [0] and overlap is None
+    dets, roots, overlap, folded = fan_mod._pivot_walk(fan, fan_mod._wall_table(fan.max_cones, n))
+    assert roots == [0] and overlap is None and not folded
     for c, det in zip(fan.max_cones, dets):
         exact = determinant(fan.ray_matrix(c))
         assert det == exact, c
         assert c._mult == abs(exact), c
+
+
+def _stellar_fans():
+    return st.builds(
+        stellar_fan, st.integers(2, 4), st.integers(1, 8), st.integers(0, 999), st.just((1, 2))
+    )
+
+
+def _raw(fan):
+    return fan.ambient_dim, list(fan.rays), [c.ray_indices for c in fan.max_cones]
+
+
+@settings(max_examples=40, deadline=None, database=None)
+@given(data=st.one_of(shuffled_products(), _stellar_fans().map(_raw)))
+def test_walk_solves_once_per_root_and_exchanges_less_than_once_per_cone(data):
+    # One fraction-free solve per wall-connected piece, and each other cone
+    # reached by at most one exchange step; build_fan takes the same walk.
+    n, rays, cones = data
+    calls = {"solve": 0, "exchange": 0}
+
+    def counted(name, f):
+        def wrapper(*args):
+            calls[name] += 1
+            return f(*args)
+        return wrapper
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(fan_mod, "fraction_free_solve_rows", counted("solve", fan_mod.fraction_free_solve_rows))
+        mp.setattr(fan_mod, "_exchange", counted("exchange", fan_mod._exchange))
+        fan = build_fan(n, rays, cones)
+        assert calls["solve"] == 1 and calls["exchange"] < len(cones)
+        calls.update(solve=0, exchange=0)
+        _, roots, _, _ = fan_mod._pivot_walk(fan, fan_mod._wall_table(fan.max_cones, n))
+        assert calls["solve"] == len(roots) == 1 and calls["exchange"] < len(cones)
+
+
+@settings(max_examples=60, deadline=None, database=None)
+@given(data=st.one_of(shuffled_products(), _stellar_fans().map(_raw)), pick=st.integers(0, 10**6))
+def test_walk_fold_flag_matches_same_side_wall(data, pick):
+    # Negating one ray r puts -r on the same side as the other ray of each
+    # wall of the cones that hold r, away from r: the walk's flag must see
+    # that fold, and must see none on the fan as drawn.
+    n, rays, cones = data
+    r = pick % len(rays)
+    negated = rays[:r] + [tuple(-x for x in rays[r])] + rays[r + 1 :]
+    cone_objects = [Cone(c) for c in cones]
+    across = fan_mod._wall_table(cone_objects, n)
+    for vectors in (rays, negated):
+        unchecked = SimpleNamespace(ambient_dim=n, rays=vectors, max_cones=cone_objects)
+        dets, _, _, folded = fan_mod._pivot_walk(unchecked, across)
+        assume(all(dets))
+        assert folded == (fan_mod._same_side_wall(cone_objects, across, dets) is not None)
+        assert folded == (vectors is negated)
+
+
+@pytest.mark.parametrize(
+    "build, message",
+    [
+        (lambda: weighted_projective(5), "weight vector 5 has a non-integer entry"),
+        (lambda: Fan(2, [1, (0, 1), (-1, -1)], [(0, 1), (1, 2), (2, 0)]), "ray 0 1 has a non-integer entry"),
+        (lambda: Fan(2, [(1, 0), (0, 1), (-1, -1)], [0, (1, 2), (2, 0)]), "cone 0 has a non-integer entry"),
+        (lambda: Cone(None), "cone None has a non-integer entry"),
+    ],
+    ids=["weights", "ray", "cone", "cone-object"],
+)
+def test_non_iterable_values_are_validation_errors(build, message):
+    # A ray, cone or weight vector that is not iterable at all is named as
+    # one with a non-integer entry, not left as a bare TypeError.
+    with pytest.raises(ValidationError, match=f"^{message}$"):
+        build()
