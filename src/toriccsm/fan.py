@@ -9,9 +9,11 @@ on opposite sides of the wall's span; then the cones cover space a whole
 number of times, at least once per wall-connected piece.  So they cover
 it exactly once iff they form one piece and the sum of one cone's rays
 lies in no other cone (Ewald, GTM 168, Ch. III).  One walk across the
-walls decides this and gives every maximal cone's determinant, each from
-a neighbour's.  A ``Fan`` keeps no face cache: ``csm.enumerate_cones``
-lists the cones.
+walls, keyed by the bitmasks of their rays, decides this and gives every
+maximal cone's determinant, each from a neighbour's; it compares the two
+cones' orientations at each wall as it passes.  The checks fail in
+the order ``Fan`` lists them.  A ``Fan`` keeps no face cache:
+``csm.enumerate_cones`` lists the cones.
 """
 
 from __future__ import annotations
@@ -93,10 +95,11 @@ class Fan:
     but the first contains the sum of the first cone's rays.  The
     determinants come from one walk across the walls (``_pivot_walk``): one
     signed solve per piece, then each cone's determinant from a
-    neighbour's.  A cone whose shape is wrong is reported after any
-    non-simplicial cone listed before it.  Each determinant's absolute value
-    is the cone's multiplicity, cached on the cone, so every ``Fan`` carries
-    the multiplicity of each maximal cone.  A dimension, coordinate or ray
+    neighbour's; the same walk finds whether some wall is folded.  A cone
+    whose shape is wrong is reported after any non-simplicial cone listed
+    before it.  Each determinant's absolute value is the cone's
+    multiplicity, cached on the cone, so every ``Fan`` carries the
+    multiplicity of each maximal cone.  A dimension, coordinate or ray
     index that is not an integer is never truncated: it is an error.
     """
 
@@ -237,8 +240,7 @@ def _check_cone_shape(c: Cone, n: int, num_rays: int, seen: set[Cone]) -> None:
     seen.add(c)
 
 
-# For each maximal cone, the (cone, slot) across the wall opposite each of
-# its slots, or None where that wall is not in exactly two maximal cones.
+# Per maximal cone and slot: the (cone, slot) across that slot's wall, or None.
 _Across = list[list[tuple[int, int] | None]]
 
 
