@@ -104,8 +104,8 @@ def parse_fan_text(text: str, source: str = "<string>") -> tuple[Fan, str | None
         if len(ray) != dim and dim >= 1:
             fail(lineno, f"ray {i} has {len(ray)} coordinates, expected {dim}")
     for k, (cone, lineno) in enumerate(zip(cones, cone_lines)):
-        if len(set(cone)) != len(cone) and dim >= 1:
-            (j, _), = Counter(cone).most_common(1)
+        (j, count), = Counter(cone).most_common(1)
+        if count > 1 and dim >= 1:
             fail(lineno, f"cone {k} repeats ray {j}")
     return build_fan(dim, rays, cones), name
 
