@@ -11,8 +11,8 @@ it exactly once iff they form one piece and the sum of one cone's rays
 lies in no other cone (Ewald, GTM 168, Ch. III).  One walk across the
 walls, keyed by the bitmasks of their rays, decides this and gives every
 maximal cone's determinant, each from a neighbour's; it compares the two
-cones' orientations at each wall as it passes.  The checks fail in
-the order ``Fan`` lists them.  A ``Fan`` keeps no face cache:
+cones' orientations at each wall as it passes.  The checks fail in the
+order ``Fan`` lists them.  A ``Fan`` keeps no face cache:
 ``csm.enumerate_cones`` lists the cones.
 """
 
