@@ -20,6 +20,10 @@ The corpus:
 - two larger products, pn=6*pn=7 and pn=4^3, with their rays relabelled
   and their maximal cones shuffled, through ``csm --json`` and
   ``validate`` only;
+- larger ``stellar_fan`` files, smooth and singular, each under its
+  first, middle and last maximal cone through ``csm --json``, ``chow
+  --json`` and ``euler`` only: non-product presentations with up to 16
+  rays and a Groebner basis of hundreds of elements;
 - malformed fan files (ragged rays, bad cones, repeated headers, an open
   fan, a wall in three cones, folded fans, fans that cover space twice,
   a non-simplicial cone listed before a malformed one, a latin-1 file)
@@ -65,6 +69,16 @@ MAX_RAYS = 12
 STELLAR = [(2, k, seed) for k in (2, 4, 6) for seed in range(3)] + [
     (3, k, seed) for k in (2, 4) for seed in range(3)
 ]
+
+# (n, k, coefficients) of the larger stellar fans, each for seeds 0 and 1
+LARGER_STELLAR = [(3, k, (1,)) for k in (8, 10, 12)] + [
+    (4, 5, (1,)),
+    (5, 4, (1,)),
+    (2, 10, (1,)),
+    (3, 6, (1, 2)),
+    (4, 4, (1, 2)),
+]
+_LARGER_COMMANDS = (["csm", "--json"], ["chow", "--json"], ["euler"])
 
 # file name stem -> builder of a singular product, whose rays are
 # relabelled by permutations drawn in this order from one
@@ -202,12 +216,32 @@ def _shuffled() -> dict[str, object]:
     return out
 
 
+def _larger_stellar() -> dict[str, object]:
+    """File name -> fan of each ``LARGER_STELLAR`` entry and seed; a
+    smooth one is named ``smooth-n-k-seed``, a singular one
+    ``singular-n-k-seed``."""
+    out = {}
+    for n, k, coefficients in LARGER_STELLAR:
+        kind = "smooth" if coefficients == (1,) else "singular"
+        for seed in (0, 1):
+            out[f"{kind}-{n}-{k}-{seed}.fan"] = stellar_fan(n, k, seed, coefficients)
+    return out
+
+
+def _elim_cones(fan) -> list[list[str]]:
+    """``--elim-cone`` arguments for the first, middle and last maximal
+    cone in sorted order, each once."""
+    cones = sorted(c.ray_indices for c in fan.max_cones)
+    elims = dict.fromkeys((cones[0], cones[len(cones) // 2], cones[-1]))
+    return [["--elim-cone", ",".join(map(str, elim))] for elim in elims]
+
+
 def write_files(workdir: Path) -> None:
     """Write the corpus's fan files into ``workdir``."""
     for (flag, name), fan in _fans():
         if flag == "--fan":
             (workdir / name).write_text(render_fan(fan, name.removesuffix(".fan")), encoding="utf-8")
-    for name, fan in _shuffled().items():
+    for name, fan in {**_shuffled(), **_larger_stellar()}.items():
         (workdir / name).write_text(render_fan(fan, name.removesuffix(".fan")), encoding="utf-8")
     for name, text in MALFORMED.items():
         (workdir / name).write_text(text, encoding="utf-8")
@@ -218,14 +252,14 @@ def invocations() -> list[list[str]]:
     """Every argv of the corpus, in a fixed order."""
     out: list[list[str]] = []
     for source, fan in _fans():
-        cones = sorted(c.ray_indices for c in fan.max_cones)
-        elims = dict.fromkeys((cones[0], cones[len(cones) // 2], cones[-1]))
-        for elim in elims:
-            cone = ["--elim-cone", ",".join(map(str, elim))]
+        for cone in _elim_cones(fan):
             out += [cmd[:1] + source + cone + cmd[1:] for cmd in _CONE_COMMANDS]
         out += [["validate", *source], ["validate", *source, "--json"]]
     for name in _shuffled():
         out += [["csm", "--fan", name, "--json"], ["validate", "--fan", name]]
+    for name, fan in _larger_stellar().items():
+        for cone in _elim_cones(fan):
+            out += [cmd[:1] + ["--fan", name] + cone + cmd[1:] for cmd in _LARGER_COMMANDS]
     for name in [*MALFORMED, "latin1.fan"]:
         out += [[cmd, "--fan", name] for cmd in ("csm", "euler", "chow", "validate")]
     out.append(["csm", "--fan", "degenerate.fan", "--elim-cone", "0,3"])
