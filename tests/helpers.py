@@ -41,6 +41,7 @@ from toriccsm import (
     GradedClass,
     build_fan,
     csm_result,
+    degree,
     hirzebruch,
     multiplicity,
     normal_form,
@@ -49,6 +50,7 @@ from toriccsm import (
     squarefree_monomial,
     weighted_projective,
 )
+from toriccsm.chow import multiplication_tables
 from toriccsm.exact_linalg import rational_rref
 
 
@@ -568,6 +570,110 @@ def h_vector(fan: Fan) -> tuple[int, ...]:
     for face in faces:
         d[n - len(face)] += 1
     return tuple(sum((-1) ** (i - k) * comb(i, k) * d[i] for i in range(k, n + 1)) for k in range(n + 1))
+
+
+def _walk(tables, rays) -> dict[int, int]:
+    """The scaled vector x_{rays[0]} ... x_{rays[-1]} * 1, one table per
+    step, as index -> coefficient with zeros dropped."""
+    vec = {0: 1}
+    for t, j in enumerate(rays):
+        out: dict[int, int] = {}
+        for b, q in vec.items():
+            for i, e in tables[j][t][b]:
+                out[i] = out.get(i, 0) + q * e
+        vec = {i: q for i, q in out.items() if q}
+    return vec
+
+
+def certify_presentation(pres: ChowPresentation) -> None:
+    """Assert that ``pres``'s scaled tables are the graded-lex normal-form
+    tables of A = Q[x]/(I_SR + L) in degrees <= n, and that its degree map
+    gives every maximal cone's point class degree 1.  Uses only the tables,
+    the scales, the degree bases, the kept variables and the calibration;
+    never how they were built.
+
+    (a) |B_d| = h_d for the fan's h-vector, and B is an order ideal;
+    (b) a kept variable's table sends b to its scale times the unit vector
+        of b * x_p when that is in B, and otherwise to a row of basis
+        monomials below b * x_p in graded-lex order;
+    (c) the kept variables' tables commute;
+    (d) sum_j v_j[k] T_j = 0 for each lattice coordinate k;
+    (e) each minimal non-face of size <= n walks from 1 to 0;
+    (f) mult(sigma) x_sigma has degree 1 for every maximal cone sigma.
+
+    By (b) and (c) the border relations generate an ideal J with B a basis
+    of R/J and J's graded-lex standard set (the border-basis criterion:
+    Mourrain, AAECC-13, 1999; Kehrein-Kreuzer-Robbiano, *An algebraist's
+    view on border bases*, 2005).  By (d) and (e), I is inside J, and by
+    (a) both have the same codimension h_d in each degree, so I = J.
+    """
+    fan = pres.fan
+    n = fan.ambient_dim
+    tables, scales = multiplication_tables(pres)
+    bases = pres.degree_bases
+    assert all(type(s) is int and s > 0 for s in scales), scales
+    assert all(type(e) is int for t in tables for rows in t for row in rows for _, e in row)
+    # (a)
+    assert tuple(map(len, bases)) == h_vector(fan), "graded dimensions are not the h-vector"
+    kept = pres.kept
+    pos = {ray: p for p, ray in enumerate(kept)}
+
+    def exps(mono):
+        e = [0] * len(kept)
+        for ray, k in mono:
+            e[pos[ray]] += k
+        return tuple(e)
+
+    keys = [{exps(b): i for i, b in enumerate(basis)} for basis in bases]
+    for d in range(1, n + 1):
+        for e in keys[d]:
+            for p in range(len(kept)):
+                if e[p]:
+                    below = e[:p] + (e[p] - 1,) + e[p + 1 :]
+                    assert below in keys[d - 1], f"basis is not an order ideal at {bases[d]}"
+    # (b)
+    for p, ray in enumerate(kept):
+        for d in range(n):
+            for e, b in keys[d].items():
+                up = e[:p] + (e[p] + 1,) + e[p + 1 :]
+                row = tables[ray][d][b]
+                if up in keys[d + 1]:
+                    assert row == ((keys[d + 1][up], scales[d]),), (ray, d, e)
+                else:
+                    assert all(exps(bases[d + 1][i]) < up for i, _ in row), (ray, d, e)
+    # (c)
+    for d in range(n - 1):
+        for b in range(len(bases[d])):
+            for p, q in combinations(kept, 2):
+                pq, qp = {}, {}
+                for first, second, out in ((p, q, pq), (q, p, qp)):
+                    for i, c in tables[first][d][b]:
+                        for k, e in tables[second][d + 1][i]:
+                            out[k] = out.get(k, 0) + c * e
+                pq = {k: c for k, c in pq.items() if c}
+                qp = {k: c for k, c in qp.items() if c}
+                assert pq == qp, f"tables of rays {p} and {q} do not commute at degree {d}"
+    # (d)
+    for k in range(n):
+        for d in range(n):
+            for b in range(len(bases[d])):
+                acc: dict[int, int] = {}
+                for j, v in enumerate(fan.rays):
+                    for i, e in tables[j][d][b]:
+                        acc[i] = acc.get(i, 0) + v[k] * e
+                assert not any(acc.values()), f"linear relation {k} fails at degree {d}"
+    # (e)
+    for s in pres.nonfaces:
+        if len(s) <= n:
+            assert not _walk(tables, s), f"non-face {s} does not reduce to 0"
+    # (f)
+    total = 1
+    for s in scales:
+        total *= s
+    top = bases[n][0]
+    for cone in fan.max_cones:
+        q = Fraction(_walk(tables, cone.ray_indices).get(0, 0), total)
+        assert multiplicity(fan, cone) * degree({top: q}, pres) == 1, cone.ray_indices
 
 
 def _double_winding() -> tuple[int, list[tuple[int, ...]], list[tuple[int, ...]]]:
