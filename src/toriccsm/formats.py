@@ -111,8 +111,9 @@ def parse_fan_text(text: str, source: str = "<string>") -> tuple[Fan, str | None
 
 
 def parse_fan_file(path: str) -> tuple[Fan, str | None]:
-    """Read and parse a fan file; returns the validated fan and its name."""
-    with open(path, "r", encoding="utf-8") as fh:
+    """Read and parse a fan file; returns the validated fan and its name.
+    A UTF-8 byte-order mark at the start of the file is skipped."""
+    with open(path, "r", encoding="utf-8-sig") as fh:
         try:
             text = fh.read()
         except UnicodeDecodeError as exc:

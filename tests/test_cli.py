@@ -133,6 +133,22 @@ def test_validation_errors_exit_two(capsys, tmp_path):
         assert err.startswith(f"toric-csm: validation error: {latin1}: not UTF-8 text"), command
 
 
+def test_fan_file_with_byte_order_mark(capsys, tmp_path):
+    # Editors on some systems start a UTF-8 file with a byte-order mark;
+    # the file reads as the same fan as without it.
+    text = "name: h5\ndim: 2\nrays:\n  1 0\n  0 1\n  -1 5\n  0 -1\nmax_cones:\n  0 1\n  1 2\n  2 3\n  3 0\n"
+    (tmp_path / "plain.fan").write_text(text, encoding="utf-8")
+    (tmp_path / "bom.fan").write_bytes(b"\xef\xbb\xbf" + text.encode("utf-8"))
+    seconds = re.compile(r'("(?:chow|class)_seconds": )[-+.0-9eE]+')
+    for command in ("csm", "euler", "chow", "validate"):
+        outputs = []
+        for name in ("plain", "bom"):
+            code, out, err = run(capsys, command, "--fan", str(tmp_path / f"{name}.fan"), "--json")
+            assert (code, err) == (0, ""), (command, name)
+            outputs.append(seconds.sub(r"\1*", out.replace(f"{name}.fan", "F")))
+        assert outputs[0] == outputs[1], command
+
+
 def test_elim_cone_must_be_maximal(capsys):
     code, _, err = run(capsys, "csm", "--builder", "hirzebruch=5", "--elim-cone", "0,2")
     assert code == 2 and "not a maximal cone" in err
