@@ -6,15 +6,19 @@ non-faces and the ``n`` linear relations coming from the ray coordinates.
 We eliminate the ``n`` variables of one maximal cone (its ray matrix is
 invertible), which leaves ``r - n`` variables and an ideal generated by the
 substituted non-faces alone.  The linear relations are solved in integers
-by a fraction-free solve.  A homogeneous Buchberger run in graded-lex
-order (an earlier kept variable is more significant), truncated at degree
-``n``, gives that ideal's leading terms.  The monomials they do not divide
-are the basis of each graded piece, an order ideal grown degree by degree
-from its border; the normal forms of the border monomials are the kept
-variables' multiplication tables.  Every ray is a form sum_m c_m x_m / d
-over the kept variables, a kept x_m the form d * x_m / d: a one-term
-form c * x_m gets x_m's table times c, one object shared by every ray
-of that form, and a longer form the combination.  All are built with
+by a fraction-free solve.  One pass over the degrees in graded-lex order
+(an earlier kept variable is more significant), truncated at degree
+``n``, builds that ideal's reduced Groebner basis, the basis of each
+graded piece and the kept variables' multiplication tables together: in
+each degree one memoized reduction by the lower-degree basis serves the
+echelon form of the generators and S-polynomials, whose pivots are the
+new leading terms, and the normal forms of the border monomials, the
+tables.  The monomials no leading term divides are the graded pieces'
+basis, an order ideal grown degree by degree from its border.  Every ray
+is a form sum_m c_m x_m / d over the kept variables, a kept x_m the form
+d * x_m / d: a one-term form c * x_m gets x_m's table times c, one
+object shared by every ray of that form, and a longer form the
+combination.  All are built with
 the presentation, its only reduction data, and one walk reads them,
 ``orbit_classes``: it serves ``normal_form`` and so the degree
 calibration, and the Euler characteristic and the c_SM class.
@@ -41,8 +45,8 @@ exponents of a product of degree at most ``n`` are at most ``n``.  For
 the mask ``G`` of the guard bits, ``lead`` divides ``m`` iff ``((m | G)
 - lead) & G == G``, since a field borrows from its guard bit exactly when
 ``lead``'s exponent is the larger; the cofactor is then ``m - lead``.
-Only the Buchberger leads are unpacked, for the lcm and the coprime
-test, and the basis monomials, where they become public monomials.  An
+Only the Groebner leads are unpacked, for the lcm and the coprime test,
+and the basis monomials, where they become public monomials.  An
 exponent above ``n`` is an ``InternalError``.
 
 Classes are sparse:
@@ -56,10 +60,10 @@ The empty tuple is the constant monomial 1.
 from __future__ import annotations
 
 from fractions import Fraction
-from itertools import accumulate, islice
+from itertools import accumulate
 from math import gcd, lcm
 from operator import index, itemgetter, mul
-from typing import Callable, Dict, Iterable, Tuple
+from typing import Dict, Iterable, Tuple
 
 from .errors import InternalError, ValidationError
 from .exact_linalg import (
@@ -329,8 +333,7 @@ def build_presentation(fan: Fan, elim_cone: Cone | Iterable[int] | None = None) 
     # substituted generators: the basis monomials of each graded piece, in
     # descending graded-lex order, and each kept variable's multiplication
     # table between them.
-    groebner = _truncated_groebner(gens, packing)
-    bases, kept_tables = _border_tables(groebner, packing)
+    groebner, bases, kept_tables = _groebner_tables(gens, packing)
     p.degree_bases = tuple(tuple(_sparse(packing.unpack(m), kept) for m in b) for b in bases)
     if len(p.degree_bases[n]) != 1:
         raise InternalError(
@@ -382,98 +385,125 @@ def build_presentation(fan: Fan, elim_cone: Cone | Iterable[int] | None = None) 
     return p
 
 
-def _leading_divisor(
-    m: int, groebner: _Basis, guards: int, start: int = 0
-) -> tuple[int, _Poly] | None:
-    """The first basis element, from index ``start`` on, whose leading
-    monomial divides ``m``.
+def _leading_divisor(m: int, groebner: _Basis, guards: int) -> tuple[int, _Poly] | None:
+    """The first basis element whose leading monomial divides ``m``.
 
     With every guard bit of ``m`` set, subtracting ``lead`` borrows from a
     field's guard bit exactly when that exponent of ``lead`` is the larger.
     """
     mg = m | guards
-    for lead, g in islice(groebner, start, None):
+    for lead, g in groebner:
         if (mg - lead) & guards == guards:
             return lead, g
     return None
 
 
-def _reduce(f: _Poly, divisor: Callable[[int], tuple[int, _Poly] | None]) -> _Poly:
-    """Full reduction of a homogeneous polynomial by monic basis elements:
-    the part of ``f`` left on monomials no leading monomial divides.
-    ``divisor(m)`` is ``m``'s ``_leading_divisor``."""
-    f = dict(f)
-    out: _Poly = {}
-    while f:
-        m = max(f)
-        c = f.pop(m)
-        hit = divisor(m)
-        if hit is None:
-            out[m] = c
-            continue
-        lead, g = hit
-        t = m - lead
-        for u, cu in g.items():
-            if u == lead:
-                continue
-            w = t + u
-            s = f.get(w, _F0) - c * cu
-            if s:
-                f[w] = s
-            else:
-                f.pop(w, None)
-    return out
-
-
-def _truncated_groebner(gens: list[tuple[int, _Poly]], packing: _Packing) -> _Basis:
+def _groebner_tables(
+    gens: list[tuple[int, _Poly]], packing: _Packing
+) -> tuple[_Basis, list[list[int]], list[tuple]]:
     """Groebner basis, up to degree ``packing.top``, of the ideal of
-    homogeneous generators, as (leading monomial, monic polynomial) pairs.
+    homogeneous generators; the basis monomials of degrees 0..top; and each
+    kept variable's multiplication table between them.
 
-    Buchberger's algorithm degree by degree: the degree-d work is the
-    generators of degree d plus the S-polynomials whose leading-term lcm
-    has degree d.  Pairs with an lcm above the top degree are never
-    formed, and pairs with coprime leading monomials are dropped (their
-    S-polynomial always reduces to zero).  Every new element is reduced by
-    all earlier ones, so no leading monomial divides another.  Only the
-    leading monomials are unpacked, for the lcm and the coprime test.
+    One pass over the degrees, each reducing every monomial it meets once,
+    in the manner of Faugere's F4 (JPAA 139, 1999) and of border bases
+    (Mourrain, AAECC-13, 1999).  In degree d:
+
+    1. Each degree-d monomial met is reduced, memoized, by the basis
+       elements of degree < d: ``t * lead(g)`` becomes minus the sum of
+       ``c * red(t * u)`` over the tail terms ``c * u`` of the monic ``g``,
+       each ``t * u`` smaller.  A monomial no such lead divides stays.
+    2. The degree-d generators and the S-polynomials whose leading-term lcm
+       has degree d, so reduced, are brought to reduced echelon form, the
+       largest monomial first.  The rows are the new monic basis elements,
+       the pivots their leading monomials.  Pairs with an lcm above the top
+       degree are never formed, and pairs with coprime leading monomials
+       are dropped (their S-polynomial always reduces to zero).
+    3. The degree-d basis monomials are the border products ``b * x_p`` of
+       a degree-(d - 1) basis monomial and a variable that step 1 leaves
+       alone and that are not pivots: the monomials no leading monomial
+       divides, an order ideal.
+    4. Each border product's table row is its reduction, with every pivot
+       replaced by minus its row's tail.
+
+    The basis is reduced and monic, over ``Fraction``, as (leading
+    monomial, polynomial) pairs in increasing degree; only the leading
+    monomials are unpacked, for the lcm and the coprime test.  Tables and
+    bases are laid out as ``multiplication_tables`` documents, bases
+    (packed) in descending graded-lex order.
     """
-    top, guards = packing.top, packing.guards
+    top, guards, variables = packing.top, packing.guards, packing.variables
     basis: _Basis = []
     lead_exps: list[tuple[int, ...]] = []
     pairs: dict[int, list[tuple[int, int, int]]] = {}
-    # m -> (basis length searched, first divisor or None).  The basis only
-    # grows, so a divisor found stays the first one, and a miss is
-    # searched again only among the elements added since.
-    seen: dict[int, tuple[int, tuple[int, _Poly] | None]] = {}
-
-    def divisor(m: int) -> tuple[int, _Poly] | None:
-        start, hit = seen.get(m, (0, None))
-        if hit is None and start < len(basis):
-            hit = _leading_divisor(m, basis, guards, start)
-            seen[m] = (len(basis), hit)
-        return hit
-
+    bases: list[list[int]] = [[0]]
+    tables: list[list[tuple]] = [[] for _ in variables]
+    works: dict[int, list[list[tuple[int, Fraction]]]] = {}
+    for deg_g, g in gens:
+        works.setdefault(deg_g, []).append(list(g.items()))
     for d in range(1, top + 1):
-        work = [g for deg_g, g in gens if deg_g == d]
+        work = works.get(d, [])
         for i, j, lcm in pairs.pop(d, ()):
             (li, gi), (lj, gj) = basis[i], basis[j]
-            spoly: _Poly = {}
-            for lead, g, sign in ((li, gi, _F1), (lj, gj, -_F1)):
-                t = lcm - lead
-                for u, cu in g.items():
-                    w = t + u
-                    s = spoly.get(w, _F0) + sign * cu
-                    if s:
-                        spoly[w] = s
-                    else:
-                        spoly.pop(w, None)
-            work.append(spoly)
+            work.append(
+                [(lcm - li + u, c) for u, c in gi.items() if u != li]
+                + [(lcm - lj + u, -c) for u, c in gj.items() if u != lj]
+            )
+        # Step 1: red[m] is m's reduction, as (monomial, coeff) pairs;
+        # tails[m] the terms a lower leading monomial dividing m becomes.
+        border = {b + v for b in bases[-1] for v in variables}
+        red: dict[int, Iterable[tuple[int, Fraction]]] = {}
+        tails: dict[int, list[tuple[int, Fraction]]] = {}
+        todo = [(w, 1) for w in border]
         for f in work:
-            h = _reduce(f, divisor)
-            if not h:
+            todo += f
+        while todo:
+            m, _ = todo.pop()
+            if m in red:
                 continue
-            lead = max(h)
-            inv = _F1 / h[lead]
+            hit = _leading_divisor(m, basis, guards)
+            if hit is None:
+                red[m] = ((m, 1),)
+                continue
+            lead, g = hit
+            red[m] = tails[m] = [(m - lead + u, c) for u, c in g.items() if u != lead]
+            todo += tails[m]
+        for m in sorted(tails):
+            red[m] = _add_rows({}, tails[m], red, -1).items()
+        # Step 2: rows[p] is the tail of the monic row with pivot p; it
+        # holds no pivot.
+        rows: dict[int, dict[int, Fraction]] = {}
+        for f in work:
+            v = _add_rows({}, f, red)
+            for p in [p for p in v if p in rows]:
+                c = v.pop(p)
+                for w, e in rows[p].items():
+                    v[w] = v.get(w, 0) - c * e
+            v = {w: c for w, c in v.items() if c}
+            if not v:
+                continue
+            lead = max(v)
+            inv = _F1 / v.pop(lead)
+            tail = {w: c * inv for w, c in v.items()}
+            for row in rows.values():
+                c = row.pop(lead, 0)
+                if c:
+                    for w, e in tail.items():
+                        row[w] = row.get(w, 0) - c * e
+                        if not row[w]:
+                            del row[w]
+            rows[lead] = tail
+        # Steps 3 and 4: value[w] is the table row of a degree-d monomial
+        # that step 1 leaves alone.
+        basis_d = sorted(border.difference(tails, rows), reverse=True)
+        value = {w: ((i, 1),) for i, w in enumerate(basis_d)}
+        for p, row in rows.items():
+            value[p] = _row({value[w][0][0]: -c for w, c in row.items()})
+        nf = {w: _row(_add_rows({}, red[w], value)) if w in tails else value[w] for w in border}
+        for v, per_degree in zip(variables, tables):
+            per_degree.append(tuple(nf[b + v] for b in bases[-1]))
+        bases.append(basis_d)
+        for lead, row in sorted(rows.items()):
             exps = packing.unpack(lead)
             new = len(basis)
             for i, ei in enumerate(lead_exps):
@@ -482,69 +512,9 @@ def _truncated_groebner(gens: list[tuple[int, _Poly]], packing: _Packing) -> _Ba
                     deg = sum(lcm)
                     if deg <= top:
                         pairs.setdefault(deg, []).append((i, new, packing.pack(lcm)))
-            basis.append((lead, {m: c * inv for m, c in h.items()}))
+            basis.append((lead, {lead: _F1, **row}))
             lead_exps.append(exps)
-    return basis
-
-
-def _border_tables(groebner: _Basis, packing: _Packing) -> tuple[list[list[int]], list[tuple]]:
-    """Basis monomials of degrees 0..top and each kept variable's
-    multiplication table between them.
-
-    The basis monomials are the monomials no leading monomial divides, an
-    order ideal, so degree d + 1 is grown from its border: the products
-    ``b * x_p`` of a degree-d basis monomial ``b`` and a variable.  Only
-    the border products that are not basis monomials need a normal form
-    (Mourrain, AAECC-13, 1999).  Tables and bases are laid out as
-    ``multiplication_tables`` documents, bases (packed) in descending
-    graded-lex order.
-    """
-    guards, variables = packing.guards, packing.variables
-    bases: list[list[int]] = [[0]]
-    tables: list[list[tuple]] = [[] for _ in variables]
-    for d in range(packing.top):
-        border = {b + v for b in bases[d] for v in variables}
-        hits = {w: _leading_divisor(w, groebner, guards) for w in border}
-        basis = sorted((w for w, hit in hits.items() if hit is None), reverse=True)
-        index = {m: i for i, m in enumerate(basis)}
-        nf = _normal_forms({w: hit for w, hit in hits.items() if hit}, index, groebner, guards)
-        for v, per_degree in zip(variables, tables):
-            per_degree.append(tuple(nf[b + v] for b in bases[d]))
-        bases.append(basis)
-    return bases, [tuple(t) for t in tables]
-
-
-def _normal_forms(
-    hits: dict[int, tuple[int, _Poly]],
-    index: dict[int, int],
-    groebner: _Basis,
-    guards: int,
-) -> dict[int, tuple]:
-    """Normal forms, as ``(index, coeff)`` rows over the basis monomials
-    ``index``, of those basis monomials and of the given non-basis
-    monomials of the same degree; ``hits`` maps each of the latter to its
-    ``_leading_divisor``, already found.
-
-    A monomial ``t * lead(g)`` reduces to minus the sum of ``c * nf(t * u)``
-    over the tail terms ``c * u`` of the monic ``g``.  Each such ``t * u`` is
-    smaller, so the monomials reached are collected first and then reduced
-    in ascending order, each from normal forms already known.  Integral
-    coefficients are stored as ``int``.
-    """
-    tails: dict[int, list[tuple[int, Fraction]]] = {}
-    todo = list(hits)
-    while todo:
-        m = todo.pop()
-        if m in tails or m in index:
-            continue
-        lead, g = hits[m] if m in hits else _leading_divisor(m, groebner, guards)
-        t = m - lead
-        tails[m] = [(t + u, cu) for u, cu in g.items() if u != lead]
-        todo.extend(w for w, _ in tails[m])
-    nf: dict[int, tuple] = {w: ((i, 1),) for w, i in index.items()}
-    for m in sorted(tails):
-        nf[m] = _row(_add_rows({}, tails[m], nf, -1))
-    return nf
+    return basis, bases, [tuple(t) for t in tables]
 
 
 def _add_rows(acc: dict, vec: Iterable[tuple], rows, scale: int | Fraction = 1) -> dict:

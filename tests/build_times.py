@@ -8,7 +8,9 @@ Each round runs every tree once, in a fresh interpreter that imports
 from round to round.  In one run a fan is built again and again until
 half a second has passed, at least once, and the fastest build counts.
 The report gives, per fan and tree, the min-max of those times over the
-rounds, and the ratio of each tree's median to the first tree's.
+rounds; for every tree after the first, the ratio of its time to the
+first tree's in the same round (median and min-max over the rounds), and
+in how many rounds it was faster.
 
 The fans are named as in ROADMAP's Baseline: ``P^n + k`` is
 ``helpers.stellar_fan(n, k, 1)``, and a product is written with ``*``.
@@ -112,14 +114,20 @@ def main(argv: list[str] | None = None) -> None:
             got = _run(src, names)
             times[src].append([got[name] for name in names])
         print(f"round {r + 1} of {args.rounds} done", file=sys.stderr)
-    first = args.src[0]
+    base = times[args.src[0]]
     for i, name in enumerate(names):
         print(name)
-        base = statistics.median(run[i] for run in times[first])
         for src in args.src:
             runs = [run[i] for run in times[src]]
-            ratio = statistics.median(runs) / base
-            print(f"  {src}: {min(runs):.4f}-{max(runs):.4f} s, median x{ratio:.2f}")
+            line = f"  {src}: {min(runs):.4f}-{max(runs):.4f} s"
+            if src != args.src[0]:
+                ratios = [run[i] / first[i] for run, first in zip(times[src], base)]
+                faster = sum(r < 1 for r in ratios)
+                line += (
+                    f", x{statistics.median(ratios):.2f} ({min(ratios):.2f}-{max(ratios):.2f})"
+                    f" of the first tree's time in the same round, faster in {faster} of {len(ratios)}"
+                )
+            print(line)
 
 
 if __name__ == "__main__":

@@ -9,6 +9,7 @@ import pytest
 from helpers import (
     MULTI_COVER_FANS,
     brute_quotient_dims,
+    certify_presentation,
     class_add,
     exponent_tuples,
     h_vector,
@@ -335,14 +336,14 @@ def test_table_entries_are_int_exactly_when_integral(monkeypatch):
     # so the class walks stay in int arithmetic.  The Groebner basis stays
     # over Fraction: an int leading coefficient must not turn into a float.
     groebner = []
-    truncated_groebner = chow._truncated_groebner
+    groebner_tables = chow._groebner_tables
 
     def spy(gens, packing):
-        basis = truncated_groebner(gens, packing)
+        basis, bases, tables = groebner_tables(gens, packing)
         groebner.extend(basis)
-        return basis
+        return basis, bases, tables
 
-    monkeypatch.setattr(chow, "_truncated_groebner", spy)
+    monkeypatch.setattr(chow, "_groebner_tables", spy)
     wps = product(weighted_projective([1, 2, 3]), weighted_projective([1, 1, 3]))
     p1, p2 = projective_space(1), projective_space(2)
     # (fan, index of the elimination cone, scales): a unimodular cone and
@@ -462,6 +463,119 @@ def test_eliminated_tables_of_relabelled_products(drawn, data):
     _, fan = drawn
     elim = data.draw(st.sampled_from(sorted(c.ray_indices for c in fan.max_cones)))
     _eliminated_tables_are_kept_tables(build_presentation(fan, elim))
+
+
+def _spied_groebner(monkeypatch, fan, elims):
+    """(packing, basis) of every presentation of ``fan`` under ``elims``,
+    the basis as (leading exponents, {exponents: coeff}) pairs."""
+    seen = []
+    groebner_tables = chow._groebner_tables
+
+    def spy(gens, packing):
+        out = groebner_tables(gens, packing)
+        seen.append((packing, out[0]))
+        return out
+
+    monkeypatch.setattr(chow, "_groebner_tables", spy)
+    for elim in elims:
+        build_presentation(fan, elim)
+    monkeypatch.undo()
+    return [
+        (packing, [(packing.unpack(lead), {packing.unpack(m): c for m, c in g.items()}) for lead, g in basis])
+        for packing, basis in seen
+    ]
+
+
+def _divides(a, b):
+    return all(x <= y for x, y in zip(a, b))
+
+
+def _reduces_to_zero(f, basis):
+    """Term-by-term reduction of a homogeneous polynomial over exponent
+    tuples: the largest term divisible by a leading monomial goes first."""
+    f = dict(f)
+    while f:
+        m = max(f)
+        hit = next(((lead, g) for lead, g in basis if _divides(lead, m)), None)
+        if hit is None:
+            return False
+        lead, g = hit
+        c = f[m]
+        t = tuple(x - y for x, y in zip(m, lead))
+        for u, cu in g.items():
+            w = tuple(x + y for x, y in zip(t, u))
+            s = f.get(w, 0) - c * cu
+            if s:
+                f[w] = s
+            else:
+                f.pop(w, None)
+    return True
+
+
+def test_groebner_basis_is_reduced_and_closes_every_s_pair(monkeypatch):
+    # The basis the tables come from is the reduced Groebner basis up to
+    # degree n: monic, every tail term divisible by no leading monomial,
+    # and every S-polynomial with an lcm of degree <= n reduces to zero.
+    # Smooth and singular P^n + k, a Groebner basis with denominators
+    # ((P1)^3 x F7) and a singular product.
+    p1 = projective_space(1)
+    fans = [stellar_fan(3, k, seed) for k in (4, 8) for seed in (0, 1)] + [stellar_fan(3, 12, 1)]
+    fans += [stellar_fan(2, 7, 0), stellar_fan(4, 4, 1, (1, 2)), stellar_fan(3, 5, 2, (1, 2))]
+    fans += [product(_power(p1, 3), hirzebruch(7))]
+    fans += [product(weighted_projective([1, 2, 3]), weighted_projective([1, 1, 3]))]
+    total = 0
+    for fan in fans:
+        n = fan.ambient_dim
+        cones = sorted(c.ray_indices for c in fan.max_cones)
+        for packing, basis in _spied_groebner(monkeypatch, fan, (cones[0], cones[-1])):
+            total += len(basis)
+            leads = [lead for lead, _ in basis]
+            for lead, g in basis:
+                # graded-lex on exponent tuples of one degree is tuple order
+                assert g[lead] == 1 and max(g) == lead, g
+                assert all(sum(m) == sum(lead) for m in g), g
+                for m in g:
+                    others = [o for o in leads if o != lead] if m == lead else leads
+                    assert not any(_divides(o, m) for o in others), (lead, m)
+            for (li, gi), (lj, gj) in combinations(basis, 2):
+                lcm_ = tuple(map(max, li, lj))
+                if sum(lcm_) > n:
+                    continue
+                spoly = {}
+                for lead, g, sign in ((li, gi, 1), (lj, gj, -1)):
+                    t = tuple(x - y for x, y in zip(lcm_, lead))
+                    for u, c in g.items():
+                        w = tuple(x + y for x, y in zip(t, u))
+                        spoly[w] = spoly.get(w, 0) + sign * c
+                spoly = {m: c for m, c in spoly.items() if c}
+                assert _reduces_to_zero(spoly, basis), (li, lj)
+    assert total > 100
+
+
+def test_certificate_of_suite_fans():
+    for name, fan in suite_fans():
+        cones = sorted(c.ray_indices for c in fan.max_cones)
+        for elim in dict.fromkeys((cones[0], cones[len(cones) // 2], cones[-1])):
+            certify_presentation(build_presentation(fan, elim))
+
+
+@st.composite
+def certified_fans(draw):
+    """A relabelled product with at most four kept variables, or a
+    singular P^n + k, and one of its maximal cones."""
+    if draw(st.booleans()):
+        _, fan = draw(relabelled_products().filter(lambda drawn: len(drawn[1].rays) - drawn[1].ambient_dim <= 4))
+    else:
+        n = draw(st.integers(2, 4))
+        fan = stellar_fan(n, draw(st.integers(1, 8 if n < 4 else 4)), draw(st.integers(0, 10**6)), (1, 2))
+    return fan, draw(st.sampled_from(sorted(c.ray_indices for c in fan.max_cones)))
+
+
+@settings(max_examples=40, deadline=None, database=None)
+@given(certified_fans())
+def test_certificate_of_drawn_fans(drawn):
+    fan, elim = drawn
+    certify_presentation(build_presentation(fan, elim))
 
 
 @st.composite
