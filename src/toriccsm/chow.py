@@ -434,7 +434,9 @@ def _groebner_tables(
     """
     top, guards, variables = packing.top, packing.guards, packing.variables
     basis: _Basis = []
-    lead_exps: list[tuple[int, ...]] = []
+    # exponents and support bitmask of each leading monomial, for the lcm
+    # and the coprime test
+    leads: list[tuple[tuple[int, ...], int]] = []
     pairs: dict[int, list[tuple[int, int, int]]] = {}
     bases: list[list[int]] = [[0]]
     tables: list[list[tuple]] = [[] for _ in variables]
@@ -505,15 +507,16 @@ def _groebner_tables(
         bases.append(basis_d)
         for lead, row in sorted(rows.items()):
             exps = packing.unpack(lead)
+            support = _mask(p for p, e in enumerate(exps) if e)
             new = len(basis)
-            for i, ei in enumerate(lead_exps):
-                if any(a and b for a, b in zip(ei, exps)):
+            for i, (ei, si) in enumerate(leads):
+                if si & support:
                     lcm = tuple(map(max, ei, exps))
                     deg = sum(lcm)
                     if deg <= top:
                         pairs.setdefault(deg, []).append((i, new, packing.pack(lcm)))
             basis.append((lead, {lead: _F1, **row}))
-            lead_exps.append(exps)
+            leads.append((exps, support))
     return basis, bases, [tuple(t) for t in tables]
 
 
