@@ -18,10 +18,10 @@ basis, an order ideal grown degree by degree from its border.  Every ray
 is a form sum_m c_m x_m / d over the kept variables, a kept x_m the form
 d * x_m / d: a one-term form c * x_m gets x_m's table times c, one
 object shared by every ray of that form, and a longer form the
-combination.  All are built with
-the presentation, its only reduction data, and one walk reads them,
-``orbit_classes``: it serves ``normal_form`` and so the degree
-calibration, and the Euler characteristic and the c_SM class.
+combination.  All are built with the presentation, its only reduction
+data, and one walk reads them, ``orbit_classes``: it serves
+``normal_form`` and so the degree calibration, and the Euler
+characteristic and the c_SM class.
 
 Every table is integral, the fraction-free principle of Bareiss (*Math.
 Comp.* 22, 1968): each degree e < n has one positive integer scale s_e,
@@ -434,17 +434,12 @@ def _groebner_tables(
     """
     top, guards, variables = packing.top, packing.guards, packing.variables
     basis: _Basis = []
-    # exponents and support bitmask of each leading monomial, for the lcm
-    # and the coprime test
-    leads: list[tuple[tuple[int, ...], int]] = []
+    leads: list[tuple[tuple[int, ...], int]] = []  # exponents, support bitmask
     pairs: dict[int, list[tuple[int, int, int]]] = {}
     bases: list[list[int]] = [[0]]
     tables: list[list[tuple]] = [[] for _ in variables]
-    works: dict[int, list[list[tuple[int, Fraction]]]] = {}
-    for deg_g, g in gens:
-        works.setdefault(deg_g, []).append(list(g.items()))
     for d in range(1, top + 1):
-        work = works.get(d, [])
+        work = [list(g.items()) for deg_g, g in gens if deg_g == d]
         for i, j, lcm in pairs.pop(d, ()):
             (li, gi), (lj, gj) = basis[i], basis[j]
             work.append(

@@ -3,10 +3,12 @@ source trees, each in its own subprocess, in interleaved rounds.
 
     python tests/build_times.py --src A/src --src B/src [--rounds 5] [--fan 'P^3 + 20' ...]
 
-Each round runs every tree once, in a fresh interpreter that imports
-``toriccsm`` from that tree's ``src``; the tree that goes first alternates
-from round to round.  In one run a fan is built again and again until
-half a second has passed, at least once, and the fastest build counts.
+Each round times every fan under every tree, one after the other, each
+in a fresh interpreter that imports ``toriccsm`` from that tree's
+``src``; the tree that goes first alternates from round to round.  In
+one run the fan is built again and again until half a second has
+passed, at least once, and the fastest build counts.
+
 The report gives, per fan and tree, the min-max of those times over the
 rounds; for every tree after the first, the ratio of its time to the
 first tree's in the same round (median and min-max over the rounds), and
@@ -22,7 +24,6 @@ collected by pytest.
 from __future__ import annotations
 
 import argparse
-import json
 import statistics
 import subprocess
 import sys
@@ -73,31 +74,28 @@ def _cases(name: str, tc) -> list[tuple]:
     return [(tc.cli._builder_fan(spec), None)]
 
 
-def _worker(names: list[str]) -> dict[str, float]:
-    """Fastest build time of each fan, in seconds."""
+def _worker(name: str) -> float:
+    """Fastest build time of the fan, in seconds."""
     import toriccsm as tc
     import toriccsm.cli  # noqa: F401
 
-    out = {}
-    for name in names:
-        cases = _cases(name, tc)
-        best, start = float("inf"), time.perf_counter()
-        while best == float("inf") or time.perf_counter() - start < BUDGET_S:
-            t0 = time.perf_counter()
-            for fan, elim in cases:
-                tc.build_presentation(fan, elim)
-            best = min(best, time.perf_counter() - t0)
-        out[name] = best
-    return out
+    cases = _cases(name, tc)
+    best, start = float("inf"), time.perf_counter()
+    while best == float("inf") or time.perf_counter() - start < BUDGET_S:
+        t0 = time.perf_counter()
+        for fan, elim in cases:
+            tc.build_presentation(fan, elim)
+        best = min(best, time.perf_counter() - t0)
+    return best
 
 
-def _run(src: str, names: list[str]) -> dict[str, float]:
+def _run(src: str, name: str) -> float:
     code = (
         f"import sys; sys.path[:0] = [{src!r}, {str(ROOT / 'tests')!r}]; "
-        f"import json, build_times; print(json.dumps(build_times._worker({names!r})))"
+        f"import build_times; print(build_times._worker({name!r}))"
     )
     done = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, check=True)
-    return json.loads(done.stdout)
+    return float(done.stdout)
 
 
 def main(argv: list[str] | None = None) -> None:
@@ -111,8 +109,10 @@ def main(argv: list[str] | None = None) -> None:
     for r in range(args.rounds):
         order = args.src if r % 2 == 0 else args.src[::-1]
         for src in order:
-            got = _run(src, names)
-            times[src].append([got[name] for name in names])
+            times[src].append([])
+        for name in names:
+            for src in order:
+                times[src][-1].append(_run(src, name))
         print(f"round {r + 1} of {args.rounds} done", file=sys.stderr)
     base = times[args.src[0]]
     for i, name in enumerate(names):
