@@ -329,8 +329,8 @@ def build_presentation(fan: Fan, elim_cone: Cone | Iterable[int] | None = None) 
         if poly:
             gens.append((len(s), poly))
 
-    # Per-degree reduction data from a truncated Groebner basis of the
-    # substituted generators: the basis monomials of each graded piece, in
+    # One pass over the degrees gives the truncated Groebner basis of the
+    # substituted generators, the basis monomials of each graded piece, in
     # descending graded-lex order, and each kept variable's multiplication
     # table between them.
     groebner, bases, kept_tables = _groebner_tables(gens, packing)

@@ -466,8 +466,8 @@ def test_eliminated_tables_of_relabelled_products(drawn, data):
 
 
 def _spied_groebner(monkeypatch, fan, elims):
-    """(packing, basis) of every presentation of ``fan`` under ``elims``,
-    the basis as (leading exponents, {exponents: coeff}) pairs."""
+    """The Groebner basis of every presentation of ``fan`` under ``elims``,
+    as (leading exponents, {exponents: coeff}) pairs."""
     seen = []
     groebner_tables = chow._groebner_tables
 
@@ -481,7 +481,7 @@ def _spied_groebner(monkeypatch, fan, elims):
         build_presentation(fan, elim)
     monkeypatch.undo()
     return [
-        (packing, [(packing.unpack(lead), {packing.unpack(m): c for m, c in g.items()}) for lead, g in basis])
+        [(packing.unpack(lead), {packing.unpack(m): c for m, c in g.items()}) for lead, g in basis]
         for packing, basis in seen
     ]
 
@@ -527,7 +527,7 @@ def test_groebner_basis_is_reduced_and_closes_every_s_pair(monkeypatch):
     for fan in fans:
         n = fan.ambient_dim
         cones = sorted(c.ray_indices for c in fan.max_cones)
-        for packing, basis in _spied_groebner(monkeypatch, fan, (cones[0], cones[-1])):
+        for basis in _spied_groebner(monkeypatch, fan, (cones[0], cones[-1])):
             total += len(basis)
             leads = [lead for lead, _ in basis]
             for lead, g in basis:
@@ -553,7 +553,7 @@ def test_groebner_basis_is_reduced_and_closes_every_s_pair(monkeypatch):
 
 
 def test_certificate_of_suite_fans():
-    for name, fan in suite_fans():
+    for _, fan in suite_fans():
         cones = sorted(c.ray_indices for c in fan.max_cones)
         for elim in dict.fromkeys((cones[0], cones[len(cones) // 2], cones[-1])):
             certify_presentation(build_presentation(fan, elim))
