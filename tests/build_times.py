@@ -122,7 +122,7 @@ def main(argv: list[str] | None = None) -> None:
             line = f"  {src}: {min(runs):.4f}-{max(runs):.4f} s"
             if src != args.src[0]:
                 ratios = [run[i] / first[i] for run, first in zip(times[src], base)]
-                faster = sum(r < 1 for r in ratios)
+                faster = sum(x < 1 for x in ratios)
                 line += (
                     f", x{statistics.median(ratios):.2f} ({min(ratios):.2f}-{max(ratios):.2f})"
                     f" of the first tree's time in the same round, faster in {faster} of {len(ratios)}"
