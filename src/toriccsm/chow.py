@@ -3,9 +3,12 @@
 The ring of a complete simplicial fan with rays ``x_0..x_{r-1}`` is the
 polynomial ring over Q modulo the squarefree monomial ideal of minimal
 non-faces and the ``n`` linear relations coming from the ray coordinates.
-We eliminate the ``n`` variables of one maximal cone (its ray matrix is
-invertible), which leaves ``r - n`` variables and an ideal generated by the
-substituted non-faces alone.  The linear relations are solved in integers
+The minimal non-faces are listed per join factor of the fan's complex,
+which splits a product fan into its factors, as the minimal transversals
+of the complements of the maximal cones projected onto the factor.  We
+eliminate the ``n`` variables of one maximal cone (its ray matrix is
+invertible), which leaves ``r - n`` variables and an ideal generated by
+the substituted non-faces alone.  The linear relations are solved in integers
 by a fraction-free solve.  One pass over the degrees in graded-lex order
 (an earlier kept variable is more significant), truncated at degree
 ``n``, builds that ideal's reduced Groebner basis, the basis of each
@@ -61,7 +64,7 @@ from __future__ import annotations
 
 from fractions import Fraction
 from itertools import accumulate
-from math import gcd, lcm
+from math import gcd, lcm, prod
 from operator import index, itemgetter, mul
 from typing import Dict, Iterable, Tuple
 
@@ -105,30 +108,96 @@ def monomial_degree(mono: Monomial) -> int:
 
 
 def stanley_reisner_nonfaces(fan: Fan) -> tuple[tuple[int, ...], ...]:
-    """Inclusion-minimal sets of ray indices spanning no cone of the fan.
+    """Inclusion-minimal sets of ray indices spanning no cone of the fan,
+    sorted.
 
-    A set is a non-face exactly when it meets the complement of every
-    maximal cone, so the minimal non-faces are the minimal transversals of
-    the complement hypergraph; computed by sequential transversal updates
-    over bitmasks.
+    The fan's complex is first split into join factors: when it is the
+    join Delta_1 * ... * Delta_k on a partition of the rays, its minimal
+    non-faces are the union of the factors' (Stanley, *Combinatorics and
+    Commutative Algebra*, 2nd ed., ch. II), and a product fan's complex is
+    the join of its factors'.  Within one factor, a set is a non-face
+    exactly when it meets the complement of every projected maximal cone,
+    so the minimal non-faces are the minimal transversals of that
+    complement hypergraph, computed by sequential transversal updates over
+    bitmasks.
     """
-    r = len(fan.rays)
-    full = (1 << r) - 1
-    edges = sorted({full ^ _mask(c.ray_indices) for c in fan.max_cones})
+    out = []
+    for block, projections in _join_factors(fan):
+        trans = [0]
+        for e in sorted(block ^ p for p in projections):
+            # A transversal that meets e stays minimal: a new t | b inside
+            # it would make t, a transversal of the earlier edges, a proper
+            # subset of it.  So only the new candidates are filtered,
+            # smallest first.  A candidate t | b meets e in b alone, so
+            # only a kept transversal that meets e in b alone can lie in
+            # it: ``hits[b]`` lists those.
+            nxt, hits, new = [], {}, set()
+            bits = _bits(e)
+            for t in trans:
+                hit = t & e
+                if hit:
+                    nxt.append(t)
+                    if not hit & (hit - 1):
+                        hits.setdefault(hit, []).append(t)
+                else:
+                    new.update(t | b for b in bits)
+            for m in sorted(new, key=lambda m: (m.bit_count(), m)):
+                rivals = hits.setdefault(m & e, [])
+                if not any(k & m == k for k in rivals):
+                    rivals.append(m)
+                    nxt.append(m)
+            trans = nxt
+        out += (tuple(b.bit_length() - 1 for b in _bits(t)) for t in trans)
+    return tuple(sorted(out))
 
-    trans = [0]
-    for e in edges:
-        # A transversal that meets e stays minimal: a new t | {v} inside it
-        # would make t, a transversal of the earlier edges, a proper subset
-        # of it.  So only the new candidates are filtered, smallest first.
-        nxt = [t for t in trans if t & e]
-        bits = [1 << v for v in range(r) if e >> v & 1]
-        new = {t | b for t in trans if not t & e for b in bits}
-        for m in sorted(new, key=lambda m: (m.bit_count(), m)):
-            if not any(k & m == k for k in nxt):
-                nxt.append(m)
-        trans = nxt
-    return tuple(sorted(tuple(v for v in range(r) if t >> v & 1) for t in trans))
+
+def _join_factors(fan: Fan) -> list[tuple[int, set[int]]]:
+    """The join factors of the fan's complex, as (ray bitmask, the distinct
+    projections of the maximal cones' ray bitmasks onto it) pairs.
+
+    In a join, the maximal cones that hold a ray u of one factor and those
+    that hold a ray v of another are independent: with m maximal cones,
+    c(u), c(v) and c(uv) counting those that hold u, v and both, c(uv) * m
+    = c(u) * c(v).  So every pair that breaks this equation lies in one
+    factor, and the blocks that such pairs link are the candidates.  They
+    are the factors exactly when the numbers of distinct projections of
+    the maximal cones onto them multiply to m, i.e. when the maximal cones
+    are every union of one projection per block; otherwise all the rays
+    form one factor.
+    """
+    r, m = len(fan.rays), len(fan.max_cones)
+    inc, cones = [0] * r, []  # inc[j]: bitmask of the maximal cones holding ray j
+    for i, c in enumerate(fan.max_cones):
+        bit, mask = 1 << i, 0
+        for j in c.ray_indices:
+            inc[j] |= bit
+            mask |= 1 << j
+        cones.append(mask)
+    count = [x.bit_count() for x in inc]
+    blocks, rest = [], set(range(r))
+    while rest:
+        todo, block = [rest.pop()], 0
+        while todo:
+            u = todo.pop()
+            block |= 1 << u
+            linked = [v for v in rest if (inc[u] & inc[v]).bit_count() * m != count[u] * count[v]]
+            rest.difference_update(linked)
+            todo += linked
+        blocks.append(block)
+    factors = [(b, {c & b for c in cones}) for b in blocks]
+    if prod(len(projections) for _, projections in factors) != m:
+        return [((1 << r) - 1, set(cones))]
+    return factors
+
+
+def _bits(mask: int) -> list[int]:
+    """The set bits of ``mask``, each as a power of two, lowest first."""
+    out = []
+    while mask:
+        low = mask & -mask
+        out.append(low)
+        mask ^= low
+    return out
 
 
 def _mask(indices: Iterable[int]) -> int:
@@ -280,7 +349,8 @@ def build_presentation(fan: Fan, elim_cone: Cone | Iterable[int] | None = None) 
     p.nonfaces = stanley_reisner_nonfaces(fan)
     p.linear_forms = linear_relations(fan)
     p.elim_cone = elim
-    kept = tuple(j for j in range(r) if j not in set(elim.ray_indices))
+    eliminated = set(elim.ray_indices)
+    kept = tuple(j for j in range(r) if j not in eliminated)
     p.kept = kept
     kept_pos = {ray: i for i, ray in enumerate(kept)}
 

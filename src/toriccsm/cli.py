@@ -23,6 +23,8 @@ import os
 import sys
 import time
 from fractions import Fraction
+from json.encoder import encode_basestring_ascii
+from math import inf
 
 from .chow import build_presentation, graded_dimensions
 from .csm import csm_result, euler_characteristic
@@ -114,6 +116,46 @@ def _singular_cones(fan: Fan) -> list[tuple[tuple[int, ...], int]]:
     return sorted((idx, m) for idx, m in mults if m != 1)
 
 
+def _json_text(value, indent: str = "\n") -> str:
+    """``json.dumps(value, indent=2)``, the same text, for values built of
+    dicts with str keys, lists, tuples, str, int, float, bool and None.
+
+    ``json.dumps`` with an indent runs the pure-Python encoder, whose
+    nested closures leave cyclic garbage behind on every call; this
+    recursion leaves none.  ``indent`` is the newline and indentation
+    that precede the value's closing bracket.
+    """
+    if isinstance(value, str):
+        return encode_basestring_ascii(value)
+    if value is None:
+        return "null"
+    if value is True:
+        return "true"
+    if value is False:
+        return "false"
+    if isinstance(value, int):
+        return int.__repr__(value)
+    if isinstance(value, float):
+        if value != value:
+            return "NaN"
+        if value in (inf, -inf):
+            return "Infinity" if value > 0 else "-Infinity"
+        return float.__repr__(value)
+    inner = indent + "  "
+    if isinstance(value, dict):
+        if not value:
+            return "{}"
+        items = (
+            f"{inner}{encode_basestring_ascii(k)}: {_json_text(v, inner)}" for k, v in value.items()
+        )
+        return "{" + ",".join(items) + indent + "}"
+    if isinstance(value, (list, tuple)):
+        if not value:
+            return "[]"
+        return "[" + ",".join(inner + _json_text(v, inner) for v in value) + indent + "]"
+    raise TypeError(f"Object of type {type(value).__name__} is not JSON serializable")
+
+
 def _run_report(args) -> tuple[dict, str]:
     """The csm report as a JSON-ready dict and as human text."""
     fan, source = _resolve_fan(args)
@@ -160,7 +202,7 @@ def _run_report(args) -> tuple[dict, str]:
 
 def _cmd_csm(args) -> int:
     report, text = _run_report(args)
-    print(json.dumps(report, indent=2) if args.json else text)
+    print(_json_text(report) if args.json else text)
     return 0
 
 
@@ -201,7 +243,7 @@ def _cmd_chow(args) -> int:
             },
             "timings": {"chow_seconds": dt},
         }
-        print(json.dumps(report, indent=2))
+        print(_json_text(report))
         return 0
     print(f"fan: {_describe(source, summary)}")
     print(f"stanley-reisner non-faces: {', '.join(nonfaces)}")

@@ -1,7 +1,8 @@
-"""Time ``build_presentation`` on the ROADMAP's Baseline fans for several
-source trees, each in its own subprocess, in interleaved rounds.
+"""Time ``build_presentation``, or with ``--nonfaces`` only
+``chow.stanley_reisner_nonfaces``, on the ROADMAP's Baseline fans for
+several source trees, each in its own subprocess, in interleaved rounds.
 
-    python tests/build_times.py --src A/src --src B/src [--rounds 5] [--fan 'P^3 + 20' ...]
+    python tests/build_times.py --src A/src --src B/src [--rounds 5] [--nonfaces] [--fan 'P^3 + 20' ...]
 
 Each round times every fan under every tree, one after the other, each
 in a fresh interpreter that imports ``toriccsm`` from that tree's
@@ -17,8 +18,10 @@ in how many rounds it was faster.
 The fans are named as in ROADMAP's Baseline: ``P^n + k`` is
 ``helpers.stellar_fan(n, k, 1)``, and a product is written with ``*``.
 The names of the perfbench workloads stand for every seed-1 file of that
-workload, each built under its ``--elim-cone``, timed as one sum.  Not
-collected by pytest.
+workload, each built under its ``--elim-cone``, timed as one sum.  A
+build of P^3 + 60, P^4 + 40 or P^2 + 100 takes seconds to minutes; their
+non-face listing alone takes well under a second.  Not collected by
+pytest.
 """
 
 from __future__ import annotations
@@ -43,6 +46,9 @@ FANS = (
     "P^4 + 20",
     "P^5 + 10",
     "P^3 + 30",
+    "P^3 + 60",
+    "P^4 + 40",
+    "P^2 + 100",
     *WORKLOADS,
 )
 BUDGET_S = 0.5
@@ -74,25 +80,29 @@ def _cases(name: str, tc) -> list[tuple]:
     return [(tc.cli._builder_fan(spec), None)]
 
 
-def _worker(name: str) -> float:
-    """Fastest build time of the fan, in seconds."""
+def _worker(name: str, nonfaces: bool = False) -> float:
+    """Fastest build time of the fan, or with ``nonfaces`` fastest
+    non-face listing, in seconds."""
     import toriccsm as tc
     import toriccsm.cli  # noqa: F401
 
     cases = _cases(name, tc)
+    if nonfaces:
+        cases = [(fan,) for fan, _ in cases]
+    timed = tc.chow.stanley_reisner_nonfaces if nonfaces else tc.build_presentation
     best, start = float("inf"), time.perf_counter()
     while best == float("inf") or time.perf_counter() - start < BUDGET_S:
         t0 = time.perf_counter()
-        for fan, elim in cases:
-            tc.build_presentation(fan, elim)
+        for args in cases:
+            timed(*args)
         best = min(best, time.perf_counter() - t0)
     return best
 
 
-def _run(src: str, name: str) -> float:
+def _run(src: str, name: str, nonfaces: bool) -> float:
     code = (
         f"import sys; sys.path[:0] = [{src!r}, {str(ROOT / 'tests')!r}]; "
-        f"import build_times; print(build_times._worker({name!r}))"
+        f"import build_times; print(build_times._worker({name!r}, {nonfaces!r}))"
     )
     done = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, check=True)
     return float(done.stdout)
@@ -102,6 +112,7 @@ def main(argv: list[str] | None = None) -> None:
     parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
     parser.add_argument("--src", action="append", required=True, help="a tree's src directory")
     parser.add_argument("--rounds", type=int, default=5)
+    parser.add_argument("--nonfaces", action="store_true", help="time the non-face listing alone")
     parser.add_argument("--fan", action="append", choices=FANS, help="default: every fan")
     args = parser.parse_args(argv)
     names = args.fan or list(FANS)
@@ -112,7 +123,7 @@ def main(argv: list[str] | None = None) -> None:
             times[src].append([])
         for name in names:
             for src in order:
-                times[src][-1].append(_run(src, name))
+                times[src][-1].append(_run(src, name, args.nonfaces))
         print(f"round {r + 1} of {args.rounds} done", file=sys.stderr)
     base = times[args.src[0]]
     for i, name in enumerate(names):

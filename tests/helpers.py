@@ -572,6 +572,25 @@ def h_vector(fan: Fan) -> tuple[int, ...]:
     return tuple(sum((-1) ** (i - k) * comb(i, k) * d[i] for i in range(k, n + 1)) for k in range(n + 1))
 
 
+def transversal_nonfaces(fan: Fan) -> tuple[tuple[int, ...], ...]:
+    """The minimal non-faces, sorted, as the minimal transversals of the
+    complement hypergraph of the whole fan, with no join split and no
+    index: each new candidate is tested against every kept transversal."""
+    r = len(fan.rays)
+    full = (1 << r) - 1
+    edges = sorted({full ^ sum(1 << j for j in c.ray_indices) for c in fan.max_cones})
+    trans = [0]
+    for e in edges:
+        nxt = [t for t in trans if t & e]
+        bits = [1 << v for v in range(r) if e >> v & 1]
+        new = {t | b for t in trans if not t & e for b in bits}
+        for m in sorted(new, key=lambda m: (m.bit_count(), m)):
+            if not any(k & m == k for k in nxt):
+                nxt.append(m)
+        trans = nxt
+    return tuple(sorted(tuple(v for v in range(r) if t >> v & 1) for t in trans))
+
+
 def _walk(tables, rays) -> dict[int, int]:
     """The scaled vector x_{rays[0]} ... x_{rays[-1]} * 1, one table per
     step, as index -> coefficient with zeros dropped."""

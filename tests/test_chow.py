@@ -1,6 +1,7 @@
 import random
 import time
 from itertools import combinations
+from itertools import product as cartesian
 from fractions import Fraction
 from math import comb, lcm
 from types import SimpleNamespace
@@ -22,6 +23,7 @@ from helpers import (
     shuffled_products,
     stellar_fan,
     suite_fans,
+    transversal_nonfaces,
 )
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -84,6 +86,100 @@ def test_nonfaces_are_not_faces_and_minimal():
                 if not is_face(s) and all(is_face(s[:i] + s[i + 1 :]) for i in range(k))
             }
             assert set(nonfaces) == brute, name
+
+
+@st.composite
+def nonface_fans(draw):
+    """A relabelled product, a subdivided product or a P^n + k with
+    coefficients in {1, 2}."""
+    kind = draw(st.sampled_from(("product", "subdivided product", "stellar")))
+    if kind == "product":
+        return draw(relabelled_products())[1]
+    if kind == "subdivided product":
+        return build_fan(*draw(shuffled_products(min_subdivisions=1)))
+    n = draw(st.integers(2, 4))
+    k = draw(st.integers(1, 10 if n < 4 else 6))
+    return stellar_fan(n, k, draw(st.integers(0, 10**6)), (1, 2))
+
+
+def _check_join_factors(fan):
+    """Assert that the join factors partition the rays and that the
+    maximal cones are exactly the unions of one projection per factor;
+    return the factors' ray sets."""
+    factors = chow._join_factors(fan)
+    blocks = [block for block, _ in factors]
+    assert sum(blocks) == (1 << len(fan.rays)) - 1
+    assert all(a & b == 0 for a, b in combinations(blocks, 2))
+    unions = [sum(choice) for choice in cartesian(*(projections for _, projections in factors))]
+    assert sorted(unions) == sorted(chow._mask(c.ray_indices) for c in fan.max_cones)
+    return {frozenset(j for j in range(len(fan.rays)) if block >> j & 1) for block in blocks}
+
+
+def test_nonfaces_match_transversal_oracle_on_suite_fans():
+    for name, fan in suite_fans():
+        assert stanley_reisner_nonfaces(fan) == transversal_nonfaces(fan), name
+        _check_join_factors(fan)
+
+
+@settings(max_examples=60, deadline=None, database=None)
+@given(nonface_fans())
+def test_nonfaces_match_transversal_oracle(fan):
+    # The join split and the indexed minimality test give the whole-fan
+    # transversal routine's non-faces, in its order.
+    assert stanley_reisner_nonfaces(fan) == transversal_nonfaces(fan)
+    _check_join_factors(fan)
+
+
+@settings(max_examples=40, deadline=None, database=None)
+@given(relabelled_products())
+def test_join_factors_of_relabelled_products(drawn):
+    # Each P^n or wps factor is one block.  A Hirzebruch factor is two,
+    # {0, 2} and {1, 3} in its own indices, since its complex is a 4-cycle,
+    # the join of two pairs of points.
+    factors, fan = drawn
+    n = fan.ambient_dim
+    index = {v: j for j, v in enumerate(fan.rays)}
+    expected, before = set(), 0
+    for factor in factors:
+        k = factor.ambient_dim
+        where = [index[(0,) * before + v + (0,) * (n - before - k)] for v in factor.rays]
+        parts = [range(k + 1)] if len(where) == k + 1 else [(0, 2), (1, 3)]
+        expected |= {frozenset(where[j] for j in part) for part in parts}
+        before += k
+    assert _check_join_factors(fan) == expected
+
+
+def test_join_factors_of_stellar_fans():
+    # One subdivision of P^n at the sum of a maximal cone's rays is the
+    # blow-up of a point, whose complex is the join of the new ray and the
+    # opposite one with the boundary of a simplex; more subdivisions leave
+    # one block.
+    for n in (2, 3, 4):
+        for seed in range(5):
+            fan = stellar_fan(n, 1, seed, (1, 2))
+            new = len(fan.rays) - 1
+            # the n cones at the end replace the subdivided cone
+            (opposite,) = set(range(n + 1)).difference(*(c.ray_indices for c in fan.max_cones[-n:]))
+            assert _check_join_factors(fan) == {
+                frozenset((new, opposite)),
+                frozenset(range(n + 1)) - {opposite},
+            }, (n, seed)
+            for k in (2, 3, 5, 8):
+                fan = stellar_fan(n, k, seed, (1, 2))
+                assert _check_join_factors(fan) == {frozenset(range(len(fan.rays)))}, (n, k, seed)
+
+
+def test_join_check_rejects_pairwise_independent_blocks():
+    # The triangles {x_i, y_j, z_k} with i + j + k even: every two vertices
+    # of different pairs lie in 1 of the 4 triangles, as a join of the three
+    # pairs would have them, but the join has 8.  So the three pairs fail
+    # the count and the vertices form one factor.  Not a fan; the routine
+    # reads only the maximal cones.
+    triangles = [(i, 2 + j, 4 + k) for i in (0, 1) for j in (0, 1) for k in (0, 1) if (i + j + k) % 2 == 0]
+    complex_ = SimpleNamespace(rays=range(6), max_cones=[Cone(t) for t in triangles])
+    assert chow._join_factors(complex_) == [(0b111111, {chow._mask(t) for t in triangles})]
+    assert stanley_reisner_nonfaces(complex_) == transversal_nonfaces(complex_)
+    assert (0, 2, 5) in stanley_reisner_nonfaces(complex_)
 
 
 def test_linear_relations():

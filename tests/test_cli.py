@@ -1,3 +1,4 @@
+import gc
 import json
 import os
 import re
@@ -8,6 +9,8 @@ from pathlib import Path
 
 import pytest
 from helpers import MULTI_COVER_FANS, suite_fans
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 import toriccsm
 from toriccsm import (
@@ -22,7 +25,7 @@ from toriccsm import (
     parse_fan_text,
     render_fan,
 )
-from toriccsm.cli import main
+from toriccsm.cli import _json_text, main
 
 
 def run(capsys, *argv):
@@ -407,6 +410,35 @@ def test_chow_json_key_order(capsys):
         ]),
         ("timings", [("chow_seconds", None)]),
     ]
+
+
+_JSON_VALUES = st.recursive(
+    st.none() | st.booleans() | st.integers() | st.floats() | st.text(),
+    lambda inner: st.lists(inner, max_size=4) | st.dictionaries(st.text(), inner, max_size=4),
+    max_leaves=20,
+)
+
+
+@settings(max_examples=400, deadline=None, database=None)
+@given(_JSON_VALUES)
+@example({"é\u2028\x00\"\\": [[], {}, -0.0, 1e300, float("nan"), float("-inf"), 10**30, True]})
+def test_json_text_matches_json_dumps(value):
+    assert _json_text(value) == json.dumps(value, indent=2)
+
+
+@pytest.mark.parametrize("command", ["csm", "chow"])
+def test_json_report_leaves_no_cyclic_garbage(capsys, command):
+    # json.dumps with an indent runs the pure-Python encoder, whose
+    # closures leave reference cycles behind on every call.
+    argv = [command, "--builder", "pn=2*hirzebruch=3", "--json"]
+    run(capsys, *argv)
+    gc.collect()
+    gc.disable()
+    try:
+        run(capsys, *argv)
+        assert gc.collect() == 0
+    finally:
+        gc.enable()
 
 
 def test_validate_json_key_order(capsys):
