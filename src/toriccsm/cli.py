@@ -24,7 +24,6 @@ import sys
 import time
 from fractions import Fraction
 from json.encoder import encode_basestring_ascii
-from math import inf
 
 from .chow import build_presentation, graded_dimensions
 from .csm import csm_result, euler_characteristic
@@ -116,44 +115,51 @@ def _singular_cones(fan: Fan) -> list[tuple[tuple[int, ...], int]]:
     return sorted((idx, m) for idx, m in mults if m != 1)
 
 
-def _json_text(value, indent: str = "\n") -> str:
+def _json_text(value) -> str:
     """``json.dumps(value, indent=2)``, the same text, for values built of
-    dicts with str keys, lists, tuples, str, int, float, bool and None.
+    dicts with str keys, lists, str, int, finite float, bool and None.
 
     ``json.dumps`` with an indent runs the pure-Python encoder, whose
     nested closures leave cyclic garbage behind on every call; this
-    recursion leaves none.  ``indent`` is the newline and indentation
-    that precede the value's closing bracket.
+    leaves none.  Like that encoder, it collects small pieces in one list
+    and joins them once, so it builds no large intermediate string.
     """
+    parts: list[str] = []
+    _json_pieces(value, "\n", parts)
+    return "".join(parts)
+
+
+def _json_pieces(value, indent: str, parts: list[str]) -> None:
+    """Append the pieces of ``value``'s text to ``parts``; ``indent`` is
+    the newline and indentation that precede its closing bracket."""
     if isinstance(value, str):
-        return encode_basestring_ascii(value)
-    if value is None:
-        return "null"
-    if value is True:
-        return "true"
-    if value is False:
-        return "false"
-    if isinstance(value, int):
-        return int.__repr__(value)
-    if isinstance(value, float):
-        if value != value:
-            return "NaN"
-        if value in (inf, -inf):
-            return "Infinity" if value > 0 else "-Infinity"
-        return float.__repr__(value)
-    inner = indent + "  "
-    if isinstance(value, dict):
-        if not value:
-            return "{}"
-        items = (
-            f"{inner}{encode_basestring_ascii(k)}: {_json_text(v, inner)}" for k, v in value.items()
-        )
-        return "{" + ",".join(items) + indent + "}"
-    if isinstance(value, (list, tuple)):
-        if not value:
-            return "[]"
-        return "[" + ",".join(inner + _json_text(v, inner) for v in value) + indent + "]"
-    raise TypeError(f"Object of type {type(value).__name__} is not JSON serializable")
+        parts.append(encode_basestring_ascii(value))
+    elif value is None:
+        parts.append("null")
+    elif value is True:
+        parts.append("true")
+    elif value is False:
+        parts.append("false")
+    elif isinstance(value, int):
+        parts.append(int.__repr__(value))
+    elif isinstance(value, float):
+        parts.append(float.__repr__(value))
+    elif isinstance(value, dict):
+        inner, sep = indent + "  ", "{"
+        for key, item in value.items():
+            parts += (sep, inner, encode_basestring_ascii(key), ": ")
+            _json_pieces(item, inner, parts)
+            sep = ","
+        parts += (indent, "}") if value else ("{}",)
+    elif isinstance(value, list):
+        inner, sep = indent + "  ", "["
+        for item in value:
+            parts += (sep, inner)
+            _json_pieces(item, inner, parts)
+            sep = ","
+        parts += (indent, "]") if value else ("[]",)
+    else:
+        raise TypeError(f"Object of type {type(value).__name__} is not JSON serializable")
 
 
 def _run_report(args) -> tuple[dict, str]:

@@ -64,30 +64,6 @@ def test_nonfaces_p1xp1():
     assert stanley_reisner_nonfaces(f) == ((0, 1), (2, 3))
 
 
-def test_nonfaces_are_not_faces_and_minimal():
-    for name, fan in suite_fans():
-        maxsets = [set(c.ray_indices) for c in fan.max_cones]
-        nonfaces = stanley_reisner_nonfaces(fan)
-        for s in nonfaces:
-            assert not any(set(s) <= m for m in maxsets), name
-            for i in range(len(s)):
-                sub = set(s) - {s[i]}
-                assert any(sub <= m for m in maxsets), name
-        r = len(fan.rays)
-        if r <= 10:
-
-            def is_face(s):
-                return any(set(s) <= m for m in maxsets)
-
-            brute = {
-                s
-                for k in range(1, r + 1)
-                for s in combinations(range(r), k)
-                if not is_face(s) and all(is_face(s[:i] + s[i + 1 :]) for i in range(k))
-            }
-            assert set(nonfaces) == brute, name
-
-
 @st.composite
 def nonface_fans(draw):
     """A relabelled product, a subdivided product or a P^n + k with
@@ -115,13 +91,33 @@ def _check_join_factors(fan):
     return {frozenset(j for j in range(len(fan.rays)) if block >> j & 1) for block in blocks}
 
 
-def test_nonfaces_match_transversal_oracle_on_suite_fans():
+def test_nonfaces_are_not_faces_and_minimal():
     for name, fan in suite_fans():
-        assert stanley_reisner_nonfaces(fan) == transversal_nonfaces(fan), name
+        maxsets = [set(c.ray_indices) for c in fan.max_cones]
+        nonfaces = stanley_reisner_nonfaces(fan)
+        assert nonfaces == transversal_nonfaces(fan), name
         _check_join_factors(fan)
+        for s in nonfaces:
+            assert not any(set(s) <= m for m in maxsets), name
+            for i in range(len(s)):
+                sub = set(s) - {s[i]}
+                assert any(sub <= m for m in maxsets), name
+        r = len(fan.rays)
+        if r <= 10:
+
+            def is_face(s):
+                return any(set(s) <= m for m in maxsets)
+
+            brute = {
+                s
+                for k in range(1, r + 1)
+                for s in combinations(range(r), k)
+                if not is_face(s) and all(is_face(s[:i] + s[i + 1 :]) for i in range(k))
+            }
+            assert set(nonfaces) == brute, name
 
 
-@settings(max_examples=60, deadline=None, database=None)
+@settings(max_examples=100, deadline=None, database=None)
 @given(nonface_fans())
 def test_nonfaces_match_transversal_oracle(fan):
     # The join split and the indexed minimality test give the whole-fan
@@ -150,10 +146,9 @@ def test_join_factors_of_relabelled_products(drawn):
 
 
 def test_join_factors_of_stellar_fans():
-    # One subdivision of P^n at the sum of a maximal cone's rays is the
-    # blow-up of a point, whose complex is the join of the new ray and the
-    # opposite one with the boundary of a simplex; more subdivisions leave
-    # one block.
+    # One stellar subdivision of a maximal cone of P^n gives the complex of
+    # the blow-up of a point: the join of the new ray and the opposite one
+    # with the boundary of a simplex.  More subdivisions leave one block.
     for n in (2, 3, 4):
         for seed in range(5):
             fan = stellar_fan(n, 1, seed, (1, 2))
@@ -175,7 +170,7 @@ def test_join_check_rejects_pairwise_independent_blocks():
     # pairs would have them, but the join has 8.  So the three pairs fail
     # the count and the vertices form one factor.  Not a fan; the routine
     # reads only the maximal cones.
-    triangles = [(i, 2 + j, 4 + k) for i in (0, 1) for j in (0, 1) for k in (0, 1) if (i + j + k) % 2 == 0]
+    triangles = [(i, 2 + j, 4 + k) for i, j, k in cartesian((0, 1), repeat=3) if (i + j + k) % 2 == 0]
     complex_ = SimpleNamespace(rays=range(6), max_cones=[Cone(t) for t in triangles])
     assert chow._join_factors(complex_) == [(0b111111, {chow._mask(t) for t in triangles})]
     assert stanley_reisner_nonfaces(complex_) == transversal_nonfaces(complex_)
