@@ -63,7 +63,7 @@ The empty tuple is the constant monomial 1.
 from __future__ import annotations
 
 from fractions import Fraction
-from itertools import accumulate
+from itertools import accumulate, chain
 from math import gcd, lcm, prod
 from operator import index, itemgetter, mul
 from typing import Dict, Iterable, Tuple
@@ -248,6 +248,17 @@ class _Packing:
             deg += e
         return deg << w * self.nvars | m
 
+    def support(self, m: int) -> list[int]:
+        """The kept variables that divide a packed monomial, first to last."""
+        w, last = self.width, self.nvars - 1
+        m &= (1 << w * self.nvars) - 1
+        out = []
+        while m:
+            i = (m.bit_length() - 1) // w
+            out.append(last - i)
+            m &= (1 << w * i) - 1
+        return out
+
     def unpack(self, m: int) -> tuple[int, ...]:
         """The exponent tuple of a packed monomial; ``InternalError`` on an
         exponent above ``top``."""
@@ -334,15 +345,17 @@ def build_presentation(fan: Fan, elim_cone: Cone | Iterable[int] | None = None) 
     """
     n = fan.ambient_dim
     r = len(fan.rays)
+    ref = min(fan.max_cones, key=lambda c: c.ray_indices)
     if elim_cone is None:
-        elim = min(fan.max_cones, key=lambda c: c.ray_indices)
+        elim = ref
     else:
         elim = elim_cone if isinstance(elim_cone, Cone) else Cone(elim_cone)
-        if elim not in fan.max_cones:
+        try:
+            elim = fan.max_cones[fan.max_cones.index(elim)]
+        except ValueError:
             raise ValidationError(
                 f"elimination cone {elim.ray_indices} is not a maximal cone of the fan"
-            )
-        elim = fan.max_cones[fan.max_cones.index(elim)]
+            ) from None
 
     p = ChowPresentation.__new__(ChowPresentation)
     p.fan = fan
@@ -443,7 +456,6 @@ def build_presentation(fan: Fan, elim_cone: Cone | Iterable[int] | None = None) 
     # Degree-map calibration against the lexicographically smallest maximal
     # cone: its multiplicity times its squarefree monomial is a point class,
     # so it must integrate to 1.
-    ref = min(fan.max_cones, key=lambda c: c.ray_indices)
     reduced = normal_form({squarefree_monomial(ref.ray_indices): 1}, p)
     top = p.degree_bases[n][0]
     c0 = reduced.get(top, _F0)
@@ -477,64 +489,121 @@ def _groebner_tables(
 
     One pass over the degrees, each reducing every monomial it meets once,
     in the manner of Faugere's F4 (JPAA 139, 1999) and of border bases
-    (Mourrain, AAECC-13, 1999).  In degree d:
+    (Mourrain, AAECC-13, 1999).  A basis element is a *monomial* one when
+    its leading monomial, its *lead*, is its only term, and *tailed*
+    otherwise.  In degree d:
 
     1. Each degree-d monomial met is reduced, memoized, by the basis
-       elements of degree < d: ``t * lead(g)`` becomes minus the sum of
+       elements of degree < d.  A multiple of a monomial lead is zero.
+       Otherwise ``t * lead(g)`` of a tailed ``g`` becomes minus the sum of
        ``c * red(t * u)`` over the tail terms ``c * u`` of the monic ``g``,
        each ``t * u`` smaller.  A monomial no such lead divides stays.
-    2. The degree-d generators and the S-polynomials whose leading-term lcm
-       has degree d, so reduced, are brought to reduced echelon form, the
-       largest monomial first.  The rows are the new monic basis elements,
-       the pivots their leading monomials.  Pairs with an lcm above the top
-       degree are never formed, and pairs with coprime leading monomials
-       are dropped (their S-polynomial always reduces to zero).
+    2. A monomial generator that step 1 leaves alone is a new basis element
+       as it is: a pivot with an empty row, which no other row holds once
+       reduced, so it is never back-substituted.  The other degree-d
+       generators and the S-polynomials whose leading-term lcm has degree
+       d, so reduced, are brought to reduced echelon form, the largest
+       monomial first.  The rows are the new monic basis elements, the
+       pivots their leads.
     3. The degree-d basis monomials are the border products ``b * x_p`` of
        a degree-(d - 1) basis monomial and a variable that step 1 leaves
-       alone and that are not pivots: the monomials no leading monomial
-       divides, an order ideal.
+       alone and that are not pivots: the monomials no lead divides, an
+       order ideal.
     4. Each border product's table row is its reduction, with every pivot
-       replaced by minus its row's tail.
+       replaced by minus its row's tail; a multiple of a monomial lead has
+       the empty row at once.
+
+    Pairs: a new lead is paired with every earlier tailed element, and a
+    new tailed lead with every earlier monomial element too.  Two monomial
+    elements are never paired, since their S-polynomial is zero, nor are
+    leads with coprime leading monomials or an lcm above the top degree
+    (Buchberger's criteria: Cox-Little-O'Shea, *Ideals, Varieties, and
+    Algorithms*, 2.9).
+
+    The divisor lookup scans no list of every lead.  Each lead is filed,
+    in a monomial and a tailed list, under every variable it holds and
+    under its first variable.  A lead dividing a border product ``b * x_p``
+    of a basis monomial ``b`` holds ``x_p``, so only the leads filed under
+    ``x_p`` are tried.  A lead dividing any other monomial has its first
+    variable in that monomial's support, so the leads filed under those
+    variables are tried.  Monomial leads go first, so a monomial multiple
+    of one is found zero.
 
     The basis is reduced and monic, over ``Fraction``, as (leading
-    monomial, polynomial) pairs in increasing degree; only the leading
-    monomials are unpacked, for the lcm and the coprime test.  Tables and
-    bases are laid out as ``multiplication_tables`` documents, bases
-    (packed) in descending graded-lex order.
+    monomial, polynomial) pairs in increasing degree, in increasing order
+    within a degree; only the leading monomials are unpacked, for the lcm
+    and the coprime test.  Tables and bases are laid out as
+    ``multiplication_tables`` documents, bases (packed) in descending
+    graded-lex order.
     """
     top, guards, variables = packing.top, packing.guards, packing.variables
     basis: _Basis = []
     leads: list[tuple[tuple[int, ...], int]] = []  # exponents, support bitmask
+    tailed: list[int] = []  # indices of the tailed basis elements
+    # Lead index: [monomial, tailed] lists of (lead, element) per variable,
+    # under every variable a lead holds (held) and under its first (first).
+    held = [([], []) for _ in variables]
+    first = [([], []) for _ in variables]
     pairs: dict[int, list[tuple[int, int, int]]] = {}
     bases: list[list[int]] = [[0]]
     tables: list[list[tuple]] = [[] for _ in variables]
     for d in range(1, top + 1):
-        work = [list(g.items()) for deg_g, g in gens if deg_g == d]
+        # Step 1: red[m] is m's reduction, as (monomial, coeff) pairs, empty
+        # for a multiple of a monomial lead; tails[m] the terms a lower
+        # tailed lead dividing m becomes.
+        red: dict[int, Iterable[tuple[int, Fraction]]] = {}
+        tails: dict[int, list[tuple[int, Fraction]]] = {}
+        todo: list[tuple[int, Fraction]] = []
+
+        def enter(m: int, hit: tuple[int, _Poly] | None) -> None:
+            if hit is None:
+                red[m] = ((m, 1),)
+            elif len(hit[1]) == 1:
+                red[m] = ()
+            else:
+                lead, g = hit
+                red[m] = tails[m] = [(m - lead + u, c) for u, c in g.items() if u != lead]
+                todo.extend(tails[m])
+
+        def divisor(m: int) -> tuple[int, _Poly] | None:
+            support = packing.support(m)
+            monomial = (first[p][0] for p in support)
+            with_tail = (first[p][1] for p in support)
+            return _leading_divisor(m, chain(*monomial, *with_tail), guards)
+
+        # Step 2's monomial pivots are zero in every reduction from here on.
+        pivots, work = [], []
+        for deg_g, g in gens:
+            if deg_g != d:
+                continue
+            if len(g) == 1:
+                (m,) = g
+                if m in red:  # two non-faces can substitute to one monomial
+                    continue
+                hit = divisor(m)
+                if hit is None:
+                    pivots.append(m)
+                    red[m] = ()
+                    continue
+                enter(m, hit)
+            work.append(list(g.items()))
         for i, j, lcm in pairs.pop(d, ()):
             (li, gi), (lj, gj) = basis[i], basis[j]
             work.append(
                 [(lcm - li + u, c) for u, c in gi.items() if u != li]
                 + [(lcm - lj + u, -c) for u, c in gj.items() if u != lj]
             )
-        # Step 1: red[m] is m's reduction, as (monomial, coeff) pairs;
-        # tails[m] the terms a lower leading monomial dividing m becomes.
-        border = {b + v for b in bases[-1] for v in variables}
-        red: dict[int, Iterable[tuple[int, Fraction]]] = {}
-        tails: dict[int, list[tuple[int, Fraction]]] = {}
-        todo = [(w, 1) for w in border]
+        border = {b + v: p for b in bases[-1] for p, v in enumerate(variables)}
+        for w, p in border.items():
+            if w not in red:
+                monomial, with_tail = held[p]
+                enter(w, _leading_divisor(w, monomial, guards) or _leading_divisor(w, with_tail, guards))
         for f in work:
             todo += f
         while todo:
             m, _ = todo.pop()
-            if m in red:
-                continue
-            hit = _leading_divisor(m, basis, guards)
-            if hit is None:
-                red[m] = ((m, 1),)
-                continue
-            lead, g = hit
-            red[m] = tails[m] = [(m - lead + u, c) for u, c in g.items() if u != lead]
-            todo += tails[m]
+            if m not in red:
+                enter(m, divisor(m))
         for m in sorted(tails):
             red[m] = _add_rows({}, tails[m], red, -1).items()
         # Step 2: rows[p] is the tail of the monic row with pivot p; it
@@ -561,27 +630,35 @@ def _groebner_tables(
                             del row[w]
             rows[lead] = tail
         # Steps 3 and 4: value[w] is the table row of a degree-d monomial
-        # that step 1 leaves alone.
-        basis_d = sorted(border.difference(tails, rows), reverse=True)
+        # that step 1 leaves alone and that is no monomial pivot.
+        basis_d = sorted((w for w in border if w not in tails and w not in rows and red[w]), reverse=True)
         value = {w: ((i, 1),) for i, w in enumerate(basis_d)}
         for p, row in rows.items():
             value[p] = _row({value[w][0][0]: -c for w, c in row.items()})
-        nf = {w: _row(_add_rows({}, red[w], value)) if w in tails else value[w] for w in border}
+        nf = {w: _row(_add_rows({}, red[w], value)) if w in tails else value.get(w, ()) for w in border}
         for v, per_degree in zip(variables, tables):
             per_degree.append(tuple(nf[b + v] for b in bases[-1]))
         bases.append(basis_d)
-        for lead, row in sorted(rows.items()):
+        for lead, row in sorted([*((m, {}) for m in pivots), *rows.items()]):
             exps = packing.unpack(lead)
-            support = _mask(p for p, e in enumerate(exps) if e)
+            support = [p for p, e in enumerate(exps) if e]
+            mask = _mask(support)
             new = len(basis)
-            for i, (ei, si) in enumerate(leads):
-                if si & support:
+            for i in range(new) if row else tailed:
+                ei, si = leads[i]
+                if si & mask:
                     lcm = tuple(map(max, ei, exps))
                     deg = sum(lcm)
                     if deg <= top:
                         pairs.setdefault(deg, []).append((i, new, packing.pack(lcm)))
-            basis.append((lead, {lead: _F1, **row}))
-            leads.append((exps, support))
+            element = (lead, {lead: _F1, **row})
+            basis.append(element)
+            leads.append((exps, mask))
+            if row:
+                tailed.append(new)
+            for p in support:
+                held[p][bool(row)].append(element)
+            first[support[0]][bool(row)].append(element)
     return basis, bases, [tuple(t) for t in tables]
 
 

@@ -49,6 +49,7 @@ FANS = (
     "P^3 + 60",
     "P^4 + 40",
     "P^2 + 100",
+    "P^3 + 120",
     *WORKLOADS,
 )
 BUDGET_S = 0.5

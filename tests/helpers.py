@@ -13,7 +13,9 @@ which substitutes the eliminated variables, expands every product and
 looks each monomial up, so it shares no table with the library's
 ``normal_form`` or class assembly; the per-dimension orbit sums are that
 normal form of the whole sum of each dimension, not the product and
-face-trie walk.  The h-vector is counted from the faces of the maximal
+face-trie walk.  ``scan_groebner_tables`` builds the Groebner basis and
+tables as ``chow._groebner_tables`` does, but tries every lead for every
+monomial and treats a monomial generator like any other.  The h-vector is counted from the faces of the maximal
 cones, not from the presentation.  The class of a product fan comes from
 its factors' classes by the product formula, which never walks the
 product's faces or its product of (1 + x_rho).
@@ -50,7 +52,7 @@ from toriccsm import (
     squarefree_monomial,
     weighted_projective,
 )
-from toriccsm.chow import multiplication_tables
+from toriccsm.chow import _add_rows, _leading_divisor, _mask, _row, multiplication_tables
 from toriccsm.exact_linalg import rational_rref
 
 
@@ -589,6 +591,90 @@ def transversal_nonfaces(fan: Fan) -> tuple[tuple[int, ...], ...]:
                 nxt.append(m)
         trans = nxt
     return tuple(sorted(tuple(v for v in range(r) if t >> v & 1) for t in trans))
+
+
+def scan_groebner_tables(gens: list, packing) -> tuple[list, list[list[int]], list[tuple]]:
+    """``chow._groebner_tables``' output, by the general route alone: every
+    monomial met is tested against every lead, in basis order, and reduced
+    by the first that divides it; every generator, monomial or not, is a
+    row of the degree's echelon form; and every pair of leads that share a
+    variable and have an lcm of degree <= top is formed, two monomial
+    elements included.  Same arguments and the same return value."""
+    top, guards, variables = packing.top, packing.guards, packing.variables
+    basis: list = []
+    leads: list = []  # exponents, support bitmask
+    pairs: dict = {}
+    bases: list[list[int]] = [[0]]
+    tables: list[list[tuple]] = [[] for _ in variables]
+    for d in range(1, top + 1):
+        work = [list(g.items()) for deg_g, g in gens if deg_g == d]
+        for i, j, lcm in pairs.pop(d, ()):
+            (li, gi), (lj, gj) = basis[i], basis[j]
+            work.append(
+                [(lcm - li + u, c) for u, c in gi.items() if u != li]
+                + [(lcm - lj + u, -c) for u, c in gj.items() if u != lj]
+            )
+        border = {b + v for b in bases[-1] for v in variables}
+        red: dict = {}
+        tails: dict = {}
+        todo = [(w, 1) for w in border]
+        for f in work:
+            todo += f
+        while todo:
+            m, _ = todo.pop()
+            if m in red:
+                continue
+            hit = _leading_divisor(m, basis, guards)
+            if hit is None:
+                red[m] = ((m, 1),)
+                continue
+            lead, g = hit
+            red[m] = tails[m] = [(m - lead + u, c) for u, c in g.items() if u != lead]
+            todo += tails[m]
+        for m in sorted(tails):
+            red[m] = _add_rows({}, tails[m], red, -1).items()
+        rows: dict = {}
+        for f in work:
+            v = _add_rows({}, f, red)
+            for p in [p for p in v if p in rows]:
+                c = v.pop(p)
+                for w, e in rows[p].items():
+                    v[w] = v.get(w, 0) - c * e
+            v = {w: c for w, c in v.items() if c}
+            if not v:
+                continue
+            lead = max(v)
+            inv = Fraction(1) / v.pop(lead)
+            tail = {w: c * inv for w, c in v.items()}
+            for row in rows.values():
+                c = row.pop(lead, 0)
+                if c:
+                    for w, e in tail.items():
+                        row[w] = row.get(w, 0) - c * e
+                        if not row[w]:
+                            del row[w]
+            rows[lead] = tail
+        basis_d = sorted(border.difference(tails, rows), reverse=True)
+        value = {w: ((i, 1),) for i, w in enumerate(basis_d)}
+        for p, row in rows.items():
+            value[p] = _row({value[w][0][0]: -c for w, c in row.items()})
+        nf = {w: _row(_add_rows({}, red[w], value)) if w in tails else value[w] for w in border}
+        for v, per_degree in zip(variables, tables):
+            per_degree.append(tuple(nf[b + v] for b in bases[-1]))
+        bases.append(basis_d)
+        for lead, row in sorted(rows.items()):
+            exps = packing.unpack(lead)
+            support = _mask(p for p, e in enumerate(exps) if e)
+            new = len(basis)
+            for i, (ei, si) in enumerate(leads):
+                if si & support:
+                    lcm = tuple(map(max, ei, exps))
+                    deg = sum(lcm)
+                    if deg <= top:
+                        pairs.setdefault(deg, []).append((i, new, packing.pack(lcm)))
+            basis.append((lead, {lead: Fraction(1), **row}))
+            leads.append((exps, support))
+    return basis, bases, [tuple(t) for t in tables]
 
 
 def _walk(tables, rays) -> dict[int, int]:

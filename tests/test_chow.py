@@ -1,5 +1,6 @@
 import random
 import time
+from unittest import mock
 from itertools import combinations
 from itertools import product as cartesian
 from fractions import Fraction
@@ -20,6 +21,7 @@ from helpers import (
     oracle_substitution,
     relabel,
     relabelled_products,
+    scan_groebner_tables,
     shuffled_products,
     stellar_fan,
     suite_fans,
@@ -608,9 +610,13 @@ def test_groebner_basis_is_reduced_and_closes_every_s_pair(monkeypatch):
     # degree n: monic, every tail term divisible by no leading monomial,
     # and every S-polynomial with an lcm of degree <= n reduces to zero.
     # Smooth and singular P^n + k, a Groebner basis with denominators
-    # ((P1)^3 x F7) and a singular product.
+    # ((P1)^3 x F7) and a singular product.  stellar_fan(3, 20, 2) has 230
+    # basis elements, 160 of them monomial, under its last cone, where
+    # leaving out the pairs of a new tailed element and an earlier
+    # monomial one breaks the build.
     p1 = projective_space(1)
     fans = [stellar_fan(3, k, seed) for k in (4, 8) for seed in (0, 1)] + [stellar_fan(3, 12, 1)]
+    fans += [stellar_fan(3, 20, 2)]
     fans += [stellar_fan(2, 7, 0), stellar_fan(4, 4, 1, (1, 2)), stellar_fan(3, 5, 2, (1, 2))]
     fans += [product(_power(p1, 3), hirzebruch(7))]
     fans += [product(weighted_projective([1, 2, 3]), weighted_projective([1, 1, 3]))]
@@ -641,6 +647,45 @@ def test_groebner_basis_is_reduced_and_closes_every_s_pair(monkeypatch):
                 spoly = {m: c for m, c in spoly.items() if c}
                 assert _reduces_to_zero(spoly, basis), (li, lj)
     assert total > 100
+
+
+@st.composite
+def groebner_cases(draw):
+    """A P^n + k (n = 2..4, k <= 10, smooth or with coefficients {1, 2}),
+    a relabelled product or a subdivided product, and one of its maximal
+    cones."""
+    kind = draw(st.sampled_from(("stellar", "product", "subdivided")))
+    if kind == "stellar":
+        n, k = draw(st.integers(2, 4)), draw(st.integers(0, 10))
+        coefficients = draw(st.sampled_from([(1,), (1, 2)]))
+        fan = stellar_fan(n, k, draw(st.integers(0, 10**6)), coefficients)
+    elif kind == "product":
+        _, fan = draw(relabelled_products())
+    else:
+        fan = build_fan(*draw(shuffled_products(min_subdivisions=1)))
+    return fan, draw(st.sampled_from(sorted(c.ray_indices for c in fan.max_cones)))
+
+
+@settings(max_examples=60, deadline=None, database=None)
+@given(groebner_cases())
+def test_groebner_tables_match_the_scanning_oracle(drawn):
+    # The indexed lookup, the monomial pivots and the pairs left out give
+    # the basis, degree bases and tables of the routine that scans every
+    # lead, pivots every generator in the echelon form and forms every pair.
+    fan, elim = drawn
+    calls = []
+    groebner_tables = chow._groebner_tables
+
+    def spy(gens, packing):
+        out = groebner_tables(gens, packing)
+        calls.append((gens, packing, out))
+        return out
+
+    with mock.patch.object(chow, "_groebner_tables", spy):
+        pres = build_presentation(fan, elim)
+    ((gens, packing, out),) = calls
+    assert out == scan_groebner_tables(gens, packing)
+    certify_presentation(pres)
 
 
 def test_certificate_of_suite_fans():
