@@ -16,8 +16,12 @@ graded piece and the kept variables' multiplication tables together: in
 each degree one memoized reduction by the lower-degree basis serves the
 echelon form of the generators and S-polynomials, whose pivots are the
 new leading terms, and the normal forms of the border monomials, the
-tables.  The monomials no leading term divides are the graded pieces'
-basis, an order ideal grown degree by degree from its border.  Every ray
+tables.  Most generators are monomials, the non-faces that avoid the
+eliminated cone: such a generator is a pivot as it stands, a multiple of
+one reduces to zero at once, two monomial elements are never paired, and
+the leading terms are looked up by variable, not scanned.  The monomials
+no leading term divides are the graded pieces' basis, an order ideal
+grown degree by degree from its border.  Every ray
 is a form sum_m c_m x_m / d over the kept variables, a kept x_m the form
 d * x_m / d: a one-term form c * x_m gets x_m's table times c, one
 object shared by every ray of that form, and a longer form the
@@ -48,6 +52,7 @@ exponents of a product of degree at most ``n`` are at most ``n``.  For
 the mask ``G`` of the guard bits, ``lead`` divides ``m`` iff ``((m | G)
 - lead) & G == G``, since a field borrows from its guard bit exactly when
 ``lead``'s exponent is the larger; the cofactor is then ``m - lead``.
+The variables of a monomial's support are read off its nonzero fields.
 Only the Groebner leads are unpacked, for the lcm and the coprime test,
 and the basis monomials, where they become public monomials.  An
 exponent above ``n`` is an ``InternalError``.
@@ -467,8 +472,9 @@ def build_presentation(fan: Fan, elim_cone: Cone | Iterable[int] | None = None) 
     return p
 
 
-def _leading_divisor(m: int, groebner: _Basis, guards: int) -> tuple[int, _Poly] | None:
-    """The first basis element whose leading monomial divides ``m``.
+def _leading_divisor(m: int, groebner: Iterable[tuple[int, _Poly]], guards: int) -> tuple[int, _Poly] | None:
+    """The first of the basis elements ``groebner`` whose leading monomial
+    divides ``m``, or None.
 
     With every guard bit of ``m`` set, subtracting ``lead`` borrows from a
     field's guard bit exactly when that exponent of ``lead`` is the larger.
@@ -540,8 +546,9 @@ def _groebner_tables(
     basis: _Basis = []
     leads: list[tuple[tuple[int, ...], int]] = []  # exponents, support bitmask
     tailed: list[int] = []  # indices of the tailed basis elements
-    # Lead index: [monomial, tailed] lists of (lead, element) per variable,
-    # under every variable a lead holds (held) and under its first (first).
+    # The lead index: per variable, a (monomial, tailed) pair of lists of
+    # basis elements, filed under every variable they hold (held) and under
+    # their first (first).
     held = [([], []) for _ in variables]
     first = [([], []) for _ in variables]
     pairs: dict[int, list[tuple[int, int, int]]] = {}
