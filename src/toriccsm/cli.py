@@ -29,7 +29,7 @@ from .chow import build_presentation, graded_dimensions
 from .csm import csm_result, euler_characteristic
 from .errors import ValidationError
 from .fan import Fan, hirzebruch, is_smooth, multiplicity, product, projective_space, weighted_projective
-from .formats import parse_fan_file, render_class
+from .formats import int_text, parse_fan_file, render_class
 
 __all__ = ["main", "console_main"]
 
@@ -141,7 +141,7 @@ def _json_pieces(value, indent: str, parts: list[str]) -> None:
     elif value is False:
         parts.append("false")
     elif isinstance(value, int):
-        parts.append(int.__repr__(value))
+        parts.append(int_text(value))
     elif isinstance(value, float):
         parts.append(float.__repr__(value))
     elif isinstance(value, dict):
@@ -198,7 +198,7 @@ def _run_report(args) -> tuple[dict, str]:
     if singular:
         lines.append(
             "singular cones: "
-            + ", ".join(f"({','.join(map(str, c))}) mult {m}" for c, m in singular)
+            + ", ".join(f"({','.join(map(str, c))}) mult {int_text(m)}" for c, m in singular)
         )
     lines.append(f"c_SM = {csm_str}")
     lines.append(f"chi = {euler}")

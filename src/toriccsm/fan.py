@@ -153,13 +153,6 @@ def _integers(values: Iterable[int], what: str) -> tuple[int, ...]:
         raise ValidationError(f"{what} {values} has a non-integer entry") from None
 
 
-def _is_primitive(v: Sequence[int]) -> bool:
-    g = 0
-    for x in v:
-        g = gcd(g, x)
-    return g == 1
-
-
 def build_fan(ambient_dim: int, rays: Sequence[Sequence[int]],
               max_cones: Sequence[Cone | Iterable[int]]) -> Fan:
     """Build and validate a fan from raw data: ``Fan(ambient_dim, rays,
@@ -173,7 +166,7 @@ def _validate(fan: Fan) -> None:
     n = fan.ambient_dim
     rays, cones = fan.rays, fan.max_cones
     for i, v in enumerate(rays):
-        if all(x == 0 for x in v) or not _is_primitive(v):
+        if gcd(*v) != 1:
             raise ValidationError(f"ray not primitive: ray {i} = {v}")
     if len(set(rays)) != len(rays):
         raise ValidationError("duplicate ray")
@@ -474,16 +467,13 @@ def weighted_projective(weights: Sequence[int]) -> Fan:
         raise ValidationError("weighted projective space needs at least two weights")
     if any(q <= 0 for q in w):
         raise ValidationError("weights must be positive")
-    g = 0
-    for q in w:
-        g = gcd(g, q)
-    if g != 1:
+    if gcd(*w) != 1:
         raise ValidationError("weights must have gcd 1")
     q0, rest = w[0], w[1:]
     if any(q % q0 for q in rest):
         raise ValidationError("unsupported weights: apex ray is not integral")
     v0 = tuple(-q // q0 for q in rest)
-    if not _is_primitive(v0):
+    if gcd(*v0) != 1:
         raise ValidationError("unsupported weights: apex ray is not primitive")
     n = len(rest)
     rays = [tuple(1 if k == i else 0 for k in range(n)) for i in range(n)]

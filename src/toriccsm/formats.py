@@ -25,6 +25,7 @@ from __future__ import annotations
 
 import re
 from collections import Counter
+from decimal import Decimal
 from fractions import Fraction
 
 from .chow import GradedClass, Monomial, monomial_degree
@@ -38,6 +39,7 @@ __all__ = [
     "render_class",
     "parse_class",
     "monomial_sort_key",
+    "int_text",
 ]
 
 _SECTION = re.compile(r"^(name|dim|rays|max_cones)\s*:\s*(.*)$")
@@ -104,8 +106,8 @@ def parse_fan_text(text: str, source: str = "<string>") -> tuple[Fan, str | None
         if len(ray) != dim and dim >= 1:
             fail(lineno, f"ray {i} has {len(ray)} coordinates, expected {dim}")
     for k, (cone, lineno) in enumerate(zip(cones, cone_lines)):
-        (j, count), = Counter(cone).most_common(1)
-        if count > 1 and dim >= 1:
+        if len(set(cone)) != len(cone) and dim >= 1:
+            (j, _), = Counter(cone).most_common(1)
             fail(lineno, f"cone {k} repeats ray {j}")
     return build_fan(dim, rays, cones), name
 
@@ -140,31 +142,51 @@ def monomial_sort_key(mono: Monomial):
     return (monomial_degree(mono), tuple((ray, -e) for ray, e in mono))
 
 
-def _coeff_str(q: Fraction) -> str:
-    return str(q.numerator) if q.denominator == 1 else f"{q.numerator}/{q.denominator}"
+def int_text(n: int) -> str:
+    """``str(n)``, also past the interpreter's limit on the digits of an
+    int-to-str conversion (``sys.set_int_max_str_digits``)."""
+    try:
+        return str(n)
+    except ValueError:
+        return str(Decimal(n))
+
+
+def _int_of(digits: str) -> int:
+    """``int(digits)``, also past the interpreter's digit limit."""
+    try:
+        return int(digits)
+    except ValueError:
+        return int(Decimal(digits))
 
 
 def render_class(c: GradedClass) -> str:
-    """Render a class as a polynomial string, e.g. ``1 + 2*x1 + 4*x1*x2``."""
+    """Render a class as a polynomial string, e.g. ``1 + 2*x1 + 4*x1*x2``.
+    Coefficients may be ``Fraction`` or ``int``; a zero coefficient takes
+    a minus sign, as a negative one does."""
     if not c:
         return "0"
     parts: list[str] = []
     for mono in sorted(c, key=monomial_sort_key):
         q = c[mono]
-        mag = abs(q)
-        vars_part = "*".join(
-            f"x{ray}" if e == 1 else f"x{ray}^{e}" for ray, e in mono
-        )
-        if not mono:
-            body = _coeff_str(mag)
-        elif mag == 1:
-            body = vars_part
+        num, den = q.numerator, q.denominator
+        if num <= 0:
+            sign, num = "-", -num
         else:
-            body = f"{_coeff_str(mag)}*{vars_part}"
-        if not parts:
-            parts.append(body if q > 0 else f"-{body}")
+            sign = "+"
+        if den != 1:
+            coeff = f"{int_text(num)}/{int_text(den)}"
+        elif num != 1 or not mono:
+            coeff = int_text(num)
         else:
-            parts.append(f"{'+' if q > 0 else '-'} {body}")
+            coeff = ""
+        if mono:
+            vars_part = "*".join([f"x{ray}" if e == 1 else f"x{ray}^{e}" for ray, e in mono])
+            body = f"{coeff}*{vars_part}" if coeff else vars_part
+        else:
+            body = coeff
+        parts.append(f"{sign} {body}")
+    first = parts[0]
+    parts[0] = first[2:] if first[0] == "+" else f"-{first[2:]}"
     return " ".join(parts)
 
 
@@ -193,8 +215,9 @@ def parse_class(s: str) -> GradedClass:
         exps: dict[int, int] = {}
         for factor in tok.split("*"):
             if _NUM.match(factor):
+                num, _, den = factor.partition("/")
                 try:
-                    coeff *= Fraction(factor)
+                    coeff *= Fraction(_int_of(num), _int_of(den or "1"))
                 except ZeroDivisionError:
                     raise ValidationError(f"zero denominator in term factor {factor!r}") from None
                 continue

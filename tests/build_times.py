@@ -1,14 +1,17 @@
 """Time ``build_presentation``, or with ``--nonfaces`` only
 ``chow.stanley_reisner_nonfaces``, on the ROADMAP's Baseline fans for
 several source trees, each in its own subprocess, in interleaved rounds.
+With ``--formats`` it times the formats layer instead: ``parse_fan_text``
+on each fan's text and ``render_class`` on its csm class, as two rows.
 
-    python tests/build_times.py --src A/src --src B/src [--rounds 5] [--nonfaces] [--fan 'P^3 + 20' ...]
+    python tests/build_times.py --src A/src --src B/src [--rounds 5] [--nonfaces | --formats] [--fan 'P^3 + 20' ...]
 
 Each round times every fan under every tree, one after the other, each
 in a fresh interpreter that imports ``toriccsm`` from that tree's
 ``src``; the tree that goes first alternates from round to round.  In
-one run the fan is built again and again until half a second has
-passed, at least once, and the fastest build counts.
+one run the fan is built (or parsed, or its class rendered) again and
+again until half a second has passed, at least once, and the fastest
+pass counts.
 
 The report gives, per fan and tree, the min-max of those times over the
 rounds; for every tree after the first, the ratio of its time to the
@@ -18,10 +21,11 @@ in how many rounds it was faster.
 The fans are named as in ROADMAP's Baseline: ``P^n + k`` is
 ``helpers.stellar_fan(n, k, 1)``, and a product is written with ``*``.
 The names of the perfbench workloads stand for every seed-1 file of that
-workload, each built under its ``--elim-cone``, timed as one sum.  A
-build of P^3 + 60, P^4 + 40 or P^2 + 100 takes seconds to minutes; their
-non-face listing alone takes well under a second.  Not collected by
-pytest.
+workload, each built under its ``--elim-cone``, timed as one sum.  The
+text ``--formats`` parses is the file's; for any other fan it is
+``render_fan``'s.  A build of P^3 + 60, P^4 + 40 or P^2 + 100 takes
+seconds to minutes; their non-face listing alone takes well under a
+second.  Not collected by pytest.
 """
 
 from __future__ import annotations
@@ -53,11 +57,13 @@ FANS = (
     *WORKLOADS,
 )
 BUDGET_S = 0.5
+# the rows each kind of timing reports per fan, after the fan's name
+PARTS = {"build": ("",), "nonfaces": ("",), "formats": (" parse", " render")}
 
 
 def _cases(name: str, tc) -> list[tuple]:
-    """(fan, elimination cone or None) of every build the fan name stands
-    for, with ``toriccsm`` imported as ``tc``."""
+    """(fan, elimination cone or None, fan text) of every build the fan
+    name stands for, with ``toriccsm`` imported as ``tc``."""
     from helpers import stellar_fan
 
     if name in WORKLOADS:
@@ -66,31 +72,23 @@ def _cases(name: str, tc) -> list[tuple]:
 
         with tempfile.TemporaryDirectory() as workdir:
             rounds = workloads.generate(tc, name, 1, Path(workdir))
-            return [
-                (tc.formats.parse_fan_file(str(Path(workdir) / case.file))[0], case.elim_cone)
+            texts = [
+                ((Path(workdir) / case.file).read_text(), case.elim_cone)
                 for cases in rounds
                 for case in cases
             ]
+        return [(tc.formats.parse_fan_text(text)[0], elim, text) for text, elim in texts]
     if name.startswith("P^"):
         n, k = name[2:].split(" + ")
-        return [(stellar_fan(int(n), int(k), 1), None)]
-    if name.startswith("(P1)^"):
-        spec = "*".join(["pn=1"] * int(name[5:]))
+        fan = stellar_fan(int(n), int(k), 1)
     else:
-        spec = name
-    return [(tc.cli._builder_fan(spec), None)]
+        spec = "*".join(["pn=1"] * int(name[5:])) if name.startswith("(P1)^") else name
+        fan = tc.cli._builder_fan(spec)
+    return [(fan, None, tc.render_fan(fan))]
 
 
-def _worker(name: str, nonfaces: bool = False) -> float:
-    """Fastest build time of the fan, or with ``nonfaces`` fastest
-    non-face listing, in seconds."""
-    import toriccsm as tc
-    import toriccsm.cli  # noqa: F401
-
-    cases = _cases(name, tc)
-    if nonfaces:
-        cases = [(fan,) for fan, _ in cases]
-    timed = tc.chow.stanley_reisner_nonfaces if nonfaces else tc.build_presentation
+def _fastest(timed, cases: list[tuple]) -> float:
+    """Fastest pass of ``timed`` over every argument tuple, in seconds."""
     best, start = float("inf"), time.perf_counter()
     while best == float("inf") or time.perf_counter() - start < BUDGET_S:
         t0 = time.perf_counter()
@@ -100,23 +98,47 @@ def _worker(name: str, nonfaces: bool = False) -> float:
     return best
 
 
-def _run(src: str, name: str, nonfaces: bool) -> float:
+def _worker(name: str, kind: str = "build") -> list[float]:
+    """Fastest times of the fan, one per row of ``PARTS[kind]``: its
+    build, its non-face listing, or the parse of its text and the
+    rendering of its csm class."""
+    import toriccsm as tc
+    import toriccsm.cli  # noqa: F401
+
+    cases = _cases(name, tc)
+    if kind == "build":
+        return [_fastest(tc.build_presentation, [(fan, elim) for fan, elim, _ in cases])]
+    if kind == "nonfaces":
+        return [_fastest(tc.chow.stanley_reisner_nonfaces, [(fan,) for fan, _, _ in cases])]
+    classes = [(tc.csm_result(fan, tc.build_presentation(fan, elim)).csm_class,) for fan, elim, _ in cases]
+    return [
+        _fastest(tc.parse_fan_text, [(text,) for _, _, text in cases]),
+        _fastest(tc.render_class, classes),
+    ]
+
+
+def _run(src: str, name: str, kind: str) -> list[float]:
     code = (
         f"import sys; sys.path[:0] = [{src!r}, {str(ROOT / 'tests')!r}]; "
-        f"import build_times; print(build_times._worker({name!r}, {nonfaces!r}))"
+        f"import build_times; print(*build_times._worker({name!r}, {kind!r}))"
     )
     done = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, check=True)
-    return float(done.stdout)
+    return [float(t) for t in done.stdout.split()]
 
 
 def main(argv: list[str] | None = None) -> None:
     parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
     parser.add_argument("--src", action="append", required=True, help="a tree's src directory")
     parser.add_argument("--rounds", type=int, default=5)
-    parser.add_argument("--nonfaces", action="store_true", help="time the non-face listing alone")
+    kind = parser.add_mutually_exclusive_group()
+    kind.add_argument("--nonfaces", action="store_const", dest="kind", const="nonfaces",
+                      default="build", help="time the non-face listing alone")
+    kind.add_argument("--formats", action="store_const", dest="kind", const="formats",
+                      help="time parse_fan_text and render_class")
     parser.add_argument("--fan", action="append", choices=FANS, help="default: every fan")
     args = parser.parse_args(argv)
-    names = args.fan or list(FANS)
+    names = args.fan or FANS
+    rows = [name + part for name in names for part in PARTS[args.kind]]
     times: dict[str, list[list[float]]] = {src: [] for src in args.src}
     for r in range(args.rounds):
         order = args.src if r % 2 == 0 else args.src[::-1]
@@ -124,11 +146,11 @@ def main(argv: list[str] | None = None) -> None:
             times[src].append([])
         for name in names:
             for src in order:
-                times[src][-1].append(_run(src, name, args.nonfaces))
+                times[src][-1].extend(_run(src, name, args.kind))
         print(f"round {r + 1} of {args.rounds} done", file=sys.stderr)
     base = times[args.src[0]]
-    for i, name in enumerate(names):
-        print(name)
+    for i, row in enumerate(rows):
+        print(row)
         for src in args.src:
             runs = [run[i] for run in times[src]]
             line = f"  {src}: {min(runs):.4f}-{max(runs):.4f} s"

@@ -18,7 +18,9 @@ tables as ``chow._groebner_tables`` does, but tries every lead for every
 monomial and treats a monomial generator like any other.  The h-vector is counted from the faces of the maximal
 cones, not from the presentation.  The class of a product fan comes from
 its factors' classes by the product formula, which never walks the
-product's faces or its product of (1 + x_rho).
+product's faces or its product of (1 + x_rho).  ``render_class_oracle``
+writes a class from ``Fraction`` comparisons on each coefficient, not
+from its integer numerator and denominator.
 
 The fan generators are shared too: ``stellar_fan`` builds the P^n + k
 fans, ``relabelled_products`` draws products with relabelled rays and
@@ -141,6 +143,40 @@ def class_add(a: GradedClass, b: GradedClass) -> GradedClass:
         else:
             out.pop(m, None)
     return out
+
+
+def _oracle_coeff_str(q: Fraction) -> str:
+    return str(q.numerator) if q.denominator == 1 else f"{q.numerator}/{q.denominator}"
+
+
+def _oracle_sort_key(mono):
+    return (sum(e for _, e in mono), tuple((ray, -e) for ray, e in mono))
+
+
+def render_class_oracle(c: GradedClass) -> str:
+    """``formats.render_class`` by ``Fraction`` arithmetic on each
+    coefficient: ascending degree, then smaller ray index first and higher
+    exponent first; a coefficient that is not positive takes a minus sign."""
+    if not c:
+        return "0"
+    parts: list[str] = []
+    for mono in sorted(c, key=_oracle_sort_key):
+        q = c[mono]
+        mag = abs(q)
+        vars_part = "*".join(
+            f"x{ray}" if e == 1 else f"x{ray}^{e}" for ray, e in mono
+        )
+        if not mono:
+            body = _oracle_coeff_str(mag)
+        elif mag == 1:
+            body = vars_part
+        else:
+            body = f"{_oracle_coeff_str(mag)}*{vars_part}"
+        if not parts:
+            parts.append(body if q > 0 else f"-{body}")
+        else:
+            parts.append(f"{'+' if q > 0 else '-'} {body}")
+    return " ".join(parts)
 
 
 def gcd_minors_index(rows: list[list[int]]) -> int:

@@ -4,11 +4,12 @@ import os
 import re
 import subprocess
 import sys
+from decimal import Decimal
 from fractions import Fraction
 from pathlib import Path
 
 import pytest
-from helpers import MULTI_COVER_FANS, suite_fans
+from helpers import MULTI_COVER_FANS, cofactor_det, suite_fans
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
@@ -197,6 +198,9 @@ def test_ragged_ray_is_rejected_on_every_command(capsys, tmp_path, ray, length):
         ("1 0", "maximal cone (0, 1) is listed twice"),
         ("1 1", "line 9: cone 2 repeats ray 1"),
         ("1 2 2", "line 9: cone 2 repeats ray 2"),
+        # a tie names the ray seen first, as Counter.most_common does
+        ("2 1 1 2", "line 9: cone 2 repeats ray 2"),
+        ("1 2 2 1", "line 9: cone 2 repeats ray 1"),
     ],
 )
 def test_malformed_cone_is_rejected_on_every_command(capsys, tmp_path, cone, message):
@@ -206,6 +210,37 @@ def test_malformed_cone_is_rejected_on_every_command(capsys, tmp_path, cone, mes
         code, out, err = run(capsys, command, "--fan", str(path))
         assert code == 2 and out == "", command
         assert message in err, command
+
+
+def test_numbers_past_the_int_digit_limit_are_printed(capsys, tmp_path):
+    # The rays have 2,401 digits, within the interpreter's 4,300-digit
+    # limit on int <-> str conversion; the multiplicity of cone (0, 1) and
+    # the class coefficients have about 4,800.
+    a = 10**2400
+    rays = [(a + 1, a + 3), (-(a + 3), a + 1), (0, -1)]
+    cones = [(0, 1), (0, 2), (1, 2)]
+    path = tmp_path / "big.fan"
+    path.write_text(render_fan(build_fan(2, rays, cones)))
+    mults = [abs(cofactor_det([[rays[i][k] for i in c] for k in range(2)])) for c in cones]
+    assert mults[0] > 10**4800
+
+    def limit_free(digits: str) -> int:
+        return int(Decimal(digits))
+
+    code, out, err = run(capsys, "csm", "--fan", str(path))
+    assert (code, err) == (0, ""), err
+    printed = re.search(r"^singular cones: (.*)$", out, re.M).group(1)
+    assert [(c, limit_free(m)) for c, m in re.findall(r"\(([\d,]+)\) mult (\d+)", printed)] == [
+        (",".join(map(str, c)), m) for c, m in zip(cones, mults)
+    ]
+    code, out, err = run(capsys, "csm", "--fan", str(path), "--json")
+    assert (code, err) == (0, ""), err
+    data = json.loads(out, parse_int=limit_free)
+    assert data["singular_cones"] == [{"cone": list(c), "mult": m} for c, m in zip(cones, mults)]
+    assert data["euler"] == 3
+    for argv in (["chow"], ["chow", "--json"], ["euler"]):
+        code, out, err = run(capsys, *argv, "--fan", str(path))
+        assert (code, err) == (0, ""), argv
 
 
 def test_elim_cone_with_a_repeated_ray_is_named(capsys):

@@ -1,4 +1,5 @@
 import random
+import re
 from fractions import Fraction
 from itertools import combinations
 from types import SimpleNamespace
@@ -77,8 +78,22 @@ def test_build_p2():
 
 
 def test_build_rejects_non_primitive_ray():
-    with pytest.raises(ValidationError, match="ray not primitive"):
-        build_fan(2, [(2, 0), (0, 1), (-1, -1)], [(0, 1), (1, 2), (2, 0)])
+    for ray in [(2, 0), (-2, 4), (0, 0)]:
+        with pytest.raises(ValidationError, match=re.escape(f"ray not primitive: ray 0 = {ray}")):
+            build_fan(2, [ray, (0, 1), (-1, -1)], [(0, 1), (1, 2), (2, 0)])
+
+
+@pytest.mark.parametrize(
+    "weights, message",
+    [
+        ([2, 4, 6], "weights must have gcd 1"),
+        ([2, 3, 5], "unsupported weights: apex ray is not integral"),
+        ([1, 2, 4], "unsupported weights: apex ray is not primitive"),
+    ],
+)
+def test_weighted_projective_rejects_weights(weights, message):
+    with pytest.raises(ValidationError, match=message):
+        weighted_projective(weights)
 
 
 def test_build_rejects_duplicate_ray():

@@ -2,7 +2,9 @@ import random
 from fractions import Fraction
 
 import pytest
-from helpers import suite_fans
+from helpers import render_class_oracle, suite_fans
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from toriccsm import (
     hirzebruch,
@@ -85,6 +87,9 @@ def test_render_class_signs_fractions_exponents():
     c = {((0, 3),): Fraction(-1, 2), ((1, 1),): Fraction(1), (): Fraction(-3)}
     assert render_class(c) == "-3 + x1 - 1/2*x0^3"
     assert render_class({}) == "0"
+    # a zero coefficient takes a minus sign
+    assert render_class({((0, 1),): 0}) == "-0*x0"
+    assert render_class({(): 1, ((0, 1),): Fraction(0)}) == "1 - 0*x0"
     assert parse_class("x1^0 + 1") == {(): Fraction(2)}
     assert render_class(parse_class("x1^0 + 1")) == "2"
     assert parse_class("3*x0^0*x2^2") == {((2, 2),): Fraction(3)}
@@ -103,6 +108,35 @@ def test_class_round_trip_random():
                 c[mono] = q
         c = {m: q for m, q in c.items() if q}
         assert parse_class(render_class(c)) == c
+
+
+_MONOMIALS = st.lists(
+    st.tuples(st.integers(0, 12), st.integers(1, 4)), max_size=3, unique_by=lambda t: t[0]
+).map(lambda pairs: tuple(sorted(pairs)))
+_COEFFICIENTS = st.one_of(
+    st.integers(-10**6, 10**6),
+    st.fractions(max_denominator=10**6),
+    st.sampled_from([0, 1, -1, Fraction(0), Fraction(1), Fraction(-1)]),
+)
+
+
+@settings(max_examples=300, deadline=None, database=None)
+@given(c=st.dictionaries(_MONOMIALS, _COEFFICIENTS, max_size=8))
+@example(c={((0, 1),): 0})
+@example(c={(): 1, ((0, 1),): 0})
+@example(c={(): Fraction(0), ((0, 2), (3, 1)): Fraction(-1, 2)})
+def test_render_class_equals_oracle(c):
+    # int and Fraction coefficients, zero ones included, a constant term
+    # and exponents above 1.
+    assert render_class(c) == render_class_oracle(c)
+
+
+def test_class_round_trip_past_the_int_digit_limit():
+    big = 10**5000 + 7
+    c = {(): Fraction(-big, 3), ((1, 2),): Fraction(big)}
+    text = render_class(c)
+    assert text.startswith("-1" + "0" * 4999 + "7/3 + 1")
+    assert parse_class(text) == c
 
 
 def test_parse_class_rejects_garbage():
