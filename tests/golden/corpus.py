@@ -25,7 +25,8 @@ The corpus:
   --json`` and ``euler`` only: non-product presentations with up to 16
   rays and a Groebner basis of hundreds of elements;
 - malformed fan files (ragged rays, bad cones, repeated headers, an open
-  fan, a wall in three cones, folded fans, fans that cover space twice,
+  fan, a wall in three cones, folded fans (among them stellar fans and
+  products with one ray negated), fans that cover space twice,
   a non-simplicial cone listed before a malformed one, a latin-1 file)
   through every command;
 - usage errors and bad arguments: unknown builders, a non-maximal or
@@ -146,13 +147,36 @@ MALFORMED = {
     "max_cones:\n  0 1\n  0 2\n  0 5\n",
     "empty.fan": "",
 }
-for _name, (_dim, _rays, _cones) in sorted(MULTI_COVER_FANS.items()):
-    MALFORMED[_name.replace(" ", "-") + ".fan"] = "\n".join(
-        [f"dim: {_dim}", "rays:"]
-        + ["  " + " ".join(map(str, r)) for r in _rays]
+
+
+def _fan_text(dim: int, rays, cones) -> str:
+    """Fan file text of raw data, which need not make a valid fan."""
+    return "\n".join(
+        [f"dim: {dim}", "rays:"]
+        + ["  " + " ".join(map(str, r)) for r in rays]
         + ["max_cones:"]
-        + ["  " + " ".join(map(str, c)) for c in _cones]
+        + ["  " + " ".join(map(str, c)) for c in cones]
     ) + "\n"
+
+
+for _name, (_dim, _rays, _cones) in sorted(MULTI_COVER_FANS.items()):
+    MALFORMED[_name.replace(" ", "-") + ".fan"] = _fan_text(_dim, _rays, _cones)
+
+# file name stem -> (builder, ray): the fan with that ray negated keeps
+# every wall in two cones, but folds at several walls; walking the walls
+# from the first cone meets another fold before the one the error names
+FOLDED = {
+    "stellar-2-3-0": (lambda: stellar_fan(2, 3, 0, (1, 2)), 3),
+    "stellar-3-2-0": (lambda: stellar_fan(3, 2, 0, (1, 2)), 5),
+    "pn1_wps1-1-2": (lambda: product(projective_space(1), weighted_projective([1, 1, 2])), 3),
+    "hirzebruch5_wps1-1-3": (lambda: product(hirzebruch(5), weighted_projective([1, 1, 3])), 4),
+}
+for _stem, (_build, _ray) in FOLDED.items():
+    _fan = _build()
+    _rays = [tuple(-x for x in v) if j == _ray else v for j, v in enumerate(_fan.rays)]
+    MALFORMED[f"folded-{_stem}.fan"] = _fan_text(
+        _fan.ambient_dim, _rays, [c.ray_indices for c in _fan.max_cones]
+    )
 
 LATIN1 = b"name: caf\xe9\ndim: 1\nrays:\n  1\n  -1\nmax_cones:\n  0\n  1\n\xff\n"
 
