@@ -722,14 +722,17 @@ def normal_form(c: GradedClass, pres: ChowPresentation) -> GradedClass:
     The monomials, x_i^e written as i repeated e times, go through one
     ``orbit_classes`` walk in sorted order.  Linear in the input and
     idempotent on classes already in basis form.  Raises
-    ``ValidationError`` on a monomial with a ray index or exponent that is
-    not an integer, an exponent below 1, degree above ``n``, or a ray
-    index outside ``0..r-1``.
+    ``ValidationError`` on a coefficient that is not an ``int`` or a
+    ``Fraction`` (a float is never converted), a monomial with a ray index
+    or exponent that is not an integer, an exponent below 1, degree above
+    ``n``, or a ray index outside ``0..r-1``.
     """
     n = pres.fan.ambient_dim
     r = len(pres.fan.rays)
     terms = []
     for mono, coeff in c.items():
+        if not isinstance(coeff, (int, Fraction)):
+            raise ValidationError(f"monomial {mono} has coefficient {coeff!r}, not an int or a Fraction")
         if coeff == 0:
             continue
         try:

@@ -27,9 +27,9 @@ from json.encoder import encode_basestring_ascii
 
 from .chow import build_presentation, graded_dimensions
 from .csm import csm_result, euler_characteristic
-from .errors import ValidationError
+from .errors import ValidationError, int_text
 from .fan import Fan, hirzebruch, is_smooth, multiplicity, product, projective_space, weighted_projective
-from .formats import int_text, parse_fan_file, render_class
+from .formats import _int_of, parse_fan_file, render_class
 
 __all__ = ["main", "console_main"]
 
@@ -56,7 +56,7 @@ def _builder_fan(spec: str) -> Fan:
         if name not in ("pn", "hirzebruch", "wps"):
             raise UsageError(f"unknown builder {name!r} (expected pn, hirzebruch, or wps)")
         try:
-            values = [int(q) for q in arg.split(",")]
+            values = [_int_of(q) for q in arg.split(",")]
         except ValueError as exc:
             raise UsageError(f"bad builder argument in {part!r}: {exc}") from exc
         if name == "wps":

@@ -11,8 +11,9 @@ it exactly once iff they form one piece and the sum of one cone's rays
 lies in no other cone (Ewald, GTM 168, Ch. III).  One walk across the
 walls, keyed by the bitmasks of their rays, decides this and gives every
 maximal cone's determinant, each from a neighbour's; it compares the two
-cones' orientations at each wall as it passes.  The checks fail in the
-order ``Fan`` lists them.  A ``Fan`` keeps no face cache:
+cones' orientations at each wall as it passes, and names the folded wall
+that comes first in cone order.  The checks fail in the order ``Fan``
+lists them.  A ``Fan`` keeps no face cache:
 ``csm.enumerate_cones`` lists the cones.
 """
 
@@ -23,7 +24,7 @@ from math import gcd
 from operator import index
 from typing import Iterable, Sequence
 
-from .errors import ValidationError
+from .errors import ValidationError, int_text
 from .exact_linalg import (
     column_lattice_index,
     determinant,
@@ -63,7 +64,7 @@ class Cone:
     def __init__(self, ray_indices: Iterable[int]):
         idx = tuple(sorted(_integers(ray_indices, "cone")))
         if len(set(idx)) != len(idx):
-            raise ValidationError(f"duplicate ray index in cone {idx}")
+            raise ValidationError(f"duplicate ray index in cone {_text(idx)}")
         self.ray_indices = idx
         self._mult: int | None = None
 
@@ -95,7 +96,7 @@ class Fan:
     but the first contains the sum of the first cone's rays.  The
     determinants come from one walk across the walls (``_pivot_walk``): one
     signed solve per piece, then each cone's determinant from a
-    neighbour's; the same walk finds whether some wall is folded.  A cone
+    neighbour's; the same walk finds and names a folded wall.  A cone
     whose shape is wrong is reported after any non-simplicial cone listed
     before it.  Each determinant's absolute value is the cone's
     multiplicity, cached on the cone, so every ``Fan`` carries the
@@ -125,7 +126,7 @@ class Fan:
         generators, in the cone's ray order."""
         for j in cone.ray_indices:
             if not 0 <= j < len(self.rays):
-                raise ValidationError(f"cone {cone.ray_indices} references unknown ray {j}")
+                raise ValidationError(f"cone {_text(cone.ray_indices)} references unknown ray {int_text(j)}")
         rays = [self.rays[j] for j in cone.ray_indices]
         return [[v[k] for v in rays] for k in range(self.ambient_dim)]
 
@@ -150,7 +151,16 @@ def _integers(values: Iterable[int], what: str) -> tuple[int, ...]:
         values = tuple(values)
         return tuple(map(index, values))
     except TypeError:
-        raise ValidationError(f"{what} {values} has a non-integer entry") from None
+        raise ValidationError(f"{what} {_text(values)} has a non-integer entry") from None
+
+
+def _text(value) -> str:
+    """``str(value)``, with every int written by ``int_text``, so also past
+    the interpreter's digit limit: an int, or a tuple of ints and others."""
+    if isinstance(value, tuple):
+        items = [int_text(x) if isinstance(x, int) else repr(x) for x in value]
+        return "(" + ", ".join(items) + ("," if len(items) == 1 else "") + ")"
+    return int_text(value) if isinstance(value, int) else str(value)
 
 
 def build_fan(ambient_dim: int, rays: Sequence[Sequence[int]],
@@ -167,7 +177,7 @@ def _validate(fan: Fan) -> None:
     rays, cones = fan.rays, fan.max_cones
     for i, v in enumerate(rays):
         if gcd(*v) != 1:
-            raise ValidationError(f"ray not primitive: ray {i} = {v}")
+            raise ValidationError(f"ray not primitive: ray {i} = {_text(v)}")
     if len(set(rays)) != len(rays):
         raise ValidationError("duplicate ray")
     if not cones:
@@ -185,7 +195,7 @@ def _validate(fan: Fan) -> None:
                 raise ValidationError(f"not simplicial: maximal cone {c.ray_indices}") from None
         raise
     across = _wall_table(cones, n)
-    dets, roots, overlap, folded = _pivot_walk(fan, across)
+    dets, roots, overlap, fold = _pivot_walk(fan, across)
     for c, det in zip(cones, dets):
         if det == 0:
             raise ValidationError(f"not simplicial: maximal cone {c.ray_indices}")
@@ -196,8 +206,8 @@ def _validate(fan: Fan) -> None:
         raise ValidationError(f"unused ray: ray {missing[0]} appears in no maximal cone")
     if any(None in row for row in across):
         raise ValidationError("fan fails completeness check")
-    if folded:
-        wall, a, b = _same_side_wall(cones, across, dets)
+    if fold:
+        wall, a, b = fold
         raise ValidationError(
             f"fan fails completeness check: maximal cones {a} and {b} "
             f"lie on the same side of wall {wall}"
@@ -207,7 +217,7 @@ def _validate(fan: Fan) -> None:
         point = tuple(sum(rays[j][t] for j in a) for t in range(n))
         raise ValidationError(
             f"fan fails completeness check: maximal cones {a} and {b} "
-            f"both contain the point {point}, so the cones cover it more than once"
+            f"both contain the point {_text(point)}, so the cones cover it more than once"
         )
     if len(roots) > 1:
         a, b = (cones[k].ray_indices for k in roots[:2])
@@ -223,11 +233,12 @@ def _check_cone_shape(c: Cone, n: int, num_rays: int, seen: set[Cone]) -> None:
     it to ``seen``."""
     if c.dim != n:
         raise ValidationError(
-            f"maximal cone wrong dimension: cone {c.ray_indices} has {c.dim} rays, expected {n}"
+            f"maximal cone wrong dimension: cone {_text(c.ray_indices)} has {c.dim} rays, "
+            f"expected {n}"
         )
     for j in c.ray_indices:
         if not 0 <= j < num_rays:
-            raise ValidationError(f"cone {c.ray_indices} references unknown ray {j}")
+            raise ValidationError(f"cone {_text(c.ray_indices)} references unknown ray {int_text(j)}")
     if c in seen:
         raise ValidationError(f"maximal cone {c.ray_indices} is listed twice")
     seen.add(c)
@@ -266,10 +277,10 @@ def _wall_table(cones: Sequence[Cone], n: int) -> _Across:
 
 def _pivot_walk(
     fan: Fan, across: _Across
-) -> tuple[list[int], list[int], tuple[int, int] | None, bool]:
+) -> tuple[list[int], list[int], tuple[int, int] | None, tuple[tuple[int, ...], ...] | None]:
     """Signed determinant of every maximal cone, by one walk across walls.
 
-    Returns ``(dets, roots, overlap, folded)``.  ``dets[k]`` is the
+    Returns ``(dets, roots, overlap, fold)``.  ``dets[k]`` is the
     determinant of cone k, rays in increasing order.  Each cone not reached
     across a wall from an earlier one (a wall not in exactly two cones, or
     a neighbour of determinant 0, stops the walk) is a root in ``roots``
@@ -284,21 +295,27 @@ def _pivot_walk(
     if the walk goes on from it (``_exchange``).  The coordinates ``y =
     |det| . sigma^-1 p`` of the root's ray sum p ride along by the same
     exchange; ``overlap`` is the first ``(root, cone)`` whose other cone
-    contains p (all y >= 0), or None.  A slot whose neighbour already has
-    a determinant is checked as ``_same_side_wall`` checks it; ``folded``
-    says whether some such wall has both cones on one side.  It is
-    meaningful once every determinant is nonzero: then the walk scans
-    every cone, so every wall.  With every wall in two cones on opposite
-    sides, the cones cover space exactly once iff there is one root and no
-    overlap (Ewald, GTM 168, Ch. III).
+    contains p (all y >= 0), or None.
+
+    At a slot whose neighbour already has a determinant, the walk tests
+    whether both cones lie on one side of the wall: the cones wall+a and
+    wall+b do exactly when det(wall, a) and det(wall, b) agree in sign,
+    and moving the ray at slot s to the end takes n-1-s transpositions.
+    ``fold`` is such a wall as ``(wall, cone, cone)``, the cones as ray
+    indices, or None.  Of all such walls it names the one met first when
+    the cones are taken in order, each from its last slot to its first,
+    and each wall at its later cone; so it does not depend on the walk's
+    order.  It is meaningful once every determinant is nonzero: then the
+    walk scans every cone, so every wall.  With every wall in two cones on
+    opposite sides, the cones cover space exactly once iff there is one
+    root and no overlap (Ewald, GTM 168, Ch. III).
     """
     n = fan.ambient_dim
     cones = [c.ray_indices for c in fan.max_cones]
     support = [[(t, x) for t, x in enumerate(v) if x] for v in fan.rays]
     dets: list[int | None] = [None] * len(cones)
     roots: list[int] = []
-    overlap = None
-    folded = False
+    overlap = fold = None
     for root, cone in enumerate(cones):
         if dets[root] is not None:
             continue
@@ -326,7 +343,10 @@ def _pivot_walk(
                 if seen is not None:
                     # one side iff the signs of det(wall, ray) agree
                     if (positive != (seen > 0)) == ((i ^ j) & 1):
-                        folded = True
+                        # keyed by the later cone, its slot from the last, the earlier cone
+                        key = (k, -i, nb) if k > nb else (nb, -j, k)
+                        if fold is None or key < fold:
+                            fold = key
                     continue
                 if step is not None:
                     rows = _exchange(rows, *step)
@@ -353,7 +373,11 @@ def _pivot_walk(
                 if overlap is None and min(y_nb) >= 0:
                     overlap = (root, nb)
                 stack.append((nb, rows, y_nb, (c, i, j, scale)))
-    return dets, roots, overlap, folded
+    if fold is not None:
+        k, s, a = fold
+        s = -s
+        fold = cones[k][:s] + cones[k][s + 1 :], cones[a], cones[k]
+    return dets, roots, overlap, fold
 
 
 def _exchange(rows: list[list[int]], c: Sequence[int], i: int, j: int, scale: int) -> list[list[int]]:
@@ -378,34 +402,6 @@ def _exchange(rows: list[list[int]], c: Sequence[int], i: int, j: int, scale: in
             out.append([(cr * w - ci * x) // scale for x, w in zip(u, ui)])
     out.insert(j, ui if ci > 0 else [-w for w in ui])
     return out
-
-
-def _same_side_wall(
-    cones: Sequence[Cone], across: _Across, dets: list[int]
-) -> tuple[tuple[int, ...], ...] | None:
-    """A wall whose two maximal cones lie on the same side of its span, as
-    ``(wall, cone, cone)``, or None.  Call only after every wall was found
-    in exactly two cones; ``_validate`` calls it only to name the wall of
-    a fold that ``_pivot_walk`` found.
-
-    ``dets[k]`` is the determinant of maximal cone k, rays in increasing
-    order.  The cones wall+a and wall+b lie on opposite sides exactly when
-    det(wall, a) and det(wall, b) differ in sign; moving the ray at slot s
-    to the end takes n-1-s transpositions.  Cones are visited in order,
-    each from its last slot to its first, and a wall is reported at its
-    second cone.
-    """
-    last = len(across[0]) - 1
-    for k, row in enumerate(across):
-        positive = dets[k] > 0
-        for s in range(last, -1, -1):
-            a, sa = row[s]
-            if a > k:
-                continue
-            if (positive ^ ((last - s) & 1)) == ((dets[a] > 0) ^ ((last - sa) & 1)):
-                idx = cones[k].ray_indices
-                return idx[:s] + idx[s + 1 :], cones[a].ray_indices, idx
-    return None
 
 
 def multiplicity(fan: Fan, cone: Cone) -> int:
@@ -435,14 +431,11 @@ def is_smooth(fan: Fan) -> bool:
 
 def projective_space(n: int) -> Fan:
     """Fan of n-dimensional projective space: rays e_1..e_n and -(e_1+...+e_n),
-    maximal cones all n-subsets of the n+1 rays."""
+    maximal cones all n-subsets of the n+1 rays; weights (1, ..., 1)."""
     n = _integer(n, "projective space dimension")
     if n < 1:
         raise ValidationError("projective space requires n >= 1")
-    rays = [tuple(1 if k == i else 0 for k in range(n)) for i in range(n)]
-    rays.append(tuple(-1 for _ in range(n)))
-    cones = [c for c in combinations(range(n + 1), n)]
-    return build_fan(n, rays, cones)
+    return weighted_projective((1,) * (n + 1))
 
 
 def hirzebruch(r: int) -> Fan:

@@ -29,7 +29,7 @@ from decimal import Decimal
 from fractions import Fraction
 
 from .chow import GradedClass, Monomial, monomial_degree
-from .errors import ValidationError
+from .errors import ValidationError, int_text
 from .fan import Fan, build_fan
 
 __all__ = [
@@ -39,10 +39,10 @@ __all__ = [
     "render_class",
     "parse_class",
     "monomial_sort_key",
-    "int_text",
 ]
 
 _SECTION = re.compile(r"^(name|dim|rays|max_cones)\s*:\s*(.*)$")
+_INT = re.compile(r"[+-]?[0-9]+")
 
 
 def parse_fan_text(text: str, source: str = "<string>") -> tuple[Fan, str | None]:
@@ -83,7 +83,10 @@ def parse_fan_text(text: str, source: str = "<string>") -> tuple[Fan, str | None
                 section = key
             continue
         try:
-            values = list(map(int, line.split()))
+            try:
+                values = list(map(int, line.split()))
+            except ValueError:  # perhaps an integer past the digit limit
+                values = list(map(_int_of, line.split()))
         except ValueError:
             fail(lineno, f"expected whitespace-separated integers, got {line!r}")
         if section == "rays":
@@ -108,7 +111,7 @@ def parse_fan_text(text: str, source: str = "<string>") -> tuple[Fan, str | None
     for k, (cone, lineno) in enumerate(zip(cones, cone_lines)):
         if len(set(cone)) != len(cone) and dim >= 1:
             (j, _), = Counter(cone).most_common(1)
-            fail(lineno, f"cone {k} repeats ray {j}")
+            fail(lineno, f"cone {k} repeats ray {int_text(j)}")
     return build_fan(dim, rays, cones), name
 
 
@@ -130,7 +133,7 @@ def render_fan(fan: Fan, name: str | None = None) -> str:
         lines.append(f"name: {name}")
     lines.append(f"dim: {fan.ambient_dim}")
     lines.append("rays:")
-    lines.extend("  " + " ".join(str(x) for x in r) for r in fan.rays)
+    lines.extend("  " + " ".join(map(int_text, r)) for r in fan.rays)
     lines.append("max_cones:")
     lines.extend("  " + " ".join(str(i) for i in c.ray_indices) for c in fan.max_cones)
     return "\n".join(lines) + "\n"
@@ -142,20 +145,15 @@ def monomial_sort_key(mono: Monomial):
     return (monomial_degree(mono), tuple((ray, -e) for ray, e in mono))
 
 
-def int_text(n: int) -> str:
-    """``str(n)``, also past the interpreter's limit on the digits of an
-    int-to-str conversion (``sys.set_int_max_str_digits``)."""
-    try:
-        return str(n)
-    except ValueError:
-        return str(Decimal(n))
-
-
 def _int_of(digits: str) -> int:
-    """``int(digits)``, also past the interpreter's digit limit."""
+    """``int(digits)``, also past the interpreter's digit limit when
+    ``digits`` is ASCII ``[+-]?[0-9]+``.  Any other text that ``int``
+    rejects raises its ``ValueError``: ``Decimal`` would read ``1.5``."""
     try:
         return int(digits)
     except ValueError:
+        if not _INT.fullmatch(digits):
+            raise
         return int(Decimal(digits))
 
 

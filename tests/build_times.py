@@ -3,15 +3,17 @@
 several source trees, each in its own subprocess, in interleaved rounds.
 With ``--formats`` it times the formats layer instead: ``parse_fan_text``
 on each fan's text and ``render_class`` on its csm class, as two rows.
+With ``--validate`` it times validation alone: ``Fan(dim, rays, cones)``
+on each fan's raw rays and maximal cones.
 
-    python tests/build_times.py --src A/src --src B/src [--rounds 5] [--nonfaces | --formats] [--fan 'P^3 + 20' ...]
+    python tests/build_times.py --src A/src --src B/src [--rounds 5] [--nonfaces | --formats | --validate] [--fan 'P^3 + 20' ...]
 
 Each round times every fan under every tree, one after the other, each
 in a fresh interpreter that imports ``toriccsm`` from that tree's
 ``src``; the tree that goes first alternates from round to round.  In
-one run the fan is built (or parsed, or its class rendered) again and
-again until half a second has passed, at least once, and the fastest
-pass counts.
+one run the fan is built (or validated, or parsed, or its class
+rendered) again and again until half a second has passed, at least
+once, and the fastest pass counts.
 
 The report gives, per fan and tree, the min-max of those times over the
 rounds; for every tree after the first, the ratio of its time to the
@@ -58,7 +60,7 @@ FANS = (
 )
 BUDGET_S = 0.5
 # the rows each kind of timing reports per fan, after the fan's name
-PARTS = {"build": ("",), "nonfaces": ("",), "formats": (" parse", " render")}
+PARTS = {"build": ("",), "nonfaces": ("",), "validate": ("",), "formats": (" parse", " render")}
 
 
 def _cases(name: str, tc) -> list[tuple]:
@@ -100,8 +102,8 @@ def _fastest(timed, cases: list[tuple]) -> float:
 
 def _worker(name: str, kind: str = "build") -> list[float]:
     """Fastest times of the fan, one per row of ``PARTS[kind]``: its
-    build, its non-face listing, or the parse of its text and the
-    rendering of its csm class."""
+    build, its non-face listing, its validation, or the parse of its text
+    and the rendering of its csm class."""
     import toriccsm as tc
     import toriccsm.cli  # noqa: F401
 
@@ -110,6 +112,9 @@ def _worker(name: str, kind: str = "build") -> list[float]:
         return [_fastest(tc.build_presentation, [(fan, elim) for fan, elim, _ in cases])]
     if kind == "nonfaces":
         return [_fastest(tc.chow.stanley_reisner_nonfaces, [(fan,) for fan, _, _ in cases])]
+    if kind == "validate":
+        raw = [(fan.ambient_dim, fan.rays, [c.ray_indices for c in fan.max_cones]) for fan, _, _ in cases]
+        return [_fastest(tc.Fan, raw)]
     classes = [(tc.csm_result(fan, tc.build_presentation(fan, elim)).csm_class,) for fan, elim, _ in cases]
     return [
         _fastest(tc.parse_fan_text, [(text,) for _, _, text in cases]),
@@ -135,6 +140,8 @@ def main(argv: list[str] | None = None) -> None:
                       default="build", help="time the non-face listing alone")
     kind.add_argument("--formats", action="store_const", dest="kind", const="formats",
                       help="time parse_fan_text and render_class")
+    kind.add_argument("--validate", action="store_const", dest="kind", const="validate",
+                      help="time Fan(dim, rays, cones) alone")
     parser.add_argument("--fan", action="append", choices=FANS, help="default: every fan")
     args = parser.parse_args(argv)
     names = args.fan or FANS

@@ -18,7 +18,9 @@ tables as ``chow._groebner_tables`` does, but tries every lead for every
 monomial and treats a monomial generator like any other.  The h-vector is counted from the faces of the maximal
 cones, not from the presentation.  The class of a product fan comes from
 its factors' classes by the product formula, which never walks the
-product's faces or its product of (1 + x_rho).  ``render_class_oracle``
+product's faces or its product of (1 + x_rho).  ``same_side_wall``
+scans every cone and slot for a folded wall with its own parity rule,
+apart from the validation walk that names one.  ``render_class_oracle``
 writes a class from ``Fraction`` comparisons on each coefficient, not
 from its integer numerator and denominator.
 
@@ -191,6 +193,32 @@ def gcd_minors_index(rows: list[list[int]]) -> int:
 
 def oracle_multiplicity(fan: Fan, cone) -> int:
     return gcd_minors_index(fan.ray_matrix(cone))
+
+
+def same_side_wall(cones: Sequence[Cone], across, dets: list[int]) -> tuple[tuple[int, ...], ...] | None:
+    """A wall whose two maximal cones lie on the same side of its span, as
+    ``(wall, cone, cone)``, or None: the fold ``fan._pivot_walk`` must
+    name.  ``across`` is ``fan._wall_table(cones, n)``, with every wall in
+    exactly two cones.
+
+    ``dets[k]`` is the determinant of maximal cone k, rays in increasing
+    order.  The cones wall+a and wall+b lie on opposite sides exactly when
+    det(wall, a) and det(wall, b) differ in sign; moving the ray at slot s
+    to the end takes n-1-s transpositions.  Cones are visited in order,
+    each from its last slot to its first, and a wall is reported at its
+    second cone.
+    """
+    last = len(across[0]) - 1
+    for k, row in enumerate(across):
+        positive = dets[k] > 0
+        for s in range(last, -1, -1):
+            a, sa = row[s]
+            if a > k:
+                continue
+            if (positive ^ ((last - s) & 1)) == ((dets[a] > 0) ^ ((last - sa) & 1)):
+                idx = cones[k].ray_indices
+                return idx[:s] + idx[s + 1 :], cones[a].ray_indices, idx
+    return None
 
 
 def is_column_hnf(h: list[list[int]]) -> bool:

@@ -1,8 +1,10 @@
 import random
+import re
 import time
 from unittest import mock
 from itertools import combinations
 from itertools import product as cartesian
+from decimal import Decimal
 from fractions import Fraction
 from math import comb, lcm
 from types import SimpleNamespace
@@ -259,6 +261,16 @@ def test_normal_form_rejects_non_integer_rays_and_exponents():
         with pytest.raises(ValidationError, match="non-integer ray index or exponent"):
             normal_form({mono: Fraction(1)}, p)
     assert normal_form({((True, 1),): Fraction(1)}, p) == normal_form({((1, 1),): Fraction(1)}, p)
+
+
+def test_normal_form_rejects_inexact_coefficients():
+    # Fraction(0.1) would be 3602879701896397/36028797018963968; a float,
+    # str or Decimal coefficient is an error that names its monomial.
+    p = build_presentation(projective_space(2))
+    for coeff in (0.1, 0.0, "1", Decimal(1)):
+        with pytest.raises(ValidationError, match=re.escape(f"monomial ((1, 1),) has coefficient {coeff!r}")):
+            normal_form({((1, 1),): coeff}, p)
+    assert normal_form({((1, 1),): 3}, p) == normal_form({((1, 1),): Fraction(3)}, p)
 
 
 def test_normal_form_kills_ideal_generators():

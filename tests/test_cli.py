@@ -243,6 +243,26 @@ def test_numbers_past_the_int_digit_limit_are_printed(capsys, tmp_path):
         assert (code, err) == (0, ""), argv
 
 
+def test_integers_past_the_int_digit_limit_are_read(capsys, tmp_path):
+    # hirzebruch=r with r of 4,401 digits, from a fan file and from the
+    # builder: both validate and give the same class.  A cone that names a
+    # ray index that long is a validation error that prints it.
+    r = 10**4400 + 7
+    path = tmp_path / "big.fan"
+    path.write_text(render_fan(build_fan(2, [(1, 0), (0, 1), (-1, r), (0, -1)], [(0, 1), (1, 2), (2, 3), (3, 0)])))
+    classes = []
+    for source in (["--fan", str(path)], ["--builder", f"hirzebruch={Decimal(r)}"]):
+        code, out, err = run(capsys, "validate", *source)
+        assert (code, err) == (0, ""), err
+        code, out, err = run(capsys, "csm", *source)
+        assert (code, err) == (0, ""), err
+        classes.append(re.search(r"^c_SM = (.*)$", out, re.M).group(1))
+    assert classes[0] == classes[1] and classes[0].endswith(f" + 4/{Decimal(r)}*x3^2")
+    path.write_text(f"dim: 2\nrays:\n  1 0\n  0 1\n  -1 -1\nmax_cones:\n  0 1\n  1 2\n  2 {Decimal(r)}\n")
+    code, _, err = run(capsys, "validate", "--fan", str(path))
+    assert (code, err) == (2, f"toric-csm: validation error: cone (2, {Decimal(r)}) references unknown ray {Decimal(r)}\n")
+
+
 def test_elim_cone_with_a_repeated_ray_is_named(capsys):
     message = "toric-csm: validation error: duplicate ray index in cone (0, 0)\n"
     for command in ("csm", "euler", "chow"):

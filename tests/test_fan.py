@@ -9,6 +9,7 @@ from helpers import (
     MULTI_COVER_FANS,
     oracle_multiplicity,
     relabel,
+    same_side_wall,
     shuffled_products,
     stellar_fan,
     suite_fans,
@@ -81,6 +82,38 @@ def test_build_rejects_non_primitive_ray():
     for ray in [(2, 0), (-2, 4), (0, 0)]:
         with pytest.raises(ValidationError, match=re.escape(f"ray not primitive: ray 0 = {ray}")):
             build_fan(2, [ray, (0, 1), (-1, -1)], [(0, 1), (1, 2), (2, 0)])
+    # Past the interpreter's 4,300-digit limit on str(int) the message is
+    # still written, digit for digit.
+    big = 2 * 10**5000
+    with pytest.raises(ValidationError, match=r"^ray not primitive: ray 0 = \(2" + "0" * 5000 + r", 0\)$"):
+        build_fan(2, [(big, 0), (0, 1), (-1, -1)], [(0, 1), (1, 2), (2, 0)])
+
+
+_BIG = 10**5000
+_BIG_TEXT = "1" + "0" * 5000
+
+
+@pytest.mark.parametrize(
+    "build, message",
+    [
+        (lambda: Fan(2, [(_BIG, 1.5), (0, 1), (-1, -1)], [(0, 1), (1, 2), (2, 0)]),
+         f"ray 0 ({_BIG_TEXT}, 1.5) has a non-integer entry"),
+        (lambda: Cone((_BIG, _BIG)), f"duplicate ray index in cone ({_BIG_TEXT}, {_BIG_TEXT})"),
+        (lambda: Fan(2, [(1, 0), (0, 1), (-1, -1)], [(0, 1), (1, 2), (2, _BIG)]),
+         f"cone (2, {_BIG_TEXT}) references unknown ray {_BIG_TEXT}"),
+        (lambda: Fan(2, [(1, 0), (0, 1), (-1, -1)], [(0, 1), (1, 2), (_BIG,)]),
+         f"maximal cone wrong dimension: cone ({_BIG_TEXT},) has 1 rays, expected 2"),
+        (lambda: multiplicity(hirzebruch(1), Cone((0, _BIG))),
+         f"cone (0, {_BIG_TEXT}) references unknown ray {_BIG_TEXT}"),
+    ],
+    ids=["coordinate", "cone-repeat", "cone-index", "cone-shape", "face-index"],
+)
+def test_messages_print_integers_past_the_digit_limit(build, message):
+    # str() of an int past 4,300 digits raises ValueError; each message
+    # writes such an int whole and stays a ValidationError.
+    with pytest.raises(ValidationError) as info:
+        build()
+    assert str(info.value) == message
 
 
 @pytest.mark.parametrize(
@@ -141,10 +174,10 @@ def test_build_rejects_fans_that_cover_space_twice(name):
         determinant([[rays[j][t] for j in c.ray_indices] for t in range(dim)])
         for c in cone_objects
     ]
-    assert fan_mod._same_side_wall(cone_objects, across, dets) is None
+    assert same_side_wall(cone_objects, across, dets) is None
     unchecked = SimpleNamespace(ambient_dim=dim, rays=rays, max_cones=cone_objects)
-    walked, _, _, folded = fan_mod._pivot_walk(unchecked, across)
-    assert walked == dets and not folded
+    walked, _, _, fold = fan_mod._pivot_walk(unchecked, across)
+    assert walked == dets and fold is None
     for construct in (build_fan, Fan):
         with pytest.raises(ValidationError, match="completeness check: .* more than once"):
             construct(dim, rays, cones)
@@ -377,8 +410,8 @@ def test_walk_determinants_match_bareiss(data):
     # Bareiss on the cone's own ray matrix is the slower oracle.
     n, rays, cones = data
     fan = build_fan(n, rays, cones)
-    dets, roots, overlap, folded = fan_mod._pivot_walk(fan, fan_mod._wall_table(fan.max_cones, n))
-    assert roots == [0] and overlap is None and not folded
+    dets, roots, overlap, fold = fan_mod._pivot_walk(fan, fan_mod._wall_table(fan.max_cones, n))
+    assert roots == [0] and overlap is None and fold is None
     for c, det in zip(fan.max_cones, dets):
         exact = determinant(fan.ray_matrix(c))
         assert det == exact, c
@@ -421,10 +454,11 @@ def test_walk_solves_once_per_root_and_exchanges_less_than_once_per_cone(data):
 
 @settings(max_examples=60, deadline=None, database=None)
 @given(data=st.one_of(shuffled_products(), _stellar_fans().map(_raw)), pick=st.integers(0, 10**6))
-def test_walk_fold_flag_matches_same_side_wall(data, pick):
+def test_walk_fold_matches_same_side_wall(data, pick):
     # Negating one ray r puts -r on the same side as the other ray of each
-    # wall of the cones that hold r, away from r: the walk's flag must see
-    # that fold, and must see none on the fan as drawn.
+    # wall of the cones that hold r, away from r: the walk must name the
+    # fold that the oracle's scan in cone order names first, whatever
+    # order it walks in, and must see none on the fan as drawn.
     n, rays, cones = data
     r = pick % len(rays)
     negated = rays[:r] + [tuple(-x for x in rays[r])] + rays[r + 1 :]
@@ -432,10 +466,10 @@ def test_walk_fold_flag_matches_same_side_wall(data, pick):
     across = fan_mod._wall_table(cone_objects, n)
     for vectors in (rays, negated):
         unchecked = SimpleNamespace(ambient_dim=n, rays=vectors, max_cones=cone_objects)
-        dets, _, _, folded = fan_mod._pivot_walk(unchecked, across)
+        dets, _, _, fold = fan_mod._pivot_walk(unchecked, across)
         assume(all(dets))
-        assert folded == (fan_mod._same_side_wall(cone_objects, across, dets) is not None)
-        assert folded == (vectors is negated)
+        assert fold == same_side_wall(cone_objects, across, dets)
+        assert (fold is None) == (vectors is rays)
 
 
 @pytest.mark.parametrize(

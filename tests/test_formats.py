@@ -139,6 +139,21 @@ def test_class_round_trip_past_the_int_digit_limit():
     assert parse_class(text) == c
 
 
+def test_fan_round_trip_past_the_int_digit_limit():
+    # A coordinate of 5,001 digits is written and read back exactly; the
+    # parser's fallback past the digit limit reads ASCII integers only.
+    digits = "1" + "0" * 4999 + "7"
+    fan = hirzebruch(10**5000 + 7)
+    text = render_fan(fan, "big")
+    assert f"  -1 {digits}\n" in text
+    parsed, name = parse_fan_text(text)
+    assert (parsed.rays, name) == (fan.rays, "big")
+    assert parse_fan_text(text.replace(digits, "+" + digits))[0].rays == fan.rays
+    for token in ("1.5", "1e3", digits + ".0", digits + "e0"):
+        with pytest.raises(ValidationError, match="line 6: expected whitespace-separated integers"):
+            parse_fan_text(text.replace(digits, token))
+
+
 def test_parse_class_rejects_garbage():
     with pytest.raises(ValidationError):
         parse_class("2*y1")
