@@ -82,11 +82,6 @@ def test_build_rejects_non_primitive_ray():
     for ray in [(2, 0), (-2, 4), (0, 0)]:
         with pytest.raises(ValidationError, match=re.escape(f"ray not primitive: ray 0 = {ray}")):
             build_fan(2, [ray, (0, 1), (-1, -1)], [(0, 1), (1, 2), (2, 0)])
-    # Past the interpreter's 4,300-digit limit on str(int) the message is
-    # still written, digit for digit.
-    big = 2 * 10**5000
-    with pytest.raises(ValidationError, match=r"^ray not primitive: ray 0 = \(2" + "0" * 5000 + r", 0\)$"):
-        build_fan(2, [(big, 0), (0, 1), (-1, -1)], [(0, 1), (1, 2), (2, 0)])
 
 
 _BIG = 10**5000
@@ -96,6 +91,8 @@ _BIG_TEXT = "1" + "0" * 5000
 @pytest.mark.parametrize(
     "build, message",
     [
+        (lambda: build_fan(2, [(2 * _BIG, 0), (0, 1), (-1, -1)], [(0, 1), (1, 2), (2, 0)]),
+         f"ray not primitive: ray 0 = (2{_BIG_TEXT[1:]}, 0)"),
         (lambda: Fan(2, [(_BIG, 1.5), (0, 1), (-1, -1)], [(0, 1), (1, 2), (2, 0)]),
          f"ray 0 ({_BIG_TEXT}, 1.5) has a non-integer entry"),
         (lambda: Cone((_BIG, _BIG)), f"duplicate ray index in cone ({_BIG_TEXT}, {_BIG_TEXT})"),
@@ -106,7 +103,7 @@ _BIG_TEXT = "1" + "0" * 5000
         (lambda: multiplicity(hirzebruch(1), Cone((0, _BIG))),
          f"cone (0, {_BIG_TEXT}) references unknown ray {_BIG_TEXT}"),
     ],
-    ids=["coordinate", "cone-repeat", "cone-index", "cone-shape", "face-index"],
+    ids=["non-primitive", "non-integer", "cone-repeat", "cone-index", "cone-shape", "face-index"],
 )
 def test_messages_print_integers_past_the_digit_limit(build, message):
     # str() of an int past 4,300 digits raises ValueError; each message
