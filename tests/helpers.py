@@ -858,6 +858,26 @@ def _suspended_double_winding() -> tuple[int, list[tuple[int, ...]], list[tuple[
     return 3, rays, [c + (apex,) for c in cones for apex in (8, 9)]
 
 
+def _shuffled_double_winding_times(fan: Fan, seed: int) -> tuple[int, list[tuple[int, ...]], list[tuple[int, ...]]]:
+    """The double winding times ``fan``, laid out as ``product`` lays out
+    a product, with its rays relabelled and its maximal cones shuffled by
+    one ``random.Random(seed)``: the cone that holds the first cone's ray
+    sum a second time lies deep in the walk across the walls."""
+    n1, rays1, cones1 = _double_winding()
+    n2 = fan.ambient_dim
+    rays = [r + (0,) * n2 for r in rays1] + [(0,) * n1 + r for r in fan.rays]
+    cones = [c1 + tuple(j + len(rays1) for j in c2.ray_indices) for c1 in cones1 for c2 in fan.max_cones]
+    rng = random.Random(seed)
+    perm = list(range(len(rays)))
+    rng.shuffle(perm)
+    relabelled = [None] * len(rays)
+    for j, v in enumerate(rays):
+        relabelled[perm[j]] = v
+    cones = [tuple(perm[j] for j in c) for c in cones]
+    rng.shuffle(cones)
+    return n1 + n2, relabelled, cones
+
+
 # Fans that pass the wall condition (every wall in two maximal cones, on
 # opposite sides of it) but cover space more than once; each value is
 # (dim, rays, maximal cones).
@@ -869,4 +889,6 @@ MULTI_COVER_FANS = {
         [(1, 0), (0, 1), (-1, -1), (-1, 0), (0, -1), (1, 1)],
         [(0, 1), (1, 2), (0, 2), (3, 4), (4, 5), (3, 5)],
     ),
+    "double winding x P2": _shuffled_double_winding_times(projective_space(2), 0),
+    "double winding x hirzebruch 3": _shuffled_double_winding_times(hirzebruch(3), 1),
 }
