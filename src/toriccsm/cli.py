@@ -84,7 +84,7 @@ def _parse_elim(arg: str | None):
     if arg is None:
         return None
     try:
-        return tuple(int(t) for t in arg.split(","))
+        return tuple(_int_of(t) for t in arg.split(","))
     except ValueError as exc:
         raise UsageError(f"bad --elim-cone value {arg!r}: {exc}") from exc
 
@@ -273,7 +273,7 @@ def _cmd_validate(args) -> int:
 
 def _thread_count(arg: str) -> int:
     try:
-        count = int(arg)
+        count = _int_of(arg)
     except ValueError:
         raise argparse.ArgumentTypeError(f"invalid int value: {arg!r}") from None
     if count < 1:

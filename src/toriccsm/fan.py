@@ -19,9 +19,10 @@ lists them.  A ``Fan`` keeps no face cache:
 
 from __future__ import annotations
 
+from functools import reduce
 from itertools import combinations
 from math import gcd
-from operator import index
+from operator import index, or_
 from typing import Iterable, Sequence
 
 from .errors import ValidationError, int_text
@@ -183,7 +184,7 @@ def _validate(fan: Fan) -> None:
     if not cones:
         raise ValidationError("maximal cone wrong dimension: no maximal cones given")
 
-    seen: set[Cone] = set()
+    seen: set[tuple[int, ...]] = set()
     try:
         for c in cones:
             _check_cone_shape(c, n, len(rays), seen)
@@ -227,21 +228,23 @@ def _validate(fan: Fan) -> None:
         )
 
 
-def _check_cone_shape(c: Cone, n: int, num_rays: int, seen: set[Cone]) -> None:
+def _check_cone_shape(c: Cone, n: int, num_rays: int, seen: set[tuple[int, ...]]) -> None:
     """Raise ``ValidationError`` unless the maximal cone ``c`` has ``n``
-    rays, all indices below ``num_rays``, and is not in ``seen``; then add
-    it to ``seen``."""
-    if c.dim != n:
+    rays, all indices below ``num_rays``, and its ray indices are not in
+    ``seen``; then add them to ``seen``."""
+    idx = c.ray_indices
+    if len(idx) != n:
         raise ValidationError(
-            f"maximal cone wrong dimension: cone {_text(c.ray_indices)} has {c.dim} rays, "
+            f"maximal cone wrong dimension: cone {_text(idx)} has {len(idx)} rays, "
             f"expected {n}"
         )
-    for j in c.ray_indices:
-        if not 0 <= j < num_rays:
-            raise ValidationError(f"cone {_text(c.ray_indices)} references unknown ray {int_text(j)}")
-    if c in seen:
-        raise ValidationError(f"maximal cone {c.ray_indices} is listed twice")
-    seen.add(c)
+    # the indices are sorted: the first and the last bound them all
+    if idx[0] < 0 or idx[-1] >= num_rays:
+        j = next(j for j in idx if not 0 <= j < num_rays)
+        raise ValidationError(f"cone {_text(idx)} references unknown ray {int_text(j)}")
+    if idx in seen:
+        raise ValidationError(f"maximal cone {idx} is listed twice")
+    seen.add(idx)
 
 
 # Per maximal cone and slot: the (cone, slot) across that slot's wall, or None.
@@ -289,13 +292,21 @@ def _pivot_walk(
     == s, else 0.
 
     Crossing the wall opposite slot i to the cone whose new ray ``v`` sits
-    at slot j costs ``c_r = <u_r, v>`` over the nonzeros of ``v``: the
-    neighbour's determinant is ``sign(det) . c_i . (-1)^(i - j)``, and its
-    dual rows follow by one exact integer (Bareiss) exchange, built only
-    if the walk goes on from it (``_exchange``).  The coordinates ``y =
-    |det| . sigma^-1 p`` of the root's ray sum p ride along by the same
-    exchange; ``overlap`` is the first ``(root, cone)`` whose other cone
-    contains p (all y >= 0), or None.
+    at slot j costs ``c_i = <u_i, v>`` over the nonzeros of ``v``: the
+    neighbour's determinant is ``sign(det) . c_i . (-1)^(i - j)``.  Its
+    dual rows follow from the whole pairing vector ``c_r = <u_r, v>`` by
+    one exact integer (Bareiss) exchange, and both are built only if the
+    walk goes on from it (``_exchange``).
+
+    ``overlap`` is the first ``(root, cone)``, in the walk's order, whose
+    other cone holds the root's ray sum p, or None.  Every root row has
+    ``<u_r, p> = |det| > 0``, so a cone that holds p, ``p = sum lambda_s
+    w_s`` with every ``lambda_s >= 0``, has for each r a ray w_s with
+    ``<u_r, w_s> > 0``: the OR of its rays' reach masks (bit r of ray j
+    set iff ``<u_r, v_j> > 0``) is full.  Only a reached cone whose masks
+    pass takes the exact test: ``y = rows . p`` by the current cone's rows
+    and the exchange of ``_exchange`` give its coordinates of p, scaled by
+    ``|det| > 0``, and it holds p iff none is negative.
 
     At a slot whose neighbour already has a determinant, the walk tests
     whether both cones lie on one side of the wall: the cones wall+a and
@@ -311,8 +322,10 @@ def _pivot_walk(
     root and no overlap (Ewald, GTM 168, Ch. III).
     """
     n = fan.ambient_dim
+    full = (1 << n) - 1
     cones = [c.ray_indices for c in fan.max_cones]
     support = [[(t, x) for t, x in enumerate(v) if x] for v in fan.rays]
+    columns = list(zip(*fan.rays))
     dets: list[int | None] = [None] * len(cones)
     roots: list[int] = []
     overlap = fold = None
@@ -326,12 +339,14 @@ def _pivot_walk(
         dets[root] = det
         if not det:
             continue
-        # p has coordinates (1, ..., 1) in the root.  A stacked cone holds
-        # the rows of the cone it was reached from, and the exchange step
-        # that turns them into its own if the walk goes on from it.
-        stack = [(root, inv, [abs(det)] * n, None)]
+        if overlap is None:
+            p = [(t, x) for t, x in enumerate(map(sum, zip(*rays))) if x]
+            reach_of = _reach_masks(inv, columns).__getitem__
+        # A stacked cone holds the rows of the cone it was reached from, and
+        # the step that turns them into its own if the walk goes on from it.
+        stack = [(root, inv, None)]
         while stack:
-            k, rows, y, step = stack.pop()
+            k, rows, step = stack.pop()
             det = dets[k]
             scale = abs(det)
             positive = det > 0
@@ -349,35 +364,66 @@ def _pivot_walk(
                             fold = key
                     continue
                 if step is not None:
-                    rows = _exchange(rows, *step)
+                    rows = _exchange(rows, _pairing(rows, step[0]), *step[1:])
                     step = None
                 v = support[cones[nb][j]]
+                u = rows[i]
                 t, x = v[0]
-                c = [x * u[t] for u in rows]
+                ci = x * u[t]
                 for t, x in v[1:]:
-                    c = [a + x * u[t] for a, u in zip(c, rows)]
-                ci = c[i]
+                    ci += x * u[t]
                 nb_det = ci if positive else -ci
                 dets[nb] = -nb_det if (i - j) & 1 else nb_det
                 if not ci:
                     continue
-                # y by the exchange of _exchange, one coordinate per row
-                yi = y[i]
-                if ci > 0:
-                    y_nb = [(ci * yr - cr * yi) // scale for yr, cr in zip(y, c)]
-                else:
-                    y_nb = [(cr * yi - ci * yr) // scale for yr, cr in zip(y, c)]
-                    yi = -yi
-                del y_nb[i]
-                y_nb.insert(j, yi)
-                if overlap is None and min(y_nb) >= 0:
+                if (
+                    overlap is None
+                    and reduce(or_, map(reach_of, cones[nb])) == full
+                    and _holds(rows, _pairing(rows, v), i, p)
+                ):
                     overlap = (root, nb)
-                stack.append((nb, rows, y_nb, (c, i, j, scale)))
+                stack.append((nb, rows, (v, i, j, scale)))
     if fold is not None:
         k, s, a = fold
         s = -s
         fold = cones[k][:s] + cones[k][s + 1 :], cones[a], cones[k]
     return dets, roots, overlap, fold
+
+
+def _reach_masks(rows: list[list[int]], columns: list[tuple[int, ...]]) -> list[int]:
+    """For each ray j, the bitmask of the rows ``u_r`` with ``<u_r, v_j> >
+    0``; ``columns`` are the columns of the ray matrix, one entry per ray.
+    Built one row at a time, over the columns the row does not vanish on."""
+    reach = [0] * len(columns[0])
+    for r, u in enumerate(rows):
+        dots = [0] * len(reach)
+        for x, column in zip(u, columns):
+            if x:
+                dots = [d + x * y for d, y in zip(dots, column)]
+        bit = 1 << r
+        reach = [m | bit if d > 0 else m for m, d in zip(reach, dots)]
+    return reach
+
+
+def _pairing(rows: list[list[int]], v: list[tuple[int, int]]) -> list[int]:
+    """``c_r = <u_r, v>`` for each row ``u_r``, over the nonzeros ``(t,
+    x)`` of ``v``."""
+    t, x = v[0]
+    c = [x * u[t] for u in rows]
+    for t, x in v[1:]:
+        c = [a + x * u[t] for a, u in zip(c, rows)]
+    return c
+
+
+def _holds(rows: list[list[int]], c: Sequence[int], i: int, p: list[tuple[int, int]]) -> bool:
+    """Whether the cone that ``_exchange(rows, c, i, ...)`` reaches holds
+    the point with nonzeros ``p``.  With ``y_r = <u_r, p>`` its scaled
+    coordinates of p are ``sgn(c_i) (c_i y_r - c_r y_i) / scale`` and
+    ``sgn(c_i) y_i``; it holds p iff none is negative."""
+    y = _pairing(rows, p)
+    ci, yi = c[i], y[i]
+    d = [ci * yr - cr * yi for yr, cr in zip(y, c)]
+    return (min(d) >= 0 and yi >= 0) if ci > 0 else (max(d) <= 0 and yi <= 0)
 
 
 def _exchange(rows: list[list[int]], c: Sequence[int], i: int, j: int, scale: int) -> list[list[int]]:

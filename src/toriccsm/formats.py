@@ -74,7 +74,9 @@ def parse_fan_text(text: str, source: str = "<string>") -> tuple[Fan, str | None
                 name = rest or None
             elif key == "dim":
                 try:
-                    dim = int(rest)
+                    if not _INT.fullmatch(rest):
+                        raise ValueError(rest)
+                    dim = int(rest)  # past the digit limit this fails too
                 except ValueError:
                     fail(lineno, f"field 'dim' needs an integer, got {rest!r}")
             else:
@@ -82,11 +84,14 @@ def parse_fan_text(text: str, source: str = "<string>") -> tuple[Fan, str | None
                     fail(lineno, f"field '{key}' takes no inline value")
                 section = key
             continue
+        tokens = line.split()
         try:
             try:
-                values = list(map(int, line.split()))
+                # int reads a token of ASCII text without "_" as [+-]?[0-9]+
+                # or not at all
+                values = list(map(int if line.isascii() and "_" not in line else _int_of, tokens))
             except ValueError:  # perhaps an integer past the digit limit
-                values = list(map(_int_of, line.split()))
+                values = list(map(_int_of, tokens))
         except ValueError:
             fail(lineno, f"expected whitespace-separated integers, got {line!r}")
         if section == "rays":
@@ -145,16 +150,19 @@ def monomial_sort_key(mono: Monomial):
     return (monomial_degree(mono), tuple((ray, -e) for ray, e in mono))
 
 
-def _int_of(digits: str) -> int:
-    """``int(digits)``, also past the interpreter's digit limit when
-    ``digits`` is ASCII ``[+-]?[0-9]+``.  Any other text that ``int``
-    rejects raises its ``ValueError``: ``Decimal`` would read ``1.5``."""
-    try:
-        return int(digits)
-    except ValueError:
-        if not _INT.fullmatch(digits):
-            raise
-        return int(Decimal(digits))
+def _int_of(token: str) -> int:
+    """The integer ``token`` writes as ASCII ``[+-]?[0-9]+`` between
+    optional whitespace, also past the interpreter's digit limit.  Any
+    other text raises ``ValueError``, with ``int``'s message where ``int``
+    rejects it too: ``int`` alone reads ``1_0`` as 10 and the
+    Arabic-Indic digit one as 1, and ``Decimal`` reads ``1.5``."""
+    if _INT.fullmatch(token.strip()):
+        try:
+            return int(token)
+        except ValueError:  # past the digit limit
+            return int(Decimal(token))
+    int(token)  # raises int's own message for text it rejects
+    raise ValueError(f"invalid literal for int() with base 10: {token!r}")
 
 
 def render_class(c: GradedClass) -> str:
@@ -189,8 +197,8 @@ def render_class(c: GradedClass) -> str:
 
 
 _TERM = re.compile(r"[+-]?[^+-]+")
-_VAR = re.compile(r"^x(\d+)(?:\^(\d+))?$")
-_NUM = re.compile(r"^\d+(?:/\d+)?$")
+_VAR = re.compile(r"x([0-9]+)(?:\^([0-9]+))?")
+_NUM = re.compile(r"[0-9]+(?:/[0-9]+)?")
 
 
 def parse_class(s: str) -> GradedClass:
@@ -212,17 +220,17 @@ def parse_class(s: str) -> GradedClass:
         coeff = Fraction(sign)
         exps: dict[int, int] = {}
         for factor in tok.split("*"):
-            if _NUM.match(factor):
+            if _NUM.fullmatch(factor):
                 num, _, den = factor.partition("/")
                 try:
                     coeff *= Fraction(_int_of(num), _int_of(den or "1"))
                 except ZeroDivisionError:
                     raise ValidationError(f"zero denominator in term factor {factor!r}") from None
                 continue
-            vm = _VAR.match(factor)
+            vm = _VAR.fullmatch(factor)
             if not vm:
                 raise ValidationError(f"cannot parse term factor {factor!r}")
-            ray, e = int(vm.group(1)), int(vm.group(2) or 1)
+            ray, e = _int_of(vm.group(1)), _int_of(vm.group(2) or "1")
             if e:  # x^0 is 1: a monomial holds only positive exponents
                 exps[ray] = exps.get(ray, 0) + e
         mono = tuple(sorted((ray, e) for ray, e in exps.items()))

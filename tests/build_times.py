@@ -6,7 +6,7 @@ on each fan's text and ``render_class`` on its csm class, as two rows.
 With ``--validate`` it times validation alone: ``Fan(dim, rays, cones)``
 on each fan's raw rays and maximal cones.
 
-    python tests/build_times.py --src A/src --src B/src [--rounds 5] [--nonfaces | --formats | --validate] [--fan 'P^3 + 20' ...]
+    python tests/build_times.py --src A/src --src B/src [--rounds 5] [--seed 1] [--nonfaces | --formats | --validate] [--fan 'P^3 + 20' ...]
 
 Each round times every fan under every tree, one after the other, each
 in a fresh interpreter that imports ``toriccsm`` from that tree's
@@ -22,8 +22,10 @@ in how many rounds it was faster.
 
 The fans are named as in ROADMAP's Baseline: ``P^n + k`` is
 ``helpers.stellar_fan(n, k, 1)``, and a product is written with ``*``.
-The names of the perfbench workloads stand for every seed-1 file of that
-workload, each built under its ``--elim-cone``, timed as one sum.  The
+The names of the perfbench workloads stand for every file of that
+workload that ``--seed`` generates (default 1, the seed of ROADMAP's
+Baseline; the benchmark runs seed 0), each built under its
+``--elim-cone``, timed as one sum.  The
 text ``--formats`` parses is the file's; for any other fan it is
 ``render_fan``'s.  A build of P^3 + 60, P^4 + 40 or P^2 + 100 takes
 seconds to minutes; their non-face listing alone takes well under a
@@ -63,9 +65,10 @@ BUDGET_S = 0.5
 PARTS = {"build": ("",), "nonfaces": ("",), "validate": ("",), "formats": (" parse", " render")}
 
 
-def _cases(name: str, tc) -> list[tuple]:
+def _cases(name: str, tc, seed: int) -> list[tuple]:
     """(fan, elimination cone or None, fan text) of every build the fan
-    name stands for, with ``toriccsm`` imported as ``tc``."""
+    name stands for, with ``toriccsm`` imported as ``tc``; a workload's
+    files are those of ``seed``."""
     from helpers import stellar_fan
 
     if name in WORKLOADS:
@@ -73,7 +76,7 @@ def _cases(name: str, tc) -> list[tuple]:
         import workloads
 
         with tempfile.TemporaryDirectory() as workdir:
-            rounds = workloads.generate(tc, name, 1, Path(workdir))
+            rounds = workloads.generate(tc, name, seed, Path(workdir))
             texts = [
                 ((Path(workdir) / case.file).read_text(), case.elim_cone)
                 for cases in rounds
@@ -100,14 +103,14 @@ def _fastest(timed, cases: list[tuple]) -> float:
     return best
 
 
-def _worker(name: str, kind: str = "build") -> list[float]:
+def _worker(name: str, kind: str = "build", seed: int = 1) -> list[float]:
     """Fastest times of the fan, one per row of ``PARTS[kind]``: its
     build, its non-face listing, its validation, or the parse of its text
     and the rendering of its csm class."""
     import toriccsm as tc
     import toriccsm.cli  # noqa: F401
 
-    cases = _cases(name, tc)
+    cases = _cases(name, tc, seed)
     if kind == "build":
         return [_fastest(tc.build_presentation, [(fan, elim) for fan, elim, _ in cases])]
     if kind == "nonfaces":
@@ -122,10 +125,10 @@ def _worker(name: str, kind: str = "build") -> list[float]:
     ]
 
 
-def _run(src: str, name: str, kind: str) -> list[float]:
+def _run(src: str, name: str, kind: str, seed: int) -> list[float]:
     code = (
         f"import sys; sys.path[:0] = [{src!r}, {str(ROOT / 'tests')!r}]; "
-        f"import build_times; print(*build_times._worker({name!r}, {kind!r}))"
+        f"import build_times; print(*build_times._worker({name!r}, {kind!r}, {seed!r}))"
     )
     done = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, check=True)
     return [float(t) for t in done.stdout.split()]
@@ -135,6 +138,7 @@ def main(argv: list[str] | None = None) -> None:
     parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
     parser.add_argument("--src", action="append", required=True, help="a tree's src directory")
     parser.add_argument("--rounds", type=int, default=5)
+    parser.add_argument("--seed", type=int, default=1, help="the seed of the workloads' files")
     kind = parser.add_mutually_exclusive_group()
     kind.add_argument("--nonfaces", action="store_const", dest="kind", const="nonfaces",
                       default="build", help="time the non-face listing alone")
@@ -153,7 +157,7 @@ def main(argv: list[str] | None = None) -> None:
             times[src].append([])
         for name in names:
             for src in order:
-                times[src][-1].extend(_run(src, name, args.kind))
+                times[src][-1].extend(_run(src, name, args.kind, args.seed))
         print(f"round {r + 1} of {args.rounds} done", file=sys.stderr)
     base = times[args.src[0]]
     for i, row in enumerate(rows):

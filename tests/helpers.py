@@ -20,9 +20,11 @@ cones, not from the presentation.  The class of a product fan comes from
 its factors' classes by the product formula, which never walks the
 product's faces or its product of (1 + x_rho).  ``same_side_wall``
 scans every cone and slot for a folded wall with its own parity rule,
-apart from the validation walk that names one.  ``render_class_oracle``
-writes a class from ``Fraction`` comparisons on each coefficient, not
-from its integer numerator and denominator.
+apart from the validation walk that names one.  ``eager_pivot_walk`` is
+that walk without its filter: every cone it reaches carries the
+coordinates of the root's ray sum and is tested for holding it.
+``render_class_oracle`` writes a class from ``Fraction`` comparisons on
+each coefficient, not from its integer numerator and denominator.
 
 The fan generators are shared too: ``stellar_fan`` builds the P^n + k
 fans, ``relabelled_products`` draws products with relabelled rays and
@@ -57,7 +59,8 @@ from toriccsm import (
     weighted_projective,
 )
 from toriccsm.chow import _add_rows, _leading_divisor, _mask, _row, multiplication_tables
-from toriccsm.exact_linalg import rational_rref
+from toriccsm.exact_linalg import fraction_free_solve_rows, rational_rref
+from toriccsm.fan import _exchange
 
 
 def cofactor_det(rows: list[list[int]]) -> int:
@@ -219,6 +222,77 @@ def same_side_wall(cones: Sequence[Cone], across, dets: list[int]) -> tuple[tupl
                 idx = cones[k].ray_indices
                 return idx[:s] + idx[s + 1 :], cones[a].ray_indices, idx
     return None
+
+
+def eager_pivot_walk(fan: Fan, across) -> tuple[list[int], list[int], tuple[int, int] | None, tuple | None]:
+    """``fan._pivot_walk``'s ``(dets, roots, overlap, fold)`` by the same
+    walk, done eagerly: every cone it reaches takes the whole pairing
+    vector ``c_r = <u_r, v>``, and the coordinates ``y = |det| . sigma^-1
+    p`` of the root's ray sum p ride along by the exchange of
+    ``fan._exchange``, so every reached cone is tested for holding p (all
+    y >= 0) with no filter in front of the test."""
+    n = fan.ambient_dim
+    cones = [c.ray_indices for c in fan.max_cones]
+    support = [[(t, x) for t, x in enumerate(v) if x] for v in fan.rays]
+    dets: list[int | None] = [None] * len(cones)
+    roots: list[int] = []
+    overlap = fold = None
+    for root, cone in enumerate(cones):
+        if dets[root] is not None:
+            continue
+        roots.append(root)
+        rays = [fan.rays[j] for j in cone]
+        system = [[v[t] for v in rays] + [int(t == s) for s in range(n)] for t in range(n)]
+        det, inv = fraction_free_solve_rows(system)
+        dets[root] = det
+        if not det:
+            continue
+        stack = [(root, inv, [abs(det)] * n, None)]
+        while stack:
+            k, rows, y, step = stack.pop()
+            det = dets[k]
+            scale = abs(det)
+            positive = det > 0
+            for i, there in enumerate(across[k]):
+                if there is None:
+                    continue
+                nb, j = there
+                seen = dets[nb]
+                if seen is not None:
+                    if (positive != (seen > 0)) == ((i ^ j) & 1):
+                        key = (k, -i, nb) if k > nb else (nb, -j, k)
+                        if fold is None or key < fold:
+                            fold = key
+                    continue
+                if step is not None:
+                    rows = _exchange(rows, *step)
+                    step = None
+                v = support[cones[nb][j]]
+                t, x = v[0]
+                c = [x * u[t] for u in rows]
+                for t, x in v[1:]:
+                    c = [a + x * u[t] for a, u in zip(c, rows)]
+                ci = c[i]
+                nb_det = ci if positive else -ci
+                dets[nb] = -nb_det if (i - j) & 1 else nb_det
+                if not ci:
+                    continue
+                yi = y[i]
+                if ci > 0:
+                    y_nb = [(ci * yr - cr * yi) // scale for yr, cr in zip(y, c)]
+                else:
+                    y_nb = [(cr * yi - ci * yr) // scale for yr, cr in zip(y, c)]
+                    yi = -yi
+                del y_nb[i]
+                y_nb.insert(j, yi)
+                if overlap is None and min(y_nb) >= 0:
+                    overlap = (root, nb)
+                stack.append((nb, rows, y_nb, (c, i, j, scale)))
+    if fold is not None:
+        k, s, a = fold
+        s = -s
+        fold = cones[k][:s] + cones[k][s + 1 :], cones[a], cones[k]
+    return dets, roots, overlap, fold
 
 
 def is_column_hnf(h: list[list[int]]) -> bool:
@@ -481,12 +555,18 @@ def normal_form_orbit_sums(
     return sums
 
 
+def relabel_raw(rays, cones, perm: list[int]) -> tuple[list[tuple[int, ...]], list[tuple[int, ...]]]:
+    """Rays and maximal cones, which need not make a valid fan, with ray
+    ``j`` renamed to ``perm[j]``."""
+    out = [None] * len(rays)
+    for j, v in enumerate(rays):
+        out[perm[j]] = v
+    return out, [tuple(perm[j] for j in c) for c in cones]
+
+
 def relabel(fan: Fan, perm: list[int]) -> Fan:
     """The same fan with ray ``j`` renamed to ``perm[j]``."""
-    rays = [None] * len(fan.rays)
-    for j, v in enumerate(fan.rays):
-        rays[perm[j]] = v
-    cones = [tuple(perm[j] for j in c.ray_indices) for c in fan.max_cones]
+    rays, cones = relabel_raw(fan.rays, [c.ray_indices for c in fan.max_cones], perm)
     return build_fan(fan.ambient_dim, rays, cones)
 
 
@@ -570,10 +650,7 @@ def relabelled_products(draw):
     for f in factors[1:]:
         fan = product(fan, f)
     perm = draw(st.permutations(range(len(fan.rays))))
-    rays = [None] * len(perm)
-    for j, v in enumerate(fan.rays):
-        rays[perm[j]] = v
-    cones = [tuple(perm[j] for j in c.ray_indices) for c in fan.max_cones]
+    rays, cones = relabel_raw(fan.rays, [c.ray_indices for c in fan.max_cones], perm)
     return factors, build_fan(fan.ambient_dim, rays, draw(st.permutations(cones)))
 
 
@@ -858,24 +935,31 @@ def _suspended_double_winding() -> tuple[int, list[tuple[int, ...]], list[tuple[
     return 3, rays, [c + (apex,) for c in cones for apex in (8, 9)]
 
 
-def _shuffled_double_winding_times(fan: Fan, seed: int) -> tuple[int, list[tuple[int, ...]], list[tuple[int, ...]]]:
-    """The double winding times ``fan``, laid out as ``product`` lays out
-    a product, with its rays relabelled and its maximal cones shuffled by
-    one ``random.Random(seed)``: the cone that holds the first cone's ray
-    sum a second time lies deep in the walk across the walls."""
-    n1, rays1, cones1 = _double_winding()
-    n2 = fan.ambient_dim
-    rays = [r + (0,) * n2 for r in rays1] + [(0,) * n1 + r for r in fan.rays]
-    cones = [c1 + tuple(j + len(rays1) for j in c2.ray_indices) for c1 in cones1 for c2 in fan.max_cones]
+def raw_product(first, second) -> tuple[int, list[tuple[int, ...]], list[tuple[int, ...]]]:
+    """The product of two fans given as raw ``(dim, rays, maximal cones)``,
+    which need not be valid, laid out as ``product`` lays out a product."""
+    n1, rays1, cones1 = first
+    n2, rays2, cones2 = second
+    rays = [tuple(r) + (0,) * n2 for r in rays1] + [(0,) * n1 + tuple(r) for r in rays2]
+    shift = len(rays1)
+    return n1 + n2, rays, [tuple(c1) + tuple(j + shift for j in c2) for c1 in cones1 for c2 in cones2]
+
+
+def _shuffled_double_winding_times(
+    fan: Fan, seed: int
+) -> tuple[int, list[tuple[int, ...]], list[tuple[int, ...]]]:
+    """The double winding times ``fan``, with its rays relabelled and its
+    maximal cones shuffled by one ``random.Random(seed)``: the cone that
+    holds the first cone's ray sum a second time lies deep in the walk
+    across the walls."""
+    raw = fan.ambient_dim, fan.rays, [c.ray_indices for c in fan.max_cones]
+    n, rays, cones = raw_product(_double_winding(), raw)
     rng = random.Random(seed)
     perm = list(range(len(rays)))
     rng.shuffle(perm)
-    relabelled = [None] * len(rays)
-    for j, v in enumerate(rays):
-        relabelled[perm[j]] = v
-    cones = [tuple(perm[j] for j in c) for c in cones]
+    rays, cones = relabel_raw(rays, cones, perm)
     rng.shuffle(cones)
-    return n1 + n2, relabelled, cones
+    return n, rays, cones
 
 
 # Fans that pass the wall condition (every wall in two maximal cones, on

@@ -263,6 +263,30 @@ def test_integers_past_the_int_digit_limit_are_read(capsys, tmp_path):
     assert (code, err) == (2, f"toric-csm: validation error: cone (2, {Decimal(r)}) references unknown ray {Decimal(r)}\n")
 
 
+@pytest.mark.parametrize(
+    "argv, message",
+    [
+        (["--builder", "pn=\u0661"], "bad builder argument in 'pn=\u0661': invalid literal for int() with base 10: '\u0661'"),
+        (["--builder", "wps=1,1_0,1"], "bad builder argument in 'wps=1,1_0,1': invalid literal for int() with base 10: '1_0'"),
+        (["--builder", "hirzebruch=1", "--elim-cone", "0,1_0"],
+         "bad --elim-cone value '0,1_0': invalid literal for int() with base 10: '1_0'"),
+        (["--builder", "hirzebruch=1", "--elim-cone", "\u0660,1"],
+         "bad --elim-cone value '\u0660,1': invalid literal for int() with base 10: '\u0660'"),
+        (["--builder", "wps=1,1,2", "--force-hnf", "--threads", "\u0662"],
+         "argument --threads: invalid int value: '\u0662'"),
+    ],
+    ids=["builder", "builder-underscore", "elim-cone", "elim-cone-arabic-indic", "threads"],
+)
+def test_arguments_read_only_ascii_integers(capsys, argv, message):
+    # int alone reads 1_0 as 10 and an Arabic-Indic digit as its value:
+    # pn=\u0661 computed P^1 and --elim-cone 0,1_0 named the cone (0, 10).
+    code, out, err = run(capsys, "csm", *argv)
+    assert (code, out) == (1, "") and err.endswith(f"error: {message}\n"), err
+    # signs and surrounding whitespace still read, as int reads them
+    assert run(capsys, "euler", "--builder", "pn=+2", "--elim-cone", "+0, 1 ")[:2] == (0, "3\n")
+    assert run(capsys, "csm", "--builder", "wps=1,1,2", "--force-hnf", "--threads", " +1")[0] == 0
+
+
 def test_elim_cone_with_a_repeated_ray_is_named(capsys):
     message = "toric-csm: validation error: duplicate ray index in cone (0, 0)\n"
     for command in ("csm", "euler", "chow"):

@@ -6,9 +6,13 @@ from types import SimpleNamespace
 
 import pytest
 from helpers import (
+    _FACTORS,
     MULTI_COVER_FANS,
+    eager_pivot_walk,
     oracle_multiplicity,
+    raw_product,
     relabel,
+    relabel_raw,
     same_side_wall,
     shuffled_products,
     stellar_fan,
@@ -467,6 +471,39 @@ def test_walk_fold_matches_same_side_wall(data, pick):
         assume(all(dets))
         assert fold == same_side_wall(cone_objects, across, dets)
         assert (fold is None) == (vectors is rays)
+
+
+@st.composite
+def _multi_cover_products(draw):
+    """A ``MULTI_COVER_FANS`` entry times a drawn factor, relabelled and
+    with its cones shuffled, as raw data."""
+    entry = MULTI_COVER_FANS[draw(st.sampled_from(sorted(MULTI_COVER_FANS)))]
+    fan = draw(st.sampled_from(_FACTORS))()
+    n, rays, cones = raw_product(entry, _raw(fan))
+    rays, cones = relabel_raw(rays, cones, draw(st.permutations(range(len(rays)))))
+    return n, rays, draw(st.permutations(cones))
+
+
+@settings(max_examples=80, deadline=None, database=None)
+@given(
+    data=st.one_of(shuffled_products(), _stellar_fans().map(_raw), _multi_cover_products()),
+    pick=st.integers(-1, 10**6),
+)
+def test_walk_matches_the_eager_walk(data, pick):
+    # The walk tests a reached cone for holding the root's ray sum only
+    # where its rays' reach masks allow; the eager walk carries that point's
+    # coordinates into every cone it reaches and tests them all.  Both
+    # return the same determinants, roots, first overlap and fold, on fans
+    # as drawn, with one ray negated (pick >= 0), and on fans that cover
+    # space more than once.
+    n, rays, cones = data
+    if pick >= 0:
+        r = pick % len(rays)
+        rays = rays[:r] + [tuple(-x for x in rays[r])] + rays[r + 1 :]
+    cone_objects = [Cone(c) for c in cones]
+    across = fan_mod._wall_table(cone_objects, n)
+    unchecked = SimpleNamespace(ambient_dim=n, rays=rays, max_cones=cone_objects)
+    assert fan_mod._pivot_walk(unchecked, across) == eager_pivot_walk(unchecked, across)
 
 
 @pytest.mark.parametrize(

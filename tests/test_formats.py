@@ -1,4 +1,5 @@
 import random
+import re
 from fractions import Fraction
 
 import pytest
@@ -152,6 +153,36 @@ def test_fan_round_trip_past_the_int_digit_limit():
     for token in ("1.5", "1e3", digits + ".0", digits + "e0"):
         with pytest.raises(ValidationError, match="line 6: expected whitespace-separated integers"):
             parse_fan_text(text.replace(digits, token))
+
+
+@pytest.mark.parametrize("token", ["1_0", "\u0661", "\uff11", "1\u0660"], ids=["underscore", "arabic-indic", "fullwidth", "mixed"])
+def test_fan_file_data_lines_read_only_ascii_integers(token):
+    # int alone reads 1_0 as 10 and the Arabic-Indic or fullwidth one as 1,
+    # which turned a ray or cone line into numbers the file does not hold.
+    text = H5_DOC.replace("  0 1\n  -1 5", f"  0 1\n  -1 {token}", 1)
+    with pytest.raises(ValidationError, match=f"line 8: expected whitespace-separated integers, got '-1 {token}'$"):
+        parse_fan_text(text)
+    cones = H5_DOC.replace("  2 3\n", f"  2 {token}\n", 1)
+    with pytest.raises(ValidationError, match=f"line 13: expected whitespace-separated integers, got '2 {token}'$"):
+        parse_fan_text(cones)
+    # signs on ASCII integers still read
+    assert parse_fan_text(H5_DOC.replace("  -1 5", "  -1 +5", 1))[0].rays == hirzebruch(5).rays
+
+
+@pytest.mark.parametrize("value", ["\u0662", "2_0", "+\u0662"])
+def test_fan_file_dim_reads_only_ascii_integers(value):
+    with pytest.raises(ValidationError, match=re.escape(f"line 4: field 'dim' needs an integer, got '{value}'")):
+        parse_fan_text(H5_DOC.replace("dim: 2", f"dim: {value}", 1))
+    assert parse_fan_text(H5_DOC.replace("dim: 2", "dim: +2", 1))[0].ambient_dim == 2
+
+
+def test_parse_class_reads_only_ascii_digits():
+    # \d and $ let these through: an Arabic-Indic digit as a ray index, a
+    # coefficient or an exponent, and a trailing newline.
+    for s in ("x\u0661", "\u0663*x1", "x1^\u0662", "x1\n"):
+        with pytest.raises(ValidationError, match="cannot parse term factor"):
+            parse_class(s)
+    assert parse_class("3*x1^2") == {((1, 2),): Fraction(3)}
 
 
 def test_parse_class_rejects_garbage():
