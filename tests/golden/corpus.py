@@ -27,8 +27,9 @@ The corpus:
 - malformed fan files (ragged rays, bad cones, repeated headers, an open
   fan, a wall in three cones, folded fans (among them stellar fans and
   products with one ray negated), fans that cover space twice,
-  a non-simplicial cone listed before a malformed one, a latin-1 file)
-  through every command;
+  a non-simplicial cone listed before a malformed one, fans in several
+  coordinate blocks that are no product of valid factors, a latin-1
+  file) through every command;
 - usage errors and bad arguments: unknown builders, a non-maximal or
   repeated elimination cone, a missing file.
 
@@ -47,7 +48,7 @@ import re
 from contextlib import redirect_stderr, redirect_stdout
 from pathlib import Path
 
-from helpers import MULTI_COVER_FANS, relabel, stellar_fan, suite_fans
+from helpers import MULTI_COVER_FANS, SPLIT_DECLINE_FANS, relabel, shuffled_raw, stellar_fan, suite_fans
 
 from toriccsm import (
     build_fan,
@@ -177,6 +178,13 @@ for _stem, (_build, _ray) in FOLDED.items():
     MALFORMED[f"folded-{_stem}.fan"] = _fan_text(
         _fan.ambient_dim, _rays, [c.ray_indices for c in _fan.max_cones]
     )
+
+# Fans in two or more coordinate blocks that validation cannot split into
+# valid factors, relabelled and with their cones shuffled, each by its own
+# random.Random(SPLIT_DECLINE_SEED + position)
+SPLIT_DECLINE_SEED = 31
+for _k, (_name, _raw) in enumerate(SPLIT_DECLINE_FANS.items()):
+    MALFORMED[_name.replace(" ", "-") + ".fan"] = _fan_text(*shuffled_raw(_raw, SPLIT_DECLINE_SEED + _k))
 
 LATIN1 = b"name: caf\xe9\ndim: 1\nrays:\n  1\n  -1\nmax_cones:\n  0\n  1\n\xff\n"
 

@@ -945,6 +945,23 @@ def raw_product(first, second) -> tuple[int, list[tuple[int, ...]], list[tuple[i
     return n1 + n2, rays, [tuple(c1) + tuple(j + shift for j in c2) for c1 in cones1 for c2 in cones2]
 
 
+def shuffled_raw(raw, seed: int) -> tuple[int, list[tuple[int, ...]], list[tuple[int, ...]]]:
+    """Raw ``(dim, rays, maximal cones)``, which need not be valid, with
+    the rays relabelled and the maximal cones shuffled by one
+    ``random.Random(seed)``."""
+    n, rays, cones = raw
+    rng = random.Random(seed)
+    perm = list(range(len(rays)))
+    rng.shuffle(perm)
+    rays, cones = relabel_raw(rays, cones, perm)
+    rng.shuffle(cones)
+    return n, rays, cones
+
+
+def _raw_fan(fan: Fan) -> tuple[int, tuple[tuple[int, ...], ...], list[tuple[int, ...]]]:
+    return fan.ambient_dim, fan.rays, [c.ray_indices for c in fan.max_cones]
+
+
 def _shuffled_double_winding_times(
     fan: Fan, seed: int
 ) -> tuple[int, list[tuple[int, ...]], list[tuple[int, ...]]]:
@@ -952,14 +969,7 @@ def _shuffled_double_winding_times(
     maximal cones shuffled by one ``random.Random(seed)``: the cone that
     holds the first cone's ray sum a second time lies deep in the walk
     across the walls."""
-    raw = fan.ambient_dim, fan.rays, [c.ray_indices for c in fan.max_cones]
-    n, rays, cones = raw_product(_double_winding(), raw)
-    rng = random.Random(seed)
-    perm = list(range(len(rays)))
-    rng.shuffle(perm)
-    rays, cones = relabel_raw(rays, cones, perm)
-    rng.shuffle(cones)
-    return n, rays, cones
+    return shuffled_raw(raw_product(_double_winding(), _raw_fan(fan)), seed)
 
 
 # Fans that pass the wall condition (every wall in two maximal cones, on
@@ -975,4 +985,49 @@ MULTI_COVER_FANS = {
     ),
     "double winding x P2": _shuffled_double_winding_times(projective_space(2), 0),
     "double winding x hirzebruch 3": _shuffled_double_winding_times(hirzebruch(3), 1),
+}
+
+
+def _p1_times_p2() -> tuple[int, list[tuple[int, ...]], list[tuple[int, ...]]]:
+    return raw_product(_raw_fan(projective_space(1)), _raw_fan(projective_space(2)))
+
+
+def _p1_times_p2_with_a_flat_cone() -> tuple[int, list[tuple[int, ...]], list[tuple[int, ...]]]:
+    # the last cone (1, 3, 4) becomes (2, 3, 4), three rays of the plane x = 0
+    n, rays, cones = _p1_times_p2()
+    return n, rays, cones[:-1] + [(2, 3, 4)]
+
+
+def _p1_times_wall_in_three() -> tuple[int, list[tuple[int, ...]], list[tuple[int, ...]]]:
+    # P^3 and the cone (0, 1, 4) on the ray (1, 1, 1): the wall (0, 1) lies
+    # in three cones
+    rays = [(1, 0, 0), (0, 1, 0), (0, 0, 1), (-1, -1, -1), (1, 1, 1)]
+    cones = [(0, 1, 2), (0, 1, 3), (0, 2, 3), (1, 2, 3), (0, 1, 4)]
+    return raw_product(_raw_fan(projective_space(1)), (3, rays, cones))
+
+
+# Fans whose rays fall into two or more coordinate blocks (two coordinates
+# share a block when some ray is nonzero on both) but that are not products
+# of valid factors, so validation cannot split them: each value is (dim,
+# rays, maximal cones), and each is rejected.
+SPLIT_DECLINE_FANS = {
+    # blocks {x, y} and {z}: P^2's cones above z = 0, the four cones of
+    # P^2's rays and (-1, 0, 0) below it
+    "two plane fans on a line": (
+        3,
+        [(1, 0, 0), (0, 1, 0), (-1, -1, 0), (-1, 0, 0), (0, 0, 1), (0, 0, -1)],
+        [(0, 1, 4), (1, 2, 4), (0, 2, 4), (0, 1, 5), (1, 3, 5), (2, 3, 5), (0, 2, 5)],
+    ),
+    "P1 x P2 with a flat cone": _p1_times_p2_with_a_flat_cone(),
+    "P1 x P2 and an unused ray": (
+        3, _p1_times_p2()[1] + [(0, 1, 1)], _p1_times_p2()[2]
+    ),
+    "P1 x wall in three": _p1_times_wall_in_three(),
+    # every cone holds three rays of the block {x, y} and none of {z}
+    "three plane rays twice": (
+        3,
+        [(1, 0, 0), (0, 1, 0), (-1, -1, 0), (-1, 0, 0), (0, 0, 1), (0, 0, -1)],
+        [(0, 1, 2), (0, 1, 3)],
+    ),
+    "P1 x P1 less a cone": (2, [(1, 0), (-1, 0), (0, 1), (0, -1)], [(0, 2), (0, 3), (1, 2)]),
 }
