@@ -524,7 +524,9 @@ def _groebner_tables(
     elements are never paired, since their S-polynomial is zero, nor are
     leads with coprime leading monomials or an lcm above the top degree
     (Buchberger's criteria: Cox-Little-O'Shea, *Ideals, Varieties, and
-    Algorithms*, 2.9).
+    Algorithms*, 2.9).  A new lead is divisible by no earlier lead, so its
+    lcm with one that shares a variable has a higher degree: the leads of
+    the top degree are paired with nothing.
 
     The divisor lookup scans no list of every lead.  Each lead is filed,
     in a monomial and a tailed list, under every variable it holds and
@@ -651,13 +653,16 @@ def _groebner_tables(
             support = [p for p, e in enumerate(exps) if e]
             mask = _mask(support)
             new = len(basis)
-            for i in range(new) if row else tailed:
-                ei, si = leads[i]
-                if si & mask:
-                    lcm = tuple(map(max, ei, exps))
-                    deg = sum(lcm)
-                    if deg <= top:
-                        pairs.setdefault(deg, []).append((i, new, packing.pack(lcm)))
+            # no earlier lead divides a new one, so in the top degree every
+            # lcm with a lead that shares a variable lies above top
+            if d < top:
+                for i in range(new) if row else tailed:
+                    ei, si = leads[i]
+                    if si & mask:
+                        lcm = tuple(map(max, ei, exps))
+                        deg = sum(lcm)
+                        if deg <= top:
+                            pairs.setdefault(deg, []).append((i, new, packing.pack(lcm)))
             element = (lead, {lead: _F1, **row})
             basis.append(element)
             leads.append((exps, mask))

@@ -12,8 +12,14 @@ lies in no other cone (Ewald, GTM 168, Ch. III).  One walk across the
 walls, keyed by the bitmasks of their rays, decides this and gives every
 maximal cone's determinant, each from a neighbour's; it compares the two
 cones' orientations at each wall as it passes, and names the folded wall
-that comes first in cone order.  The checks fail in the order ``Fan``
-lists them.  A ``Fan`` keeps no face cache:
+that comes first in cone order.  A product is walked one factor at a
+time: the coordinates split into blocks, two sharing a block when some
+ray is nonzero on both, and when the cones are every union of one cone
+of each block's fan, each of those fans is walked alone; the product is
+complete, simplicial and covers space once exactly when each factor is.
+Any other fan, and any product with a factor that fails, takes the walk
+of the whole fan, which alone names errors.  The checks fail in the
+order ``Fan`` lists them.  A ``Fan`` keeps no face cache:
 ``csm.enumerate_cones`` lists the cones.
 """
 
@@ -21,8 +27,9 @@ from __future__ import annotations
 
 from functools import reduce
 from itertools import combinations
-from math import gcd
+from math import gcd, prod
 from operator import index, or_
+from types import SimpleNamespace
 from typing import Iterable, Sequence
 
 from .errors import ValidationError, int_text
@@ -97,7 +104,10 @@ class Fan:
     but the first contains the sum of the first cone's rays.  The
     determinants come from one walk across the walls (``_pivot_walk``): one
     signed solve per piece, then each cone's determinant from a
-    neighbour's; the same walk finds and names a folded wall.  A cone
+    neighbour's; the same walk finds and names a folded wall.  A product
+    of fans on disjoint coordinate blocks is walked one factor at a time
+    (``_factor_multiplicities``), and takes the whole walk, with its
+    messages, only when a factor fails.  A cone
     whose shape is wrong is reported after any non-simplicial cone listed
     before it.  Each determinant's absolute value is the cone's
     multiplicity, cached on the cone, so every ``Fan`` carries the
@@ -173,7 +183,10 @@ def build_fan(ambient_dim: int, rays: Sequence[Sequence[int]],
 
 def _validate(fan: Fan) -> None:
     """The checks of ``Fan`` after ray shape, in the order it lists them;
-    caches each maximal cone's multiplicity."""
+    caches each maximal cone's multiplicity.  After the cone shapes, a fan
+    that splits into factors which each pass every check of the walk
+    (``_factor_multiplicities``) needs only the unused-ray check; any
+    other fan is walked whole, and that walk names every error."""
     n = fan.ambient_dim
     rays, cones = fan.rays, fan.max_cones
     for i, v in enumerate(rays):
@@ -195,16 +208,23 @@ def _validate(fan: Fan) -> None:
             if determinant(fan.ray_matrix(c)) == 0:
                 raise ValidationError(f"not simplicial: maximal cone {c.ray_indices}") from None
         raise
-    across = _wall_table(cones, n)
-    dets, roots, overlap, fold = _pivot_walk(fan, across)
-    for c, det in zip(cones, dets):
-        if det == 0:
-            raise ValidationError(f"not simplicial: maximal cone {c.ray_indices}")
-        c._mult = abs(det)
+    mults = _factor_multiplicities(fan)
+    across = None
+    if mults is None:
+        across = _wall_table(cones, n)
+        dets, roots, overlap, fold = _pivot_walk(fan, across)
+        for c, det in zip(cones, dets):
+            if det == 0:
+                raise ValidationError(f"not simplicial: maximal cone {c.ray_indices}")
+        mults = map(abs, dets)
+    for c, mult in zip(cones, mults):
+        c._mult = mult
     used = set().union(*(c.ray_indices for c in cones))
     missing = sorted(set(range(len(rays))) - used)
     if missing:
         raise ValidationError(f"unused ray: ray {missing[0]} appears in no maximal cone")
+    if across is None:  # a product of factors that each passed every check
+        return
     if any(None in row for row in across):
         raise ValidationError("fan fails completeness check")
     if fold:
@@ -226,6 +246,100 @@ def _validate(fan: Fan) -> None:
             f"fan fails completeness check: maximal cones {a} and {b} are not "
             f"connected through walls, so the cones cover space more than once"
         )
+
+
+def _coordinate_blocks(rays: Sequence[tuple[int, ...]], n: int) -> tuple[list[int], list[int]] | None:
+    """The coordinate blocks, as bitmasks of coordinates in increasing
+    order, and each ray's support as a bitmask; or None when there is one
+    block.  Two coordinates share a block when some ray is nonzero on both,
+    so each nonzero ray lies in one block.  The scan stops at the first ray
+    that joins the blocks into one: a ray nonzero everywhere, such as a
+    P^n apex or a stellar ray, ends it at once."""
+    full = (1 << n) - 1
+    bits = [1 << t for t in range(n)]
+    blocks: list[int] = []
+    supports = []
+    for v in rays:
+        if 0 not in v:
+            return None
+        support = sum(b for b, x in zip(bits, v) if x)
+        supports.append(support)
+        joined, apart = support, []
+        for block in blocks:
+            if block & support:
+                joined |= block
+            else:
+                apart.append(block)
+        if joined == full:
+            return None
+        apart.append(joined)
+        blocks = apart
+    return sorted(blocks), supports
+
+
+def _factor_multiplicities(fan: Fan) -> list[int] | None:
+    """Each maximal cone's multiplicity, in cone order, when the fan is
+    the product of the fans it induces on its coordinate blocks and each
+    of those passes every check of the walk; otherwise None.
+
+    The fan is that product when there are at least two blocks, every
+    maximal cone holds exactly dim(block) rays of each block, and the
+    numbers of distinct projections of the cones onto the blocks multiply
+    to the number of cones: the cones are distinct, so they are then
+    every union of one projection per block.  A factor is its block's rays
+    restricted to the block's coordinates, numbered in increasing order,
+    with the projections as its maximal cones.  A product of fans is
+    complete, simplicial and covers space once exactly when each factor
+    is (Cox-Little-Schenck, *Toric Varieties*, 3.1), and after a
+    permutation of rows and columns a cone's ray matrix is block
+    diagonal, so its multiplicity is the product of its projections'.  A
+    factor passes when every wall is in two cones, the walk has one root,
+    and it finds no fold, no overlap and no zero determinant; the caller
+    checks that every ray is used.  Only the walk of the whole fan names
+    errors, so any other case returns None for it to take.
+    """
+    n, rays, cones = fan.ambient_dim, fan.rays, fan.max_cones
+    split = _coordinate_blocks(rays, n)
+    if split is None:
+        return None
+    blocks, supports = split
+    members: list[list[int]] = [[] for _ in blocks]
+    for j, support in enumerate(supports):
+        next(m for block, m in zip(blocks, members) if block & support).append(j)
+    bits = [1 << j for j in range(len(rays))]
+    ray_masks = [sum(bits[j] for j in m) for m in members]
+    dims = [block.bit_count() for block in blocks]
+    # per block: the distinct projections of the cones, as ray bitmasks
+    projections: list[set[int]] = [set() for _ in blocks]
+    cone_masks = []
+    for c in cones:
+        mask = sum(map(bits.__getitem__, c.ray_indices))
+        for ray_mask, d, seen in zip(ray_masks, dims, projections):
+            p = mask & ray_mask
+            if p.bit_count() != d:
+                return None
+            seen.add(p)
+        cone_masks.append(mask)
+    if prod(map(len, projections)) != len(cones):
+        return None
+    singular = []  # (multiplicity of each projection, ray mask) of a non-unimodular factor
+    for block, m, d, projected, ray_mask in zip(blocks, members, dims, projections, ray_masks):
+        coords = [t for t in range(n) if block >> t & 1]
+        seen = sorted(projected)
+        factor = SimpleNamespace(
+            ambient_dim=d,
+            rays=[tuple(rays[j][t] for t in coords) for j in m],
+            max_cones=[Cone(i for i, j in enumerate(m) if p & bits[j]) for p in seen],
+        )
+        across = _wall_table(factor.max_cones, d)
+        dets, roots, overlap, fold = _pivot_walk(factor, across)
+        if len(roots) > 1 or overlap or fold or not all(dets) or any(None in row for row in across):
+            return None
+        if any(det not in (1, -1) for det in dets):
+            singular.append((dict(zip(seen, map(abs, dets))), ray_mask))
+    if not singular:
+        return [1] * len(cones)
+    return [prod(mults[mask & ray_mask] for mults, ray_mask in singular) for mask in cone_masks]
 
 
 def _check_cone_shape(c: Cone, n: int, num_rays: int, seen: set[tuple[int, ...]]) -> None:

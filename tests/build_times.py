@@ -22,6 +22,10 @@ in how many rounds it was faster.
 
 The fans are named as in ROADMAP's Baseline: ``P^n + k`` is
 ``helpers.stellar_fan(n, k, 1)``, and a product is written with ``*``.
+A product followed by `` + k``, such as ``(P1)^10 + 3``, is that product
+subdivided the same way (``helpers.stellar_subdivision(fan, k, 1)``):
+its first new ray is nonzero on every factor's coordinates, so it is
+validated as one fan, not factor by factor.
 The names of the perfbench workloads stand for every file of that
 workload that ``--seed`` generates (default 1, the seed of ROADMAP's
 Baseline; the benchmark runs seed 0), each built under its
@@ -47,6 +51,7 @@ WORKLOADS = ("wide-presentation", "deep-cones", "singular-batch")
 FANS = (
     "(P1)^10",
     "(P1)^12",
+    "(P1)^10 + 3",
     "pn=4*pn=4*pn=4",
     "wps=1,1,3*pn=5*pn=6",
     "P^3 + 12",
@@ -69,7 +74,7 @@ def _cases(name: str, tc, seed: int) -> list[tuple]:
     """(fan, elimination cone or None, fan text) of every build the fan
     name stands for, with ``toriccsm`` imported as ``tc``; a workload's
     files are those of ``seed``."""
-    from helpers import stellar_fan
+    from helpers import stellar_fan, stellar_subdivision
 
     if name in WORKLOADS:
         sys.path.insert(0, str(ROOT / "perfbench"))
@@ -83,12 +88,14 @@ def _cases(name: str, tc, seed: int) -> list[tuple]:
                 for case in cases
             ]
         return [(tc.formats.parse_fan_text(text)[0], elim, text) for text, elim in texts]
-    if name.startswith("P^"):
-        n, k = name[2:].split(" + ")
-        fan = stellar_fan(int(n), int(k), 1)
+    base, _, k = name.partition(" + ")
+    if base.startswith("P^"):
+        fan = stellar_fan(int(base[2:]), int(k), 1)
     else:
-        spec = "*".join(["pn=1"] * int(name[5:])) if name.startswith("(P1)^") else name
+        spec = "*".join(["pn=1"] * int(base[5:])) if base.startswith("(P1)^") else base
         fan = tc.cli._builder_fan(spec)
+        if k:
+            fan = stellar_subdivision(fan, int(k), 1)
     return [(fan, None, tc.render_fan(fan))]
 
 

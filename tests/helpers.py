@@ -23,6 +23,8 @@ scans every cone and slot for a folded wall with its own parity rule,
 apart from the validation walk that names one.  ``eager_pivot_walk`` is
 that walk without its filter: every cone it reaches carries the
 coordinates of the root's ray sum and is tested for holding it.
+``coordinate_block_count`` joins coordinates by union-find, apart from
+the bitmask scan that splits a product fan for validation.
 ``render_class_oracle`` writes a class from ``Fraction`` comparisons on
 each coefficient, not from its integer numerator and denominator.
 
@@ -555,6 +557,23 @@ def normal_form_orbit_sums(
     return sums
 
 
+def coordinate_block_count(rays: Sequence[Sequence[int]]) -> int:
+    """The number of classes of coordinates under the relation "some ray is
+    nonzero on both", by union-find over each ray's nonzero coordinates."""
+    parent = list(range(len(rays[0])))
+
+    def root(t: int) -> int:
+        while parent[t] != t:
+            t = parent[t]
+        return t
+
+    for v in rays:
+        nonzero = [t for t, x in enumerate(v) if x]
+        for t in nonzero[1:]:
+            parent[root(t)] = root(nonzero[0])
+    return len({root(t) for t in parent})
+
+
 def relabel_raw(rays, cones, perm: list[int]) -> tuple[list[tuple[int, ...]], list[tuple[int, ...]]]:
     """Rays and maximal cones, which need not make a valid fan, with ray
     ``j`` renamed to ``perm[j]``."""
@@ -611,17 +630,17 @@ def _subdivide(rays: list, cones: list, cone: tuple[int, ...], coeffs: list[int]
     cones += [cone[:i] + (len(rays) - 1,) + cone[i + 1 :] for i in range(n)]
 
 
-def stellar_fan(n: int, k: int, seed: int, coefficients: Sequence[int] = (1,)) -> Fan:
-    """P^n + k: ``projective_space(n)`` subdivided k times, each time at
-    the primitive vector of sum c_i v_i over the rays v_i of a maximal cone
-    drawn by one ``random.Random(seed)``'s ``choice`` over the current
-    maximal cones.  Each c_i is drawn from ``coefficients`` by the same
-    generator, after the cone; a single value is used without a draw.
-    Complete and not a product.  With the default all c_i are 1, so the fan
-    is smooth, and seed 1 gives the P^n + k fans of ROADMAP's Baseline;
-    ``coefficients=(1, 2)`` makes most of the fans singular."""
+def stellar_subdivision(fan: Fan, k: int, seed: int, coefficients: Sequence[int] = (1,)) -> Fan:
+    """``fan`` subdivided k times, each time at the primitive vector of
+    sum c_i v_i over the rays v_i of a maximal cone drawn by one
+    ``random.Random(seed)``'s ``choice`` over the current maximal cones.
+    Each c_i is drawn from ``coefficients`` by the same generator, after
+    the cone; a single value is used without a draw.  The fan stays
+    complete; its first new ray is nonzero on every coordinate block of a
+    product (a cone's ray sum is nonzero on each factor), so it is no
+    product."""
+    n = fan.ambient_dim
     rng = random.Random(seed)
-    fan = projective_space(n)
     rays = list(fan.rays)
     cones = [c.ray_indices for c in fan.max_cones]
     for _ in range(k):
@@ -632,6 +651,14 @@ def stellar_fan(n: int, k: int, seed: int, coefficients: Sequence[int] = (1,)) -
             coeffs = [rng.choice(coefficients) for _ in range(n)]
         _subdivide(rays, cones, cone, coeffs)
     return build_fan(n, rays, cones)
+
+
+def stellar_fan(n: int, k: int, seed: int, coefficients: Sequence[int] = (1,)) -> Fan:
+    """P^n + k: ``stellar_subdivision`` of ``projective_space(n)``.
+    Complete and not a product.  With the default all c_i are 1, so the fan
+    is smooth, and seed 1 gives the P^n + k fans of ROADMAP's Baseline;
+    ``coefficients=(1, 2)`` makes most of the fans singular."""
+    return stellar_subdivision(projective_space(n), k, seed, coefficients)
 
 
 _FACTORS = (
@@ -958,8 +985,9 @@ def shuffled_raw(raw, seed: int) -> tuple[int, list[tuple[int, ...]], list[tuple
     return n, rays, cones
 
 
-def _raw_fan(fan: Fan) -> tuple[int, tuple[tuple[int, ...], ...], list[tuple[int, ...]]]:
-    return fan.ambient_dim, fan.rays, [c.ray_indices for c in fan.max_cones]
+def raw_fan(fan: Fan) -> tuple[int, list[tuple[int, ...]], list[tuple[int, ...]]]:
+    """A fan as raw ``(dim, rays, maximal cones)``."""
+    return fan.ambient_dim, list(fan.rays), [c.ray_indices for c in fan.max_cones]
 
 
 def _shuffled_double_winding_times(
@@ -969,7 +997,7 @@ def _shuffled_double_winding_times(
     maximal cones shuffled by one ``random.Random(seed)``: the cone that
     holds the first cone's ray sum a second time lies deep in the walk
     across the walls."""
-    return shuffled_raw(raw_product(_double_winding(), _raw_fan(fan)), seed)
+    return shuffled_raw(raw_product(_double_winding(), raw_fan(fan)), seed)
 
 
 # Fans that pass the wall condition (every wall in two maximal cones, on
@@ -989,7 +1017,7 @@ MULTI_COVER_FANS = {
 
 
 def _p1_times_p2() -> tuple[int, list[tuple[int, ...]], list[tuple[int, ...]]]:
-    return raw_product(_raw_fan(projective_space(1)), _raw_fan(projective_space(2)))
+    return raw_product(raw_fan(projective_space(1)), raw_fan(projective_space(2)))
 
 
 def _p1_times_p2_with_a_flat_cone() -> tuple[int, list[tuple[int, ...]], list[tuple[int, ...]]]:
@@ -1003,7 +1031,7 @@ def _p1_times_wall_in_three() -> tuple[int, list[tuple[int, ...]], list[tuple[in
     # in three cones
     rays = [(1, 0, 0), (0, 1, 0), (0, 0, 1), (-1, -1, -1), (1, 1, 1)]
     cones = [(0, 1, 2), (0, 1, 3), (0, 2, 3), (1, 2, 3), (0, 1, 4)]
-    return raw_product(_raw_fan(projective_space(1)), (3, rays, cones))
+    return raw_product(raw_fan(projective_space(1)), (3, rays, cones))
 
 
 # Fans whose rays fall into two or more coordinate blocks (two coordinates

@@ -443,9 +443,10 @@ def test_correction_walk_sees_only_singular_cones(monkeypatch):
 
 @pytest.mark.parametrize("spec", ["pn=4*pn=4*pn=4", "wps=1,1,3*pn=2*wps=1,1,2"])
 def test_csm_run_validates_with_one_root_elimination(spec, monkeypatch, tmp_path, capsys):
-    # Validation walks the walls from one root cone: one signed solve for
-    # the whole fan, then each cone's determinant from a neighbour's.  No
-    # per-cone determinant and no Hermite form anywhere in the run.
+    # Validation walks the walls of each coordinate factor (pn=4 three
+    # times; wps=1,1,3, pn=2 and wps=1,1,2) from one root cone: one signed
+    # solve per factor, then each cone's determinant from a neighbour's.
+    # No per-cone determinant and no Hermite form anywhere in the run.
     import toriccsm.fan as fan_mod
     from toriccsm import render_fan
     from toriccsm.cli import _builder_fan, main
@@ -461,7 +462,7 @@ def test_csm_run_validates_with_one_root_elimination(spec, monkeypatch, tmp_path
         monkeypatch.setattr(fan_mod, name, counted)
     assert main(["csm", "--fan", str(path), "--json"]) == 0
     report = json.loads(capsys.readouterr().out)
-    assert calls == {"fraction_free_solve_rows": 1, "determinant": 0, "hermite_normal_form": 0}
+    assert calls == {"fraction_free_solve_rows": 3, "determinant": 0, "hermite_normal_form": 0}
     assert report["fan"]["smooth"] == (spec == "pn=4*pn=4*pn=4")
 
 

@@ -8,13 +8,18 @@ import pytest
 from helpers import (
     _FACTORS,
     MULTI_COVER_FANS,
+    SPLIT_DECLINE_FANS,
+    coordinate_block_count,
     eager_pivot_walk,
     oracle_multiplicity,
+    raw_fan,
     raw_product,
     relabel,
     relabel_raw,
+    relabelled_products,
     same_side_wall,
     shuffled_products,
+    shuffled_raw,
     stellar_fan,
     suite_fans,
 )
@@ -425,15 +430,13 @@ def _stellar_fans():
     )
 
 
-def _raw(fan):
-    return fan.ambient_dim, list(fan.rays), [c.ray_indices for c in fan.max_cones]
-
-
 @settings(max_examples=40, deadline=None, database=None)
-@given(data=st.one_of(shuffled_products(), _stellar_fans().map(_raw)))
+@given(data=st.one_of(shuffled_products(), _stellar_fans().map(raw_fan)))
 def test_walk_solves_once_per_root_and_exchanges_less_than_once_per_cone(data):
     # One fraction-free solve per wall-connected piece, and each other cone
-    # reached by at most one exchange step; build_fan takes the same walk.
+    # reached by at most one exchange step.  build_fan walks each factor of
+    # a product on its own coordinate block, and a fan in one block whole:
+    # one solve per coordinate block, and fewer exchanges than cones.
     n, rays, cones = data
     calls = {"solve": 0, "exchange": 0}
 
@@ -447,14 +450,14 @@ def test_walk_solves_once_per_root_and_exchanges_less_than_once_per_cone(data):
         mp.setattr(fan_mod, "fraction_free_solve_rows", counted("solve", fan_mod.fraction_free_solve_rows))
         mp.setattr(fan_mod, "_exchange", counted("exchange", fan_mod._exchange))
         fan = build_fan(n, rays, cones)
-        assert calls["solve"] == 1 and calls["exchange"] < len(cones)
+        assert calls["solve"] == coordinate_block_count(rays) and calls["exchange"] < len(cones)
         calls.update(solve=0, exchange=0)
         _, roots, _, _ = fan_mod._pivot_walk(fan, fan_mod._wall_table(fan.max_cones, n))
         assert calls["solve"] == len(roots) == 1 and calls["exchange"] < len(cones)
 
 
 @settings(max_examples=60, deadline=None, database=None)
-@given(data=st.one_of(shuffled_products(), _stellar_fans().map(_raw)), pick=st.integers(0, 10**6))
+@given(data=st.one_of(shuffled_products(), _stellar_fans().map(raw_fan)), pick=st.integers(0, 10**6))
 def test_walk_fold_matches_same_side_wall(data, pick):
     # Negating one ray r puts -r on the same side as the other ray of each
     # wall of the cones that hold r, away from r: the walk must name the
@@ -479,14 +482,14 @@ def _multi_cover_products(draw):
     with its cones shuffled, as raw data."""
     entry = MULTI_COVER_FANS[draw(st.sampled_from(sorted(MULTI_COVER_FANS)))]
     fan = draw(st.sampled_from(_FACTORS))()
-    n, rays, cones = raw_product(entry, _raw(fan))
+    n, rays, cones = raw_product(entry, raw_fan(fan))
     rays, cones = relabel_raw(rays, cones, draw(st.permutations(range(len(rays)))))
     return n, rays, draw(st.permutations(cones))
 
 
 @settings(max_examples=80, deadline=None, database=None)
 @given(
-    data=st.one_of(shuffled_products(), _stellar_fans().map(_raw), _multi_cover_products()),
+    data=st.one_of(shuffled_products(), _stellar_fans().map(raw_fan), _multi_cover_products()),
     pick=st.integers(-1, 10**6),
 )
 def test_walk_matches_the_eager_walk(data, pick):
@@ -504,6 +507,71 @@ def test_walk_matches_the_eager_walk(data, pick):
     across = fan_mod._wall_table(cone_objects, n)
     unchecked = SimpleNamespace(ambient_dim=n, rays=rays, max_cones=cone_objects)
     assert fan_mod._pivot_walk(unchecked, across) == eager_pivot_walk(unchecked, across)
+
+
+def _outcome(n, rays, cones, split=True):
+    """Each maximal cone's cached multiplicity, or the ``ValidationError``
+    text, of ``Fan(n, rays, cones)``, and its number of fraction-free
+    solves; with ``split`` False the product split is switched off, so the
+    whole fan is walked."""
+    solves = []
+    solve = fan_mod.fraction_free_solve_rows
+
+    def counted(*args):
+        solves.append(1)
+        return solve(*args)
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(fan_mod, "fraction_free_solve_rows", counted)
+        if not split:
+            mp.setattr(fan_mod, "_factor_multiplicities", lambda fan: None)
+        try:
+            result = [c._mult for c in Fan(n, rays, cones).max_cones]
+        except ValidationError as e:
+            result = str(e)
+    return result, len(solves)
+
+
+@settings(max_examples=80, deadline=None, database=None)
+@given(
+    data=st.one_of(
+        relabelled_products().map(lambda drawn: (True, raw_fan(drawn[1]))),
+        _multi_cover_products().map(lambda raw: (False, raw)),
+    ),
+    change=st.sampled_from(["none", "negate a ray", "drop a cone"]),
+    pick=st.integers(0, 10**6),
+)
+def test_product_split_matches_the_whole_walk(data, change, pick):
+    # Validation walks each factor of a product on its own coordinate block.
+    # On products as drawn, with one ray negated (a fold in one factor) or
+    # one cone dropped (no longer every union of projections), and on
+    # products of a fan that covers space more than once, it must cache the
+    # same multiplicities, or raise the same error, as the walk of the
+    # whole fan; on a product as drawn it takes the split: one solve per
+    # coordinate block.
+    is_product, (n, rays, cones) = data
+    if change == "negate a ray":
+        r = pick % len(rays)
+        rays = rays[:r] + [tuple(-x for x in rays[r])] + rays[r + 1 :]
+    elif change == "drop a cone":
+        k = pick % len(cones)
+        cones = cones[:k] + cones[k + 1 :]
+    result, solves = _outcome(n, rays, cones)
+    assert result == _outcome(n, rays, cones, split=False)[0]
+    if is_product and change == "none":
+        assert solves == coordinate_block_count(rays) > 1 and not isinstance(result, str)
+
+
+@pytest.mark.parametrize("name", sorted(SPLIT_DECLINE_FANS))
+def test_split_leaves_fans_that_are_no_product_of_valid_factors_to_the_whole_walk(name):
+    # Each fan's rays fall into several coordinate blocks, but its cones are
+    # not every union of one projection per block, hold the wrong number of
+    # a block's rays, or make a factor that fails a check, or a ray is
+    # unused: relabelled and shuffled, it gets the whole walk's error.
+    for seed in range(3):
+        n, rays, cones = shuffled_raw(SPLIT_DECLINE_FANS[name], seed)
+        result, _ = _outcome(n, rays, cones)
+        assert isinstance(result, str) and result == _outcome(n, rays, cones, split=False)[0]
 
 
 @pytest.mark.parametrize(
